@@ -40,7 +40,7 @@ import statistics
 import subprocess
 import sys
 import warnings
-from array import array
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter
 
@@ -48,10 +48,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 #: Set-ups timed per run for setup_s (each in a fresh process).
-SETUP_REPEATS = 9
+SETUP_REPEATS = 15
 
 #: Probe time that defines reference machine speed, in seconds.
 REFERENCE_PROBE_S = 1e-3
+
+#: Op latencies kept per run (a uniform sample once more ops have run).
+LATENCY_SAMPLES = 1 << 16
 
 
 def parse_args(argv=None):
@@ -113,17 +116,35 @@ class SpeedProbe:
     The probe runs no coherentlab code, so a change to the package moves
     the scaled times and a change of machine speed does not.  The report
     line keeps the unscaled figures.
+
+    With ``threads`` > 1 (for ops that run on a thread pool) the probe
+    instead fills a random array on that many threads at once, as the
+    ops' own vectorised RNG work does: a single-threaded probe does not
+    see a slowdown of the other CPUs, which such ops do.
     """
 
-    def __init__(self):
+    def __init__(self, threads: int = 1):
         import numpy as np
 
         self._np = np
         self._x = np.exp(2j * np.pi * np.arange(256) / 256)
+        self.threads = threads
+        if threads > 1:
+            self._pool = ThreadPoolExecutor(threads)
+            self._rngs = [np.random.default_rng(i) for i in range(threads)]
+            self._bufs = [np.empty(200_000) for _ in range(threads)]
         self.samples: list[float] = []
+
+    def _fill(self, i: int) -> None:
+        self._rngs[i].random(out=self._bufs[i])
 
     def probe(self) -> int:
         """Time the probe once; returns the index of the sample."""
+        if self.threads > 1:
+            t0 = perf_counter()
+            list(self._pool.map(self._fill, range(self.threads)))
+            self.samples.append(perf_counter() - t0)
+            return len(self.samples) - 1
         fft, ifft = self._np.fft.fft, self._np.fft.ifft
         x, table = self._x, {}
         t0 = perf_counter()
@@ -133,6 +154,10 @@ class SpeedProbe:
             sum(v[0] for v in table.values())
         self.samples.append(perf_counter() - t0)
         return len(self.samples) - 1
+
+    def close(self) -> None:
+        if self.threads > 1:
+            self._pool.shutdown()
 
     def scale(self, i: int) -> float:
         """Scale of the times between probe i and probe i + 1."""
@@ -172,23 +197,59 @@ def cpu_model() -> str:
 
 def tail(latencies) -> tuple[float, float]:
     """(value, percentile) of the highest percentile with ten samples beyond it."""
-    s = sorted(latencies)
-    k = max(len(s) - 11, 0)
-    return s[k], 100.0 * (k + 1) / len(s)
+    import numpy as np
+
+    k = max(len(latencies) - 11, 0)
+    return float(np.partition(latencies, k)[k]), 100.0 * (k + 1) / len(latencies)
+
+
+class Reservoir:
+    """A uniform sample of at most LATENCY_SAMPLES (scaled, raw) op latencies.
+
+    The storage is allocated and touched before the first op, so the
+    harness's share of peak_rss_mib does not grow with the number of ops
+    (algorithm R, drawn a cycle at a time).
+    """
+
+    def __init__(self, seed: int):
+        import numpy as np
+
+        self._np = np
+        self._rng = np.random.default_rng([seed, 99])
+        self._data = np.full((LATENCY_SAMPLES, 2), np.nan)
+        self.seen = 0
+
+    def add(self, scaled, raw) -> None:
+        np = self._np
+        batch = np.column_stack([scaled, raw])
+        free = max(LATENCY_SAMPLES - self.seen, 0)
+        head = batch[:free]
+        self._data[self.seen:self.seen + len(head)] = head
+        rest = batch[free:]
+        if len(rest):
+            # the i-th op seen replaces a random slot with probability cap / i
+            seen_at = self.seen + len(head) + 1 + np.arange(len(rest))
+            slot = self._rng.integers(0, seen_at)
+            keep = slot < LATENCY_SAMPLES
+            self._data[slot[keep]] = rest[keep]
+        self.seen += len(batch)
+
+    def values(self, column: int):
+        return self._data[:min(self.seen, LATENCY_SAMPLES), column]
 
 
 class Loop:
     """Closed-loop load generator: whole cycles until the time is up."""
 
-    def __init__(self, workload, speed: SpeedProbe, tracer=None):
+    def __init__(self, workload, speed: SpeedProbe, seed: int, tracer=None):
         self.wl = workload
         self.speed = speed
         self.tracer = tracer
-        # index 0: untraced cycles, 1: traced cycles; compact arrays, so the
-        # bookkeeping adds little to peak_rss_mib however many ops ran
-        self.latencies = (array("d"), array("d"))  # speed-scaled
-        self.raw_latencies = (array("d"), array("d"))
+        self.latencies = Reservoir(seed)  # untraced cycles only
+        # index 0: untraced cycles, 1: traced cycles
+        self.ops = [0, 0]
         self.items = [0, 0]
+        self.raw_busy_s = [0.0, 0.0]
         self.cycle_rates = ([], [])
         self.attempted = 0
         self.failed = 0
@@ -207,13 +268,18 @@ class Loop:
                     self.tracer.uninstall()
             self.speed.probe()
             oks = self.wl.check(traced)
+            raw = [lat for lat, _, _ in ops]
             scaled = [lat * self.speed.scale(group) for lat, _, group in ops]
             items = sum(i for _, i, _ in ops)
-            self.latencies[traced].extend(scaled)
-            self.raw_latencies[traced].extend(lat for lat, _, _ in ops)
+            if not traced:
+                self.latencies.add(scaled, raw)
+            self.ops[traced] += len(ops)
             self.items[traced] += items
+            self.raw_busy_s[traced] += sum(raw)
             self.cycle_rates[traced].append(items / sum(scaled))
-            self.attempted += len(ops)
+            # check() gives one verdict per op the cycle attempted, also
+            # for ops that an abort kept from running (and so from timing)
+            self.attempted += len(oks)
             self.failed += sum(not ok for ok in oks)
             k += 1
             if perf_counter() >= t_end and (self.tracer is None or k >= 2):
@@ -225,19 +291,22 @@ class Loop:
         return statistics.median(self.cycle_rates[traced])
 
 
-def end_to_end(loop: Loop, setup: list[tuple[float, float]]) -> tuple[dict, dict]:
-    lat = loop.latencies[0]
-    raw = loop.raw_latencies[0]
+def end_to_end(loop: Loop, setup: list[tuple[float, float]], peak_rss_mib: float) -> tuple[dict, dict]:
+    import numpy as np
+
+    lat = loop.latencies.values(0)
+    raw = loop.latencies.values(1)
     tail_s, tail_pct = tail(lat)
     metrics = {
         "setup_s": (statistics.median(s for _, s in setup), "s"),
         "items_per_s": (loop.rate(False), "1/s"),
-        "op_p50_ms": (statistics.median(lat) * 1e3, "ms"),
-        "peak_rss_mib": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MiB"),
+        "op_p50_ms": (float(np.median(lat)) * 1e3, "ms"),
+        "peak_rss_mib": (peak_rss_mib, "MiB"),
         "ok_ratio": (1.0 - loop.failed / loop.attempted, "ratio"),
     }
     details = {
-        "ops": len(lat),
+        "ops": loop.ops[0],
+        "latency_samples": len(lat),
         "cycles": len(loop.cycle_rates[0]),
         # reported, not bounded: on veto_stream no tail percentile from p95
         # to p99.99 kept a ten-seed spread below 0.2
@@ -249,8 +318,8 @@ def end_to_end(loop: Loop, setup: list[tuple[float, float]]) -> tuple[dict, dict
         "probe_ms_median": statistics.median(loop.speed.samples) * 1e3,
         "unscaled": {
             "setup_s": statistics.median(s for s, _ in setup),
-            "items_per_s": loop.items[0] / sum(raw),
-            "op_p50_ms": statistics.median(raw) * 1e3,
+            "items_per_s": loop.items[0] / loop.raw_busy_s[0],
+            "op_p50_ms": float(np.median(raw)) * 1e3,
             "op_tail_ms": tail(raw)[0] * 1e3,
         },
     }
@@ -272,7 +341,7 @@ def per_layer(loop: Loop, tracer, import_ms: float) -> tuple[dict, dict]:
     def ratio(a, b):
         return a / b if b else 0.0
 
-    ops = len(loop.latencies[1])
+    ops = loop.ops[1]
     items = loop.items[1]
     wl = loop.wl
     vgh = st["landscape.v_value_grad_hess"]
@@ -300,7 +369,7 @@ def per_layer(loop: Loop, tracer, import_ms: float) -> tuple[dict, dict]:
         "trace.overhead_ratio": (loop.rate(True) / loop.rate(False), "ratio"),
     })
     checks = {"bindings_restored": tracer.bindings_restored(), **wl.trace_checks(st, ops)}
-    details = {"ops_traced": ops, "ops_untraced": len(loop.latencies[0]),
+    details = {"ops_traced": ops, "ops_untraced": loop.ops[0],
                "spans": len(tracer.span_start), "tracer_checks": checks}
     return metrics, details
 
@@ -320,27 +389,32 @@ def run(args) -> int:
             leave_workdir(path)
         return 0
 
-    speed = SpeedProbe()
-    setup = [] if args.trace else setup_seconds(args, speed)
+    setup = [] if args.trace else setup_seconds(args, SpeedProbe())
     import numpy as np
     from tracer import Tracer
     from workloads import NPROC, WORKLOADS
 
     tracer = Tracer() if args.trace else None
     path = enter_workdir(args.workload)
+    speed = None
     try:
         # failed ascent starts warn; they are counted, not failures
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             wl = WORKLOADS[args.workload](args.seed)
+            speed = SpeedProbe(wl.threads)
             wl.prepare(speed)
-            loop = Loop(wl, speed, tracer)
+            loop = Loop(wl, speed, args.seed, tracer)
             loop.run(args.seconds)
+            # before any summary work, so the figure is the workload's
+            peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     finally:
         leave_workdir(path)
+        if speed is not None:
+            speed.close()
 
     if tracer is None:
-        metrics, details = end_to_end(loop, setup)
+        metrics, details = end_to_end(loop, setup, peak_rss_mib)
         correct = loop.failed == 0
     else:
         metrics, details = per_layer(loop, tracer, import_ms)

@@ -9,8 +9,10 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 HERE = Path(__file__).resolve().parent
@@ -20,6 +22,8 @@ sys.path.insert(0, str(HERE))
 
 import coherentlab  # noqa: E402
 import coherentlab.selection  # noqa: E402
+import run  # noqa: E402
+import workloads  # noqa: E402
 from tracer import PACKAGE, TRACED, Tracer  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -59,6 +63,46 @@ def test_tracer_wraps_every_binding_and_restores_them():
     assert tracer.stat("landscape.ascent_starts")["calls"] == 1
     assert tracer.stat("states.SuperposedState")["calls"] == 1
     assert tracer.gram_entries == 4
+
+
+def test_aborted_select_chain_counts_every_missing_event_as_failed():
+    abort_at = 3
+    wl = workloads.SelectChain(seed=5)
+    make_hook = wl._hook
+
+    def failing_hook(episode, modes):
+        hook, hooked, marks = make_hook(episode, modes)
+
+        def hook_that_fails(state, step):
+            if step == abort_at:
+                marks.append(run.perf_counter())
+                raise ValueError("state has non-positive norm")
+            return hook(state, step)
+
+        return hook_that_fails, hooked, marks
+
+    wl._hook = failing_hook
+    loop = run.Loop(wl, run.SpeedProbe(), seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # run_sequence warns, then aborts
+        loop.run(0)
+    assert len(wl._records) == abort_at - 1
+    assert loop.attempted == workloads.CHAIN_EVENTS
+    assert loop.failed == workloads.CHAIN_EVENTS - (abort_at - 1)
+
+
+def test_reservoir_is_bounded_and_keeps_a_uniform_sample(monkeypatch):
+    monkeypatch.setattr(run, "LATENCY_SAMPLES", 1000)
+    res = run.Reservoir(seed=1)
+    values = np.arange(20_000, dtype=float)
+    for batch in np.split(values, 40):
+        res.add(batch, 2.0 * batch)
+    kept = res.values(0)
+    assert res.seen == 20_000 and len(kept) == 1000
+    assert np.array_equal(res.values(1), 2.0 * kept)  # pairs stay together
+    assert len(np.unique(kept)) == 1000
+    # the median of a uniform sample of 0..19999 is near 10000
+    assert abs(np.median(kept) - 10_000) < 1_000
 
 
 def _run(workload, trace, seconds=1, cwd=ROOT):

@@ -13,9 +13,11 @@ A workload is used in three steps:
 * ``prepare(speed)`` runs the benchmark's own reference checks that need
   the program (the ``--workers 1`` born runs); it is not part of ``setup_s``;
 * ``cycle(probe)`` runs one fixed mix of ops and returns (latency_s, items,
-  probe index) per op, calling ``probe()`` (a machine-speed probe, see
-  ``run.py``) before each group of ops; ``check()`` then verifies that
-  cycle's outputs outside the timed ops.
+  probe index) per op that ran, calling ``probe()`` (a machine-speed
+  probe, see ``run.py``) before each group of ops; ``check()`` then
+  verifies that cycle's outputs outside the timed ops and returns one
+  verdict per op the cycle attempted, so an op that an abort kept from
+  running is a failed op.
 
 A cycle always runs the same mix of inputs, so a run made of whole cycles
 has the same mix whatever the seed, which keeps the medians steady.
@@ -97,6 +99,9 @@ def read_csv_columns(path: Path) -> list[list[float]]:
 
 class Workload:
     """Defaults for the optional steps of a workload."""
+
+    #: Threads an op runs on; the speed probe runs on as many.
+    threads = 1
 
     def prepare(self, speed) -> None:
         pass
@@ -228,6 +233,7 @@ class BornSweep(_CliWorkload):
 
     family = "born"
     items_unit = "MC samples"
+    threads = NPROC
 
     def __init__(self, seed: int):
         rng = np.random.default_rng([seed, 2])
@@ -244,7 +250,7 @@ class BornSweep(_CliWorkload):
             for _ in range(BORN_CONFIGS)
         ]
         super().__init__(configs)
-        self.workers = NPROC
+        self.workers = self.threads
         self.serial: dict[str, tuple[float, int]] = {}
         self.parallel: dict[str, list[tuple[float, int]]] = {name: [] for name, _, _ in self.inputs}
 
@@ -390,8 +396,10 @@ class SelectChain(Workload):
         records, hooked = self._records, self._hooked
         if self.first_log is None:
             self.first_log = [coherentlab.selection.record_as_dict(r) for r in records]
-        oks = [False] * max(len(hooked), 1)
-        for i, (record, state) in enumerate(zip(records, hooked)):
+        # every one of the CHAIN_EVENTS events must be logged: an event the
+        # run did not reach (an aborted sequence) is a failed op
+        oks = [False] * CHAIN_EVENTS
+        for i, (record, state) in enumerate(zip(records[:CHAIN_EVENTS], hooked)):
             centre_v = max(cl.v_value(state, pt) for pt in state.points())
             oks[i] = (
                 record.index == i + 1
