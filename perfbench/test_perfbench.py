@@ -91,6 +91,18 @@ def test_aborted_select_chain_counts_every_missing_event_as_failed():
     assert loop.failed == workloads.CHAIN_EVENTS - (abort_at - 1)
 
 
+def test_born_cells_expect_many_accepted_and_rejected_samples(tmp_path, monkeypatch):
+    # the |z| <= 5 check is a normal approximation; a cell near pi/2 that
+    # expects about one accepted sample fails it on a correct program
+    monkeypatch.chdir(tmp_path)
+    for seed in range(200):
+        for _, _, config in workloads.BornSweep(seed).inputs:
+            p = config["parameters"]
+            for theta in p["thetas"]:
+                cos2 = np.cos(theta) ** 2
+                assert p["samples"] * cos2 * (1.0 - cos2) >= 399.0, (seed, theta)
+
+
 def test_reservoir_is_bounded_and_keeps_a_uniform_sample(monkeypatch):
     monkeypatch.setattr(run, "LATENCY_SAMPLES", 1000)
     res = run.Reservoir(seed=1)
