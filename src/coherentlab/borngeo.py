@@ -113,11 +113,27 @@ def _accepted_count(theta: float, n: int, seed_key: tuple) -> int:
         return 0
     rng = np.random.default_rng(list(seed_key))
     cos_alpha = rng.uniform(-1.0, 1.0, size=n)
-    rng.uniform(0.0, 2.0 * np.pi, size=n)  # chi draw, kept for stream parity
     if theta <= 0.0:
         return n
     # blocked iff alpha <= 2 theta iff cos(alpha) >= cos(2 theta)
     return int(np.count_nonzero(cos_alpha < np.cos(2.0 * theta)))
+
+
+def _accepted_counts(cells: list[tuple[float, tuple]], n: int, shards: int, workers: int) -> list[int]:
+    """Accepted counts of n samples for each (theta, seed prefix) cell.
+
+    Each cell is split into ``shards`` substreams keyed by (*prefix,
+    shard); all shards of all cells share one thread pool, and the counts
+    never depend on ``workers``.
+    """
+    sizes = _shard_sizes(n, shards)
+    jobs = [(theta, m, (*prefix, i)) for theta, prefix in cells for i, m in enumerate(sizes)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            counts = list(pool.map(lambda job: _accepted_count(*job), jobs))
+    else:
+        counts = [_accepted_count(*job) for job in jobs]
+    return [sum(counts[c * shards:(c + 1) * shards]) for c in range(len(cells))]
 
 
 def transition_prob_mc(
@@ -136,14 +152,7 @@ def transition_prob_mc(
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    sizes = _shard_sizes(n, shards)
-    keys = [(seed, i) for i in range(shards)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda a: _accepted_count(geom.theta, a[0], a[1]), zip(sizes, keys)))
-    else:
-        counts = [_accepted_count(geom.theta, m, k) for m, k in zip(sizes, keys)]
-    accepted = int(sum(counts))
+    [accepted] = _accepted_counts([(geom.theta, (seed,))], n, shards, workers)
     p_hat = accepted / n
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n))
     return McEstimate(p_hat=p_hat, stderr=stderr, accepted=accepted, n=n)
@@ -161,25 +170,16 @@ def sweep_transition_prob(
     Every cell gets its own substream family keyed by (seed, cell, shard),
     so the sweep is reproducible cell-by-cell.
     """
+    geoms = [TransitionGeometry(theta=float(theta)) for theta in thetas]
+    cells = [(geom.theta, (seed, cell)) for cell, geom in enumerate(geoms)]
     rows = []
-    for cell, theta in enumerate(thetas):
-        geom = TransitionGeometry(theta=float(theta))
-        sizes = _shard_sizes(n, shards)
-        keys = [(seed, cell, i) for i in range(shards)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                counts = list(
-                    pool.map(lambda a: _accepted_count(geom.theta, a[0], a[1]), zip(sizes, keys))
-                )
-        else:
-            counts = [_accepted_count(geom.theta, m, k) for m, k in zip(sizes, keys)]
-        accepted = int(sum(counts))
+    for geom, accepted in zip(geoms, _accepted_counts(cells, n, shards, workers)):
         p_hat = accepted / n
         stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / n))
         z = (p_hat - geom.cos2) / stderr if stderr > 0 else 0.0
         rows.append(
             {
-                "theta": float(theta),
+                "theta": geom.theta,
                 "n": n,
                 "p_hat": p_hat,
                 "stderr": stderr,

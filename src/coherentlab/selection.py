@@ -11,19 +11,24 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .borngeo import BlockingVector, is_blocked, theta_from_norms
+from .borngeo import BlockingVector, TransitionGeometry, is_blocked, theta_from_norms
 from .landscape import ascend, ascent_starts
-from .states import CoherentPoint, SuperposedState, amplitude, evolve_free
+from .states import CoherentPoint, SuperposedState, evolve_free
 
 #: |dv| below which two global maxima count as tied (resolved lexicographically).
 TIE_TOLERANCE = 1e-12
 
 #: Converged maxima closer than this (flattened Euclidean) are merged.
 DEDUP_RADIUS = 1e-6
+
+# Ascent tolerance and iteration cap of the maxima search a selection event runs.
+_TOL = 1e-10
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,8 @@ def next_event_time(t_i: float, e: float) -> float:
 
 def find_local_maxima(
     state: SuperposedState,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
     dedup_radius: float = DEDUP_RADIUS,
 ) -> MaximaResult:
     """Locate local maxima of the landscape by multi-start ascent.
@@ -145,6 +150,10 @@ def find_local_maxima(
 
 def _argmax_candidate(result: MaximaResult) -> tuple[Candidate, bool]:
     """Global maximum with lexicographic tie-breaking on (q, p)."""
+    if not result.maxima:
+        raise ValueError(
+            f"no landscape maximum found: all {result.failed_starts} ascent start(s) failed"
+        )
     top = result.maxima[0]
     tied = [c for c in result.maxima if abs(c.v - top.v) < TIE_TOLERANCE]
     tie = len(tied) > 1
@@ -154,6 +163,65 @@ def _argmax_candidate(result: MaximaResult) -> tuple[Candidate, bool]:
     return top, tie
 
 
+@dataclass(frozen=True)
+class _CollapseTarget:
+    """What an event on one state selects: a function of its cached maxima."""
+
+    result: MaximaResult
+    chosen: Candidate
+    tie: bool
+    state_next: SuperposedState
+
+    @cached_property
+    def geometry(self) -> TransitionGeometry:
+        """Transition angle of the collapse, computed on the first veto only.
+
+        <x|x> = 1 for the argmax x, so cos^2(theta) = |P Psi|^2 / |Psi|^2
+        = |<x|Psi>|^2 / |Psi|^2 is the landscape value the ascent returned.
+        """
+        return theta_from_norms(1.0, self.chosen.v)
+
+
+def _collapse_target(state: SuperposedState) -> _CollapseTarget:
+    """The state's collapse target, built once and kept beside its maxima.
+
+    find_local_maxima runs on every call (a cache hit after the first);
+    the target is cached on the state under the same search key.
+    """
+    result = find_local_maxima(state)
+    targets = state.__dict__.setdefault("_target_cache", {})
+    key = (_TOL, _MAX_ITER, DEDUP_RADIUS)
+    target = targets.get(key)
+    if target is None:
+        chosen, tie = _argmax_candidate(result)
+        target = _CollapseTarget(
+            result=result,
+            chosen=chosen,
+            tie=tie,
+            state_next=SuperposedState.single(chosen.point, state.basis),
+        )
+        targets[key] = target
+    return target
+
+
+def _select(
+    state: SuperposedState, t: float, index: int, phi: BlockingVector | None
+) -> CollapseOutcome:
+    target = _collapse_target(state)
+    blocked = phi is not None and is_blocked(target.geometry, phi)
+    record = EventRecord(
+        index=index,
+        time=float(t),
+        chosen=target.chosen.point,
+        v_at_choice=target.chosen.v,
+        candidates=target.result.maxima,
+        blocked=blocked,
+        tie=target.tie,
+        failed_starts=target.result.failed_starts,
+    )
+    return CollapseOutcome(state_next=state if blocked else target.state_next, record=record)
+
+
 def select_and_collapse(state: SuperposedState, t: float, index: int = 1) -> CollapseOutcome:
     """Actualize the global landscape maximum as the next state.
 
@@ -161,20 +229,7 @@ def select_and_collapse(state: SuperposedState, t: float, index: int = 1) -> Col
     with coefficient 1 (renormalized projection).  Applying the operation
     again re-selects the same point with landscape value 1.
     """
-    result = find_local_maxima(state)
-    chosen, tie = _argmax_candidate(result)
-    record = EventRecord(
-        index=index,
-        time=float(t),
-        chosen=chosen.point,
-        v_at_choice=chosen.v,
-        candidates=result.maxima,
-        blocked=False,
-        tie=tie,
-        failed_starts=result.failed_starts,
-    )
-    state_next = SuperposedState.single(chosen.point, state.basis)
-    return CollapseOutcome(state_next=state_next, record=record)
+    return _select(state, t, index, None)
 
 
 def blocked_select(
@@ -186,26 +241,12 @@ def blocked_select(
     """Argmax selection routed through the sphere-geometry blocking test.
 
     The transition angle satisfies cos^2(theta) = |P Psi|^2 / |Psi|^2 for
-    the argmax projector P.  If phi blocks, the state is left unchanged
-    and the record is marked blocked.
+    the argmax projector P.  That ratio is the landscape value at the
+    argmax, so theta comes from the cached argmax value and no amplitude
+    is recomputed.  If phi blocks, the state is left unchanged and the
+    record is marked blocked.
     """
-    result = find_local_maxima(state)
-    chosen, tie = _argmax_candidate(result)
-    proj_sq = abs(amplitude(state, chosen.point)) ** 2
-    geom = theta_from_norms(state.norm_sq, proj_sq)
-    blocked = is_blocked(geom, phi)
-    record = EventRecord(
-        index=index,
-        time=float(t),
-        chosen=chosen.point,
-        v_at_choice=chosen.v,
-        candidates=result.maxima,
-        blocked=blocked,
-        tie=tie,
-        failed_starts=result.failed_starts,
-    )
-    state_next = state if blocked else SuperposedState.single(chosen.point, state.basis)
-    return CollapseOutcome(state_next=state_next, record=record)
+    return _select(state, t, index, phi)
 
 
 DriftHook = Callable[[SuperposedState, int], SuperposedState]

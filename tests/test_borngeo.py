@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,9 @@ from coherentlab import (
     theta_from_norms,
     transition_prob_mc,
 )
+
+
+BORN_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "born.json"
 
 
 class TestThetaFromNorms:
@@ -132,6 +138,15 @@ class TestTransitionProbMc:
         rows = sweep_transition_prob(thetas, n=10**6, seed=11)
         hits = sum(abs(r["p_hat"] - r["cos2theta"]) < 4 * r["stderr"] for r in rows)
         assert hits >= 14
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sample_config_accepted_total_is_pinned(self, workers):
+        config = json.loads(BORN_CONFIG.read_text())
+        p = config["parameters"]
+        rows = sweep_transition_prob(
+            p["thetas"], p["samples"], config["seed"], shards=p["shards"], workers=workers
+        )
+        assert sum(round(r["p_hat"] * r["n"]) for r in rows) == 7_353_105
 
     def test_needs_samples(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import coherentlab.selection
 from coherentlab import spread_estimate
 from coherentlab.cli import main
 from coherentlab.config import ConfigError, resolve_config
@@ -171,6 +173,18 @@ class TestCliSelect:
         doc = json.loads((out / "events.json").read_text())
         assert len(doc["events"]) == 3
         assert doc["events"][0]["chosen"]["q"] == pytest.approx([1.5])
+
+    def test_search_without_maximum_is_numeric_error(self, tmp_path, monkeypatch, capsys):
+        def failing_ascend(state, start, tol, max_iter):
+            return np.asarray(start, dtype=float), 0.0, False
+
+        monkeypatch.setattr(coherentlab.selection, "ascend", failing_ascend)
+        with pytest.warns(RuntimeWarning):
+            code = main(["select", "--config", self._config(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[numeric]: no landscape maximum found")
+        assert "all 1 ascent start(s) failed" in err
 
     def test_wrong_subcommand_for_config(self, tmp_path):
         assert main(["born", "--config", self._config(tmp_path), "--out", str(tmp_path / "o")]) == 2

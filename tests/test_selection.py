@@ -7,14 +7,18 @@ from coherentlab import (
     ModeBasis,
     SuperposedState,
     UrgencySchedule,
+    amplitude,
     blocked_select,
     find_local_maxima,
+    is_blocked,
     next_event_time,
     offset_spawn,
     run_sequence,
+    sample_phi,
     seeded_spawn,
     select_and_collapse,
     single_mode,
+    theta_from_norms,
     v_value,
 )
 from coherentlab.landscape import v_at, v_gradient
@@ -282,3 +286,42 @@ class TestBlockedSelect:
         assert out.record.v_at_choice == pytest.approx(
             v_value(state, out.record.chosen), abs=1e-12
         )
+
+
+# (modes, components) of the states the veto regression runs on
+VETO_SHAPES = [(1, 2), (1, 4), (1, 8), (3, 3)]
+
+
+def _veto_state(n_modes, n_comp):
+    rng = np.random.default_rng([n_modes, n_comp])
+    return random_separated_state(rng, n_modes, n_comp, CoherentPoint, SuperposedState, ModeBasis)
+
+
+class TestVetoPath:
+    @pytest.mark.parametrize("shape", VETO_SHAPES, ids=str)
+    def test_decisions_match_amplitude_reference(self, shape):
+        state = _veto_state(*shape)
+        chosen = select_and_collapse(state, 0.0).record.chosen
+        geom = theta_from_norms(state.norm_sq, abs(amplitude(state, chosen)) ** 2)
+        rng = np.random.default_rng([7, *shape])
+        n = 10**4
+        blocked = 0
+        for _ in range(n):
+            phi = sample_phi(rng)
+            out = blocked_select(state, 0.0, phi)
+            assert out.record.blocked == is_blocked(geom, phi)
+            blocked += out.record.blocked
+        assert 0 < blocked < n  # both decisions were exercised
+
+    @pytest.mark.parametrize("shape", VETO_SHAPES, ids=str)
+    def test_accepted_state_is_single_at_argmax(self, shape):
+        state = _veto_state(*shape)
+        for _ in range(2):  # the second call is served from the cached target
+            out = blocked_select(state, 0.0, BlockingVector(alpha=np.pi, chi=0.0))
+            assert out.accepted
+            ref = SuperposedState.single(out.record.chosen, state.basis)
+            np.testing.assert_array_equal(out.state_next.coeffs, ref.coeffs)
+            np.testing.assert_array_equal(out.state_next.q, ref.q)
+            np.testing.assert_array_equal(out.state_next.p, ref.p)
+            np.testing.assert_array_equal(out.state_next.gram(), ref.gram())
+            assert out.state_next.norm_sq == ref.norm_sq

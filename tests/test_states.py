@@ -14,6 +14,7 @@ from coherentlab import (
     single_mode,
     v_value,
 )
+from coherentlab.states import _overlap_matrix
 
 E_MINUS_1 = 0.36787944117144233  # exp(-(4+0+0)/4) for a 2-quadrature-unit offset
 
@@ -290,3 +291,21 @@ class TestRayOperations:
         state = SuperposedState.single(_pt(0.0, 0.0), single_mode())
         with pytest.raises(ValueError):
             state.scaled(0.0)
+
+
+class TestSingleComponentGram:
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_equals_kernel_bit_for_bit(self, scale, n_modes):
+        rng = np.random.default_rng([n_modes, int(scale)])
+        basis = ModeBasis(omegas=rng.uniform(0.0, 2.0, n_modes), weights=rng.uniform(0.5, 2.0, n_modes))
+        for _ in range(200):
+            point = CoherentPoint(
+                q=rng.uniform(-scale, scale, n_modes), p=rng.uniform(-scale, scale, n_modes)
+            )
+            coeff = complex(rng.normal(), rng.normal())
+            state = SuperposedState([coeff], [point], basis)
+            kernel = _overlap_matrix(state.q, state.p, state.q, state.p, basis.weights)
+            assert state.gram().tobytes() == kernel.tobytes()
+            c = state.coeffs
+            assert state.norm_sq == float(np.real(np.conj(c) @ kernel @ c))

@@ -1,0 +1,51 @@
+"""Hash every artifact that the sample configs produce.
+
+Runs each ``configs/*.json`` through ``coherentlab.cli.main`` into a
+temporary directory, once with ``--workers 1`` and once with
+``--workers 2``, and prints one ``config workers file sha256`` line per
+artifact.  ``config_resolved.json`` is left out: it echoes the output
+directory, which is temporary.
+
+A refactor keeps the artifacts byte-identical when the output of this
+script is the same before and after it:
+
+    python tools/config_hashes.py > before.txt
+    # ... change the code ...
+    python tools/config_hashes.py | diff before.txt -
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from coherentlab.cli import main  # noqa: E402
+
+WORKERS = (1, 2)
+
+
+def config_hashes() -> list[str]:
+    lines = []
+    for config in sorted((ROOT / "configs").glob("*.json")):
+        experiment = json.loads(config.read_text())["experiment"]
+        for workers in WORKERS:
+            with tempfile.TemporaryDirectory() as tmp:
+                argv = [experiment, "--config", str(config), "--out", tmp, "--workers", str(workers)]
+                code = main(argv)
+                if code != 0:
+                    raise SystemExit(f"{config.name} --workers {workers} exited {code}")
+                for path in sorted(Path(tmp).iterdir()):
+                    if path.name != "config_resolved.json":
+                        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                        lines.append(f"{config.name} {workers} {path.name} {digest}")
+    return lines
+
+
+if __name__ == "__main__":
+    print("\n".join(config_hashes()))
