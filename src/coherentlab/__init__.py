@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 
 from .borngeo import (
     BlockingVector,
-    McEstimate,
     TransitionGeometry,
     is_blocked,
     sample_phi,
@@ -53,11 +52,11 @@ from .ring import (
     Absorber,
     ClassicalEnsemble,
     RingState,
-    SurvivalCurve,
     classical_survival,
     dt_bound,
     fourier_mode_state,
     loss_rate,
+    spread_estimate,
     step,
     survival_curve,
     uniform_ensemble,
@@ -65,15 +64,10 @@ from .ring import (
     von_mises_state,
 )
 from .selection import (
-    Candidate,
-    CollapseOutcome,
-    EventRecord,
-    MaximaResult,
     UrgencySchedule,
     blocked_select,
     find_local_maxima,
     next_event_time,
-    no_drift,
     offset_spawn,
     run_sequence,
     seeded_spawn,
@@ -90,27 +84,20 @@ from .states import (
     overlap,
     v_value,
 )
-from .cli import spread_estimate
 
 __all__ = [
     "__version__",
     "Absorber",
     "BlockingVector",
-    "Candidate",
     "ClassicalEnsemble",
     "CoherentPoint",
-    "CollapseOutcome",
-    "EventRecord",
     "FieldMode",
     "FourVector",
-    "MaximaResult",
-    "McEstimate",
     "ModeBasis",
     "QuadratureGrid",
     "RingState",
     "SuperposedState",
     "SupportTruncationError",
-    "SurvivalCurve",
     "Trajectory",
     "TransitionGeometry",
     "UrgencySchedule",
@@ -132,7 +119,6 @@ __all__ = [
     "mass_shell_bracket",
     "mode_basis_for",
     "next_event_time",
-    "no_drift",
     "offset_spawn",
     "overlap",
     "polarization_vectors",

@@ -7,9 +7,10 @@ writes CSV/JSON results plus an SVG plot where the experiment produces a
 curve.  Identical (config, seed) runs produce byte-identical CSV and
 JSON regardless of worker count.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-The output directory resolves as: --out flag, else the COHERENTLAB_OUT
-environment variable, else the config's "out" entry.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
+failed run creates no output directory and writes nothing into an
+existing one.  The output directory resolves as: --out flag, else the
+COHERENTLAB_OUT environment variable, else the config's "out" entry.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,7 @@ from .ring import (
     Absorber,
     classical_survival,
     fourier_mode_state,
+    spread_estimate,
     survival_curve,
     uniform_ensemble,
     uniform_state,
@@ -55,29 +59,7 @@ from .selection import (
 )
 from .states import CoherentPoint, SuperposedState
 
-#: CODATA value of the reduced Planck constant, J s.
-HBAR_SI = 1.054571817e-34
-
 ENV_OUT = "COHERENTLAB_OUT"
-
-
-def spread_estimate(t: float, x: float, m: float) -> float:
-    """Free spreading t * (hbar / x) / m of a packet squeezed through width x.
-
-    SI units: t in seconds, x in meters, m in kilograms; the result is in
-    meters.  All inputs must be strictly positive.
-    """
-    for name, value in (("t", t), ("x", x), ("m", m)):
-        if not (value > 0 and np.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    return t * (HBAR_SI / x) / m
-
-
-def _echo_config(outdir: Path, config: dict) -> None:
-    echoed = dict(config)
-    echoed["version"] = __version__
-    echoed["out"] = str(outdir)
-    write_json(outdir / "config_resolved.json", echoed)
 
 
 def _run_ring(config: dict, outdir: Path) -> None:
@@ -258,21 +240,34 @@ def _run_spread(config: dict, outdir: Path) -> None:
 
 
 def run(config: dict, workers: int = 1) -> None:
-    """Dispatch a resolved config to its experiment runner."""
+    """Dispatch a resolved config to its experiment runner.
+
+    Artifacts go to a temporary directory in the output directory, or in
+    its nearest existing ancestor (so on the same file system), and are
+    moved into the output directory only when the run succeeds.
+    """
     outdir = Path(config["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    _echo_config(outdir, config)
-    experiment = config["experiment"]
-    if experiment == "ring":
-        _run_ring(config, outdir)
-    elif experiment == "select":
-        _run_select(config, outdir)
-    elif experiment == "born":
-        _run_born(config, outdir, workers)
-    elif experiment == "current":
-        _run_current(config, outdir)
-    else:
-        _run_spread(config, outdir)
+    base = next(d for d in (outdir, *outdir.parents) if d.is_dir())
+    workdir = Path(tempfile.mkdtemp(prefix=".coherentlab-run-", dir=base))
+    try:
+        echoed = {**config, "version": __version__, "out": str(outdir)}
+        write_json(workdir / "config_resolved.json", echoed)
+        experiment = config["experiment"]
+        if experiment == "ring":
+            _run_ring(config, workdir)
+        elif experiment == "select":
+            _run_select(config, workdir)
+        elif experiment == "born":
+            _run_born(config, workdir, workers)
+        elif experiment == "current":
+            _run_current(config, workdir)
+        else:
+            _run_spread(config, workdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for path in sorted(workdir.iterdir()):
+            path.replace(outdir / path.name)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:

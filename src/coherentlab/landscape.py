@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import SuperposedState
+from .states import SuperposedState, _kernel
 
 
 def _amp_terms(state: SuperposedState, x: np.ndarray):
@@ -22,9 +22,7 @@ def _amp_terms(state: SuperposedState, x: np.ndarray):
     dq = q - state.q
     dp = p - state.p
     sq = q + state.q
-    expo = -0.25 * np.sum(w * (dq * dq + dp * dp + 2j * dp * sq), axis=1)
-    terms = state.coeffs * np.exp(np.where(expo.real < -690.0, -np.inf, expo))
-    terms = np.where(np.isfinite(terms), terms, 0.0)
+    terms = state.coeffs * _kernel(dq, dp, sq, w)
     dgq = -0.5 * w * (dq + 1j * dp)
     dgp = -0.5 * w * (dp + 1j * sq)
     return terms, np.concatenate([dgq, dgp], axis=1)
@@ -39,10 +37,7 @@ def v_at(state: SuperposedState, x: np.ndarray) -> float:
 
 def v_gradient(state: SuperposedState, x: np.ndarray) -> np.ndarray:
     """Analytic gradient of the landscape with respect to [q..., p...]."""
-    terms, d = _amp_terms(state, np.asarray(x, dtype=float))
-    a = terms.sum()
-    da = terms @ d
-    return 2.0 * np.real(np.conj(a) * da) / state.norm_sq
+    return v_value_grad_hess(state, x)[1]
 
 
 def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
@@ -55,11 +50,11 @@ def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     da = terms @ d
     # Hessian of the amplitude: sum_j t_j (d_j d_j^T + const curvature blocks).
     ha = np.einsum("j,ja,jb->ab", terms, d, d)
-    diag = -0.5 * np.concatenate([w, w])
-    ha[np.diag_indices_from(ha)] += a * diag
-    for k in range(n):
-        ha[k, n + k] += a * (-0.5j * w[k])
-        ha[n + k, k] += a * (-0.5j * w[k])
+    ww = np.concatenate([w, w])
+    k = np.arange(2 * n)
+    ha[k, k] += a * (-0.5 * ww)
+    # off-diagonal blocks: the negative columns k - n of the first n rows wrap to n + k
+    ha[k, k - n] += a * (-0.5j * ww)
     v = float((a.real * a.real + a.imag * a.imag) / state.norm_sq)
     grad = 2.0 * np.real(np.conj(a) * da) / state.norm_sq
     hess = 2.0 * np.real(np.outer(np.conj(da), da) + np.conj(a) * ha) / state.norm_sq

@@ -70,14 +70,20 @@ def _check_point(point: CoherentPoint, basis: ModeBasis):
         )
 
 
-def _overlap_matrix(qa, pa, qb, pb, weights):
-    """Pairwise kernel between rows of (qa, pa) and rows of (qb, pb)."""
-    dq = qa[:, None, :] - qb[None, :, :]
-    dp = pa[:, None, :] - pb[None, :, :]
-    sq = qa[:, None, :] + qb[None, :, :]
+def _kernel(dq, dp, sq, weights):
+    """The one kernel implementation: differences dq, dp and sums sq, modes last.
+
+    Underflowing and non-finite values are flushed to exact zero.
+    """
     expo = -0.25 * np.sum(weights * (dq * dq + dp * dp + 2j * dp * sq), axis=-1)
     out = np.exp(np.where(expo.real < -UNDERFLOW_EXPONENT, -np.inf, expo))
     return np.where(np.isfinite(out), out, 0.0)
+
+
+def _overlap_matrix(qa, pa, qb, pb, weights):
+    """Pairwise kernel between rows of (qa, pa) and rows of (qb, pb)."""
+    qa, pa = qa[:, None, :], pa[:, None, :]
+    return _kernel(qa - qb[None], pa - pb[None], qa + qb[None], weights)
 
 
 def overlap(a: CoherentPoint, b: CoherentPoint, basis: ModeBasis) -> complex:
@@ -271,17 +277,13 @@ def identity_check(
         axes.append(_axis(state.p[:, k].min() - grid.margin, state.p[:, k].max() + grid.margin, h))
 
     w = state.basis.weights
-    # Per-mode separable factors: F[j][k] has shape (len(q-axis), len(p-axis)).
+    # Per-mode separable factors: factors[k] has shape (len(q-axis), len(p-axis), M).
     factors = []
     for k in range(n):
-        qg = axes[2 * k][:, None, None]
-        pg = axes[2 * k + 1][None, :, None]
-        dq = qg - state.q[:, k][None, None, :]
-        dp = pg - state.p[:, k][None, None, :]
-        sq = qg + state.q[:, k][None, None, :]
-        expo = -0.25 * w[k] * (dq * dq + dp * dp + 2j * dp * sq)
-        f = np.exp(np.where(expo.real < -UNDERFLOW_EXPONENT, -np.inf, expo))
-        factors.append(np.where(np.isfinite(f), f, 0.0))
+        qg = axes[2 * k][:, None, None, None]
+        pg = axes[2 * k + 1][None, :, None, None]
+        qk, pk = state.q[:, k:k + 1], state.p[:, k:k + 1]
+        factors.append(_kernel(qg - qk, pg - pk, qg + qk, w[k:k + 1]))
 
     trap = [_trap_weights(len(ax)) for ax in axes]
     boundary_max = 0.0

@@ -40,11 +40,13 @@ def _grid_eval(coeffs, q_centers, p_centers, weights, norm_sq, axes):
         sq = qg + q_centers[:, k][None, None, :]
         factors.append(np.exp(-0.25 * weights[k] * (dq * dq + dp * dp + 2j * dp * sq)))
     if n == 1:
-        amp = np.einsum("j,abj->ab", coeffs, factors[0])
+        amp = np.einsum("j,abj->ab", coeffs, factors[0], optimize=True)
     elif n == 2:
-        amp = np.einsum("j,abj,cdj->abcd", coeffs, factors[0], factors[1])
+        amp = np.einsum("j,abj,cdj->abcd", coeffs, factors[0], factors[1], optimize=True)
     elif n == 3:
-        amp = np.einsum("j,abj,cdj,efj->abcdef", coeffs, factors[0], factors[1], factors[2])
+        amp = np.einsum(
+            "j,abj,cdj,efj->abcdef", coeffs, factors[0], factors[1], factors[2], optimize=True
+        )
     else:
         raise ValueError("grid oracle supports up to 3 modes")
     return (amp.real**2 + amp.imag**2) / norm_sq

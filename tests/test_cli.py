@@ -190,6 +190,41 @@ class TestCliSelect:
         assert main(["born", "--config", self._config(tmp_path), "--out", str(tmp_path / "o")]) == 2
 
 
+def _ring_with_bad_grid(tmp_path, monkeypatch):
+    config = {
+        "experiment": "ring",
+        "parameters": {"n_grid": 100, "absorber": {"kind": "delta", "strength": 0.1}},
+    }
+    return "ring", write_config(tmp_path, "ring.json", config)
+
+
+def _select_without_maximum(tmp_path, monkeypatch):
+    def failing_ascend(state, start, tol, max_iter):
+        return np.asarray(start, dtype=float), 0.0, False
+
+    monkeypatch.setattr(coherentlab.selection, "ascend", failing_ascend)
+    return "select", TestCliSelect()._config(tmp_path)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("failing_run", [_ring_with_bad_grid, _select_without_maximum])
+class TestFailedRunLeavesNoOutput:
+    def test_no_output_directory(self, tmp_path, monkeypatch, failing_run):
+        experiment, cfg = failing_run(tmp_path, monkeypatch)
+        out = tmp_path / "runs" / "out"
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 3
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
+
+    def test_existing_directory_keeps_its_files(self, tmp_path, monkeypatch, failing_run):
+        experiment, cfg = failing_run(tmp_path, monkeypatch)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sentinel.txt").write_text("kept")
+        assert main([experiment, "--config", cfg, "--out", str(out)]) == 3
+        assert [p.name for p in out.iterdir()] == ["sentinel.txt"]
+        assert (out / "sentinel.txt").read_text() == "kept"
+
+
 class TestCliBorn:
     def _config(self, tmp_path, seed=42):
         return write_config(
@@ -311,6 +346,23 @@ class TestCliSpread:
         assert main(["spread", "--config", cfg, "--out", str(out)]) == 0
         doc = json.loads((out / "spread.json").read_text())
         assert doc["spread_meters"] == pytest.approx(3.18e-4, rel=5e-3)
+
+    def test_existing_directory_keeps_its_files(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "spread.json",
+            {
+                "experiment": "spread",
+                "parameters": {"t_seconds": 1.0, "x_meters": 1.0, "mass_kg": 1.0},
+            },
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sentinel.txt").write_text("kept")
+        assert main(["spread", "--config", cfg, "--out", str(out)]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["config_resolved.json", "sentinel.txt", "spread.json"]
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["out"]
 
     def test_unreadable_config(self, tmp_path):
         assert main(["spread", "--config", str(tmp_path / "missing.json")]) == 2

@@ -191,6 +191,23 @@ class TestSurvival:
         assert abs(gap) > 1e-4
         print(f"wall-sharpness effect: soft minus sharp final survival = {gap:+.4f}")
 
+    @pytest.mark.parametrize(
+        "absorber",
+        [
+            Absorber(kind="delta", center=0.25, strength=0.5),
+            Absorber(kind="plateau", center=0.1, strength=0.8, width=0.05, sigma=0.02),
+        ],
+    )
+    def test_curve_equals_repeated_steps(self, absorber):
+        state = von_mises_state(128, 0.3, 20.0, boost=2)
+        dt, steps = 1e-3, 40
+        curve = survival_curve(state, absorber, dt=dt, steps=steps)
+        norms = [state.norm()]
+        for _ in range(steps):
+            state = step(state, absorber, dt)
+            norms.append(state.norm())
+        assert np.all(curve.survival == np.asarray(norms))
+
 
 class TestClassicalEnsemble:
     def test_angles_validated(self):

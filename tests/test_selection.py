@@ -13,6 +13,7 @@ from coherentlab import (
     is_blocked,
     next_event_time,
     offset_spawn,
+    overlap,
     run_sequence,
     sample_phi,
     seeded_spawn,
@@ -21,7 +22,7 @@ from coherentlab import (
     theta_from_norms,
     v_value,
 )
-from coherentlab.landscape import v_at, v_gradient
+from coherentlab.landscape import v_at, v_gradient, v_value_grad_hess
 
 from oracles import fd_gradient, grid_argmax, random_separated_state
 
@@ -120,6 +121,36 @@ class TestGradient:
             g_fd = fd_gradient(lambda y: v_at(state, y), x, h=1e-5)
             denom = max(np.linalg.norm(g_fd), 1e-12)
             assert np.linalg.norm(g - g_fd) / denom < 1e-5
+
+
+class TestLandscapeUnderflow:
+    """The landscape flushes far components to zero exactly as ``overlap`` does."""
+
+    def _state(self):
+        basis = ModeBasis(omegas=[1.0, 0.5], weights=[1.0, 1.7])
+        near = _pt([0.5, -0.3], [0.2, 0.4])
+        far = _pt([1e3, 0.0], [0.0, 1e3])
+        assert overlap(near, far, basis) == 0.0
+        return SuperposedState([0.8, 0.6j], [near, far], basis), near, far
+
+    def test_far_from_every_component_is_exactly_zero(self):
+        state, _, _ = self._state()
+        x = np.array([500.0, 0.0, 0.0, 500.0])
+        assert v_at(state, x) == 0.0
+        v, grad, hess = v_value_grad_hess(state, x)
+        assert v == 0.0
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_near_a_component_matches_v_value(self, component):
+        state, near, far = self._state()
+        pt = (near, far)[component]
+        probe = _pt(pt.q + [0.3, -0.2], pt.p + [-0.1, 0.25])
+        x = probe.as_vector()
+        expected = v_value(state, probe)
+        assert 0.0 < expected < 1.0
+        assert v_at(state, x) == expected
+        assert v_value_grad_hess(state, x)[0] == expected
 
 
 class TestSelectAndCollapse:
