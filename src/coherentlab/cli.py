@@ -1,16 +1,21 @@
 """Configuration-driven command line entry point.
 
-Subcommands: ring, select, born, current, spread.  Every run validates
-its config strictly, echoes the fully resolved config (defaults
-included, plus the artifact version) into the output directory, and
-writes CSV/JSON results plus an SVG plot where the experiment produces a
-curve.  Identical (config, seed) runs produce byte-identical CSV and
-JSON regardless of worker count.
+One subcommand per experiment family in ``config.EXPERIMENTS``.  Every
+run resolves its config strictly (which builds the experiment's domain
+objects), echoes the fully resolved config (defaults included, plus the
+artifact version) into the output directory, and writes CSV/JSON
+results plus an SVG plot where the experiment produces a curve.
+Identical (config, seed) runs produce byte-identical CSV and JSON
+regardless of worker count.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
-failed run creates no output directory and writes nothing into an
-existing one.  The output directory resolves as: --out flag, else the
-COHERENTLAB_OUT environment variable, else the config's "out" entry.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Every bad input, a file the config refers to included, exits 2 during
+resolution, before the run starts.  Exit 3 is kept for failures inside
+the run: a ring time step above the accuracy bound, or a selection
+ascent that finds no maximum.  A failed run creates no output directory
+and writes nothing into an existing one.  The output directory resolves
+as: --out flag, else the COHERENTLAB_OUT environment variable, else the
+config's "out" entry.
 """
 
 from __future__ import annotations
@@ -27,58 +32,20 @@ import numpy as np
 
 from . import __version__
 from .borngeo import sweep_transition_prob
-from .config import ConfigError, resolve_config
-from .currents import (
-    FieldMode,
-    Trajectory,
-    current_divergence,
-    current_j,
-    displacement_from_current,
-    trajectories_from_csv,
-    vacuum_persistence,
-)
-from .modes import ModeBasis
+from .config import EXPERIMENTS, ConfigError, resolve_config
+from .currents import current_divergence, current_j, displacement_from_current, vacuum_persistence
 from .reporting import svg_line_plot, write_csv, write_json
-from .ring import (
-    Absorber,
-    classical_survival,
-    fourier_mode_state,
-    spread_estimate,
-    survival_curve,
-    uniform_ensemble,
-    uniform_state,
-    von_mises_state,
-)
-from .selection import (
-    UrgencySchedule,
-    no_drift,
-    offset_spawn,
-    record_as_dict,
-    run_sequence,
-    seeded_spawn,
-)
-from .states import CoherentPoint, SuperposedState
+from .ring import classical_survival, spread_estimate, survival_curve, uniform_ensemble
+from .selection import record_as_dict, run_sequence
 
 ENV_OUT = "COHERENTLAB_OUT"
 
 
-def _run_ring(config: dict, outdir: Path) -> None:
+def _run_ring(config: dict, inputs: dict, outdir: Path, workers: int) -> None:
     p = config["parameters"]
-    init = p["initial"]
-    if init["profile"] == "uniform":
-        state = uniform_state(p["n_grid"], p["mass"])
-    elif init["profile"] == "von_mises":
-        state = von_mises_state(
-            p["n_grid"], init["center"], init["concentration"], init["boost"], p["mass"]
-        )
-    else:
-        state = fourier_mode_state(p["n_grid"], init["mode"], p["mass"])
-    a = p["absorber"]
-    absorber = Absorber(
-        kind=a["kind"], center=a["center"], strength=a["strength"],
-        width=a["width"], sigma=a["sigma"],
+    curve = survival_curve(
+        inputs["state"], inputs["absorber"], p["dt"], p["steps"], p["record_every"]
     )
-    curve = survival_curve(state, absorber, p["dt"], p["steps"], p["record_every"])
     write_csv(
         outdir / "survival.csv",
         ["t (natural units)", "norm (dimensionless)"],
@@ -104,28 +71,11 @@ def _run_ring(config: dict, outdir: Path) -> None:
     )
 
 
-def _run_select(config: dict, outdir: Path) -> None:
+def _run_select(config: dict, inputs: dict, outdir: Path, workers: int) -> None:
     p = config["parameters"]
-    basis = ModeBasis(
-        omegas=np.array(p["basis"]["omegas"]), weights=np.array(p["basis"]["weights"])
-    )
-    coeffs, points = [], []
-    for comp in p["initial"]["components"]:
-        re = comp["coeff"][0]
-        im = comp["coeff"][1] if len(comp["coeff"]) > 1 else 0.0
-        coeffs.append(complex(re, im))
-        points.append(CoherentPoint(q=np.array(comp["q"]), p=np.array(comp["p"])))
-    state = SuperposedState(coeffs, points, basis)
-    schedule = UrgencySchedule(p["schedule"]["energy"])
-    d = p["drift"]
-    if d["kind"] == "none":
-        drift = no_drift
-    elif d["kind"] == "offset_spawn":
-        drift = offset_spawn(d["coeff"], d["dq"], d["dp"])
-    else:
-        drift = seeded_spawn(config["seed"], d["count"], d["spread"], d["coeff"])
-    records = run_sequence(state, schedule, drift, p["n_events"], p["t0"])
-    n = basis.n_modes
+    state = inputs["state"]
+    records = run_sequence(state, inputs["schedule"], inputs["drift"], p["n_events"], p["t0"])
+    n = state.n_modes
     header = (
         ["index", "time (natural units)", "v (dimensionless)", "blocked (bool)"]
         + [f"q{k} (quadrature units)" for k in range(n)]
@@ -148,7 +98,7 @@ def _run_select(config: dict, outdir: Path) -> None:
     )
 
 
-def _run_born(config: dict, outdir: Path, workers: int) -> None:
+def _run_born(config: dict, inputs: dict, outdir: Path, workers: int) -> None:
     p = config["parameters"]
     rows = sweep_transition_prob(
         p["thetas"], p["samples"], config["seed"], shards=p["shards"], workers=workers
@@ -178,19 +128,8 @@ def _run_born(config: dict, outdir: Path, workers: int) -> None:
     )
 
 
-def _run_current(config: dict, outdir: Path) -> None:
-    p = config["parameters"]
-    modes = [
-        FieldMode(k_vec=np.array(m["k"]), weight=m["weight"], polarization=m["polarization"])
-        for m in p["modes"]
-    ]
-    traj_spec = p["trajectories"]
-    if isinstance(traj_spec, dict):
-        trajectories = trajectories_from_csv(traj_spec["csv"])
-    else:
-        trajectories = [
-            Trajectory.from_breakpoints(t["charge"], t["points"]) for t in traj_spec
-        ]
+def _run_current(config: dict, inputs: dict, outdir: Path, workers: int) -> None:
+    modes, trajectories = inputs["modes"], inputs["trajectories"]
     point = displacement_from_current(trajectories, modes)
     persistence = vacuum_persistence(trajectories, modes)
     header = [
@@ -225,7 +164,7 @@ def _run_current(config: dict, outdir: Path) -> None:
     )
 
 
-def _run_spread(config: dict, outdir: Path) -> None:
+def _run_spread(config: dict, inputs: dict, outdir: Path, workers: int) -> None:
     p = config["parameters"]
     result = spread_estimate(p["t_seconds"], p["x_meters"], p["mass_kg"])
     write_json(
@@ -239,8 +178,17 @@ def _run_spread(config: dict, outdir: Path) -> None:
     )
 
 
-def run(config: dict, workers: int = 1) -> None:
-    """Dispatch a resolved config to its experiment runner.
+_RUNNERS = {
+    "ring": _run_ring,
+    "select": _run_select,
+    "born": _run_born,
+    "current": _run_current,
+    "spread": _run_spread,
+}
+
+
+def run(config: dict, inputs: dict, workers: int = 1) -> None:
+    """Run a resolved config on the domain objects its resolution built.
 
     Artifacts go to a temporary directory in the output directory, or in
     its nearest existing ancestor (so on the same file system), and are
@@ -252,17 +200,7 @@ def run(config: dict, workers: int = 1) -> None:
     try:
         echoed = {**config, "version": __version__, "out": str(outdir)}
         write_json(workdir / "config_resolved.json", echoed)
-        experiment = config["experiment"]
-        if experiment == "ring":
-            _run_ring(config, workdir)
-        elif experiment == "select":
-            _run_select(config, workdir)
-        elif experiment == "born":
-            _run_born(config, workdir, workers)
-        elif experiment == "current":
-            _run_current(config, workdir)
-        else:
-            _run_spread(config, workdir)
+        _RUNNERS[config["experiment"]](config, inputs, workdir, workers)
         outdir.mkdir(parents=True, exist_ok=True)
         for path in sorted(workdir.iterdir()):
             path.replace(outdir / path.name)
@@ -277,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in ("ring", "select", "born", "current", "spread"):
+    for name in EXPERIMENTS:
         sp = sub.add_parser(name, help=f"run the {name} experiment family")
         sp.add_argument("--config", required=True, help="path to the JSON config file")
         sp.add_argument("--out", default=None, help="output directory")
@@ -308,7 +246,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     try:
-        config = resolve_config(raw)
+        config, inputs = resolve_config(raw)
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2
@@ -322,7 +260,7 @@ def main(argv=None) -> int:
         print("error[config]: workers must be >= 1", file=sys.stderr)
         return 2
     try:
-        run(config, workers=args.workers)
+        run(config, inputs, workers=args.workers)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error[numeric]: {exc}", file=sys.stderr)
         return 3

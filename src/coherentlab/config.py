@@ -1,16 +1,28 @@
 """Strict experiment configuration schema.
 
-Configs are plain JSON objects.  Every key is checked against the schema
-for its experiment; unknown or misspelled keys are rejected before any
-computation starts, and resolution fills in all defaults so the echoed
-config is complete.
+Configs are plain JSON objects.  The schema checks shape and type: every
+key is checked against the schema for its experiment, unknown or
+misspelled keys are rejected, every value must have its JSON type, and
+resolution fills in all defaults so the echoed config is complete.  It
+checks a range only where no domain object owns the rule, such as the
+ring time step, the counts, the born angles and the spread inputs.
+
+The domain constructors check values.  As its last step, resolution
+builds the experiment's domain objects once (the ring state and
+absorber; the selection state, schedule and drift hook; the field modes
+and trajectories) and reports a ValueError or OSError they raise as a
+ConfigError, so a bad input fails before the run starts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-EXPERIMENTS = ("ring", "select", "born", "current", "spread")
+from .currents import FieldMode, Trajectory, _check_common_span, trajectories_from_csv
+from .modes import ModeBasis
+from .ring import Absorber, fourier_mode_state, uniform_state, von_mises_state
+from .selection import UrgencySchedule, no_drift, offset_spawn, seeded_spawn
+from .states import CoherentPoint, SuperposedState
 
 _REQUIRED = object()
 
@@ -37,10 +49,12 @@ def _strict(raw, spec: dict, where: str) -> dict:
 
 
 def _float(value, where, minimum=None, maximum=None, strict_min=False):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
     try:
         v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number") from None
+    except OverflowError:  # an integer beyond the float range
+        v = np.inf
     if not np.isfinite(v):
         raise ConfigError(f"{where} must be finite")
     if minimum is not None and (v <= minimum if strict_min else v < minimum):
@@ -73,23 +87,29 @@ def _float_list(value, where, min_len=1):
     return [_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
+def _objects(spec):
+    """Cast for a non-empty list of objects that each follow ``spec``."""
+
+    def cast(value, where):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a non-empty list")
+        return [_strict(item, spec, f"{where}[{i}]") for i, item in enumerate(value)]
+
+    return cast
+
+
 def _absorber(value, where):
-    out = _strict(
+    return _strict(
         value,
         {
             "kind": (_REQUIRED, _str_choice(("delta", "plateau"))),
-            "center": (0.0, lambda v, w: _float(v, w, minimum=0.0)),
-            "strength": (_REQUIRED, lambda v, w: _float(v, w, minimum=0.0)),
-            "width": (None, lambda v, w: _float(v, w, minimum=0.0, strict_min=True)),
-            "sigma": (None, lambda v, w: _float(v, w, minimum=0.0, strict_min=True)),
+            "center": (0.0, _float),
+            "strength": (_REQUIRED, _float),
+            "width": (None, _float),
+            "sigma": (None, _float),
         },
         where,
     )
-    if out["center"] >= 1.0:
-        raise ConfigError(f"{where}.center must lie in [0, 1)")
-    if out["kind"] == "plateau" and (out["width"] is None or out["sigma"] is None):
-        raise ConfigError(f"{where} of kind 'plateau' needs width and sigma")
-    return out
 
 
 def _ring_initial(value, where):
@@ -128,8 +148,8 @@ def _ring_params(raw, where):
     return _strict(
         raw,
         {
-            "n_grid": (256, lambda v, w: _int(v, w, minimum=64)),
-            "mass": (1.0, lambda v, w: _float(v, w, minimum=0.0, strict_min=True)),
+            "n_grid": (256, _int),
+            "mass": (1.0, _float),
             "dt": (2.5e-4, lambda v, w: _float(v, w, minimum=0.0, strict_min=True)),
             "steps": (20000, lambda v, w: _int(v, w, minimum=1)),
             "record_every": (10, lambda v, w: _int(v, w, minimum=1)),
@@ -141,26 +161,24 @@ def _ring_params(raw, where):
     )
 
 
-def _components(value, where):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where} must be a non-empty list")
-    out = []
-    for i, comp in enumerate(value):
-        c = _strict(
-            comp,
-            {
-                "coeff": (_REQUIRED, lambda v, w: _float_list(v, w, min_len=1)),
-                "q": (_REQUIRED, _float_list),
-                "p": (_REQUIRED, _float_list),
-            },
-            f"{where}[{i}]",
-        )
-        if len(c["coeff"]) > 2:
-            raise ConfigError(f"{where}[{i}].coeff must be [re] or [re, im]")
-        if len(c["q"]) != len(c["p"]):
-            raise ConfigError(f"{where}[{i}] q and p lengths differ")
-        out.append(c)
+def _energy(value, where):
+    return _float_list(value, where) if isinstance(value, list) else _float(value, where)
+
+
+def _coeff(value, where):
+    out = _float_list(value, where)
+    if len(out) > 2:
+        raise ConfigError(f"{where} must be [re] or [re, im]")
     return out
+
+
+_COMPONENT = {
+    "coeff": (_REQUIRED, _coeff),
+    "q": (_REQUIRED, _float_list),
+    "p": (_REQUIRED, _float_list),
+}
+_INITIAL_STATE = {"components": (_REQUIRED, _objects(_COMPONENT))}
+_SCHEDULE = {"energy": (_REQUIRED, _energy)}
 
 
 def _basis(value, where):
@@ -174,18 +192,6 @@ def _basis(value, where):
     )
     if out["weights"] is None:
         out["weights"] = [1.0] * len(out["omegas"])
-    if len(out["weights"]) != len(out["omegas"]):
-        raise ConfigError(f"{where} omegas and weights lengths differ")
-    return out
-
-
-def _schedule(value, where):
-    out = _strict(value, {"energy": (_REQUIRED, lambda v, w: v)}, where)
-    e = out["energy"]
-    if isinstance(e, list):
-        out["energy"] = [_float(v, f"{where}.energy[{i}]", minimum=0.0, strict_min=True) for i, v in enumerate(e)]
-    else:
-        out["energy"] = _float(e, f"{where}.energy", minimum=0.0, strict_min=True)
     return out
 
 
@@ -213,23 +219,18 @@ def _select_params(raw, where):
     raw = dict(raw)
     raw.setdefault("schedule", {"energy": 1.0})
     raw.setdefault("drift", {})
-    out = _strict(
+    return _strict(
         raw,
         {
             "basis": (_REQUIRED, _basis),
-            "initial": (_REQUIRED, lambda v, w: _strict(v, {"components": (_REQUIRED, _components)}, w)),
+            "initial": (_REQUIRED, lambda v, w: _strict(v, _INITIAL_STATE, w)),
             "n_events": (3, lambda v, w: _int(v, w, minimum=1)),
-            "schedule": (_REQUIRED, _schedule),
+            "schedule": (_REQUIRED, lambda v, w: _strict(v, _SCHEDULE, w)),
             "drift": (_REQUIRED, _drift),
             "t0": (0.0, _float),
         },
         where,
     )
-    n_modes = len(out["basis"]["omegas"])
-    for i, comp in enumerate(out["initial"]["components"]):
-        if len(comp["q"]) != n_modes:
-            raise ConfigError(f"{where}.initial.components[{i}] does not match the basis mode count")
-    return out
 
 
 def _born_params(raw, where):
@@ -248,59 +249,29 @@ def _born_params(raw, where):
     return out
 
 
-def _modes(value, where):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where} must be a non-empty list")
-    out = []
-    for i, mode in enumerate(value):
-        m = _strict(
-            mode,
-            {
-                "k": (_REQUIRED, lambda v, w: _float_list(v, w, min_len=3)),
-                "weight": (1.0, lambda v, w: _float(v, w, minimum=0.0, strict_min=True)),
-                "polarization": (0, lambda v, w: _int(v, w, minimum=0)),
-            },
-            f"{where}[{i}]",
-        )
-        if len(m["k"]) != 3:
-            raise ConfigError(f"{where}[{i}].k must be a 3-vector")
-        if m["polarization"] not in (0, 1):
-            raise ConfigError(f"{where}[{i}].polarization must be 0 or 1")
-        out.append(m)
-    return out
+def _points(value, where):
+    if not (isinstance(value, list) and all(isinstance(r, list) and len(r) == 4 for r in value)):
+        raise ConfigError(f"{where} must be a list of [t, x, y, z] rows")
+    return [_float_list(row, f"{where}[{j}]") for j, row in enumerate(value)]
+
+
+_MODE = {"k": (_REQUIRED, _float_list), "weight": (1.0, _float), "polarization": (0, _int)}
+_TRAJECTORY = {"charge": (_REQUIRED, _float), "points": (_REQUIRED, _points)}
 
 
 def _trajectories(value, where):
     if isinstance(value, dict):
         return _strict(value, {"csv": (_REQUIRED, lambda v, w: str(v))}, where)
-    if not isinstance(value, list) or not value:
+    if not isinstance(value, list):
         raise ConfigError(f"{where} must be a non-empty list or {{'csv': path}}")
-    out = []
-    for i, traj in enumerate(value):
-        t = _strict(
-            traj,
-            {
-                "charge": (_REQUIRED, _float),
-                "points": (_REQUIRED, lambda v, w: v),
-            },
-            f"{where}[{i}]",
-        )
-        pts = t["points"]
-        if not isinstance(pts, list) or len(pts) < 2:
-            raise ConfigError(f"{where}[{i}].points needs at least two [t, x, y, z] rows")
-        t["points"] = [_float_list(row, f"{where}[{i}].points[{j}]", min_len=4) for j, row in enumerate(pts)]
-        for j, row in enumerate(t["points"]):
-            if len(row) != 4:
-                raise ConfigError(f"{where}[{i}].points[{j}] must be [t, x, y, z]")
-        out.append(t)
-    return out
+    return _objects(_TRAJECTORY)(value, where)
 
 
 def _current_params(raw, where):
     return _strict(
         raw,
         {
-            "modes": (_REQUIRED, _modes),
+            "modes": (_REQUIRED, _objects(_MODE)),
             "trajectories": (_REQUIRED, _trajectories),
         },
         where,
@@ -319,17 +290,81 @@ def _spread_params(raw, where):
     )
 
 
-_PARAM_RESOLVERS = {
-    "ring": _ring_params,
-    "select": _select_params,
-    "born": _born_params,
-    "current": _current_params,
-    "spread": _spread_params,
+def _ring_inputs(config):
+    p = config["parameters"]
+    init = p["initial"]
+    if init["profile"] == "uniform":
+        state = uniform_state(p["n_grid"], p["mass"])
+    elif init["profile"] == "von_mises":
+        state = von_mises_state(
+            p["n_grid"], init["center"], init["concentration"], init["boost"], p["mass"]
+        )
+    else:
+        state = fourier_mode_state(p["n_grid"], init["mode"], p["mass"])
+    return {"state": state, "absorber": Absorber(**p["absorber"])}
+
+
+def _select_inputs(config):
+    p = config["parameters"]
+    basis = ModeBasis(**p["basis"])
+    components = p["initial"]["components"]
+    state = SuperposedState(
+        [complex(*c["coeff"]) for c in components],
+        [CoherentPoint(q=c["q"], p=c["p"]) for c in components],
+        basis,
+    )
+    schedule = UrgencySchedule(p["schedule"]["energy"])
+    schedule.energy_for(p["n_events"])  # a list of energies must cover every event
+    d = p["drift"]
+    if d["kind"] == "none":
+        drift = no_drift
+    elif d["kind"] == "offset_spawn":
+        offset = CoherentPoint(q=d["dq"], p=d["dp"])
+        if offset.n_modes != basis.n_modes:
+            raise ValueError(
+                f"drift offset has {offset.n_modes} modes but basis has {basis.n_modes}"
+            )
+        drift = offset_spawn(d["coeff"], offset.q, offset.p)
+    else:
+        drift = seeded_spawn(config["seed"], d["count"], d["spread"], d["coeff"])
+    return {"state": state, "schedule": schedule, "drift": drift}
+
+
+def _current_inputs(config):
+    p = config["parameters"]
+    modes = [FieldMode(m["k"], m["weight"], m["polarization"]) for m in p["modes"]]
+    spec = p["trajectories"]
+    if isinstance(spec, dict):
+        trajectories = trajectories_from_csv(spec["csv"])
+    else:
+        trajectories = [Trajectory.from_breakpoints(t["charge"], t["points"]) for t in spec]
+    _check_common_span(trajectories)
+    return {"modes": modes, "trajectories": trajectories}
+
+
+def _no_inputs(config):
+    return {}
+
+
+#: Per experiment family: its parameter schema and its domain-object builder.
+_FAMILIES = {
+    "ring": (_ring_params, _ring_inputs),
+    "select": (_select_params, _select_inputs),
+    "born": (_born_params, _no_inputs),
+    "current": (_current_params, _current_inputs),
+    "spread": (_spread_params, _no_inputs),
 }
 
+EXPERIMENTS = tuple(_FAMILIES)
 
-def resolve_config(raw: dict) -> dict:
-    """Validate a raw config object and fill in every default."""
+
+def resolve_config(raw: dict) -> tuple[dict, dict]:
+    """Check a raw config, fill in every default and build its domain objects.
+
+    Returns (config, inputs): the resolved config, which a run echoes, and
+    the domain objects its runner takes.  A value that a domain constructor
+    rejects, or a referenced file that cannot be read, raises ConfigError.
+    """
     top = _strict(
         raw,
         {
@@ -340,6 +375,11 @@ def resolve_config(raw: dict) -> dict:
         },
         "config",
     )
-    resolver = _PARAM_RESOLVERS[top["experiment"]]
-    top["parameters"] = resolver(top["parameters"], f"config.parameters({top['experiment']})")
-    return top
+    where = f"config.parameters({top['experiment']})"
+    params, build = _FAMILIES[top["experiment"]]
+    top["parameters"] = params(top["parameters"], where)
+    try:
+        inputs = build(top)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return top, inputs

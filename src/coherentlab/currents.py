@@ -194,8 +194,8 @@ class FieldMode:
         k = np.asarray(self.k_vec, dtype=float)
         if k.shape != (3,):
             raise ValueError("k_vec must be a spatial 3-vector")
-        if not np.all(np.isfinite(k)) or np.linalg.norm(k) <= 0:
-            raise ValueError("k_vec must be finite and nonzero")
+        if not 0.0 < np.linalg.norm(k) < np.inf:
+            raise ValueError("k_vec must be nonzero with a finite length")
         if not (self.weight > 0 and np.isfinite(self.weight)):
             raise ValueError("mode weight must be positive")
         if self.polarization not in (0, 1):
@@ -321,6 +321,8 @@ def trajectories_from_csv(path) -> list[Trajectory]:
             entry["rows"].append(
                 (float(row["t"]), float(row["x"]), float(row["y"]), float(row["z"]))
             )
+    if not groups:
+        raise ValueError("trajectory CSV has no rows")
     out = []
     for pid in sorted(groups):
         rows = sorted(groups[pid]["rows"])

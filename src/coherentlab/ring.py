@@ -124,11 +124,13 @@ class Absorber:
             raise ValueError("absorber center must lie in [0, 1)")
         if self.strength < 0 or not np.isfinite(self.strength):
             raise ValueError("absorber strength must be >= 0")
-        if self.kind == "plateau":
-            if not (self.width and self.width > 0):
-                raise ValueError("plateau absorber needs width > 0")
-            if not (self.sigma and self.sigma > 0):
-                raise ValueError("plateau absorber needs sigma > 0")
+        for name in ("width", "sigma"):
+            value = getattr(self, name)
+            if value is None:
+                if self.kind == "plateau":
+                    raise ValueError(f"plateau absorber needs {name} > 0")
+            elif not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"absorber {name} must be positive and finite")
 
     def profile(self, n_grid: int) -> np.ndarray:
         """Dimensionless shape f(x) on the grid, 0 <= f <= 1 (delta: f = N on one cell)."""

@@ -24,6 +24,15 @@ from .modes import ModeBasis
 # so that far-separated components cannot poison phases with inf/nan.
 UNDERFLOW_EXPONENT = 690.0
 
+# A state is rejected when its squared norm is at most NORM_RTOL * sum_j |c_j|^2.
+# Each computed Gram entry is within a few units of roundoff u = 2^-53 of the
+# exact |G_jk| <= 1, and the double sum c* G c adds about M u |c_j| |c_k| per
+# term, so for M components the computed norm is off by up to about
+# M u (sum_j |c_j|)^2 <= M^2 u sum_j |c_j|^2.  At 1e-12 (~ 9000 u) that error
+# stays below ~1% of the threshold for up to ten components; a nearly
+# cancelling superposition below it has a norm made of roundoff.
+NORM_RTOL = 1e-12
+
 
 class SupportTruncationError(ValueError):
     """Raised when a quadrature grid clips non-negligible landscape support."""
@@ -104,8 +113,8 @@ class SuperposedState:
     """Finite superposition sum_j c_j |q_j, p_j> over one mode basis.
 
     Construction computes the Gram matrix of the component points and the
-    squared norm c* G c; a state whose squared norm is not strictly
-    positive is rejected.
+    squared norm c* G c; a state whose squared norm is not above the
+    roundoff floor NORM_RTOL * sum_j |c_j|^2 is rejected.
     """
 
     def __init__(self, coeffs, points, basis: ModeBasis):
@@ -132,8 +141,11 @@ class SuperposedState:
         else:
             gram = _overlap_matrix(self.q, self.p, self.q, self.p, basis.weights)
         norm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
-        if not np.isfinite(norm_sq) or norm_sq <= 0.0:
-            raise ValueError(f"state has non-positive squared norm ({norm_sq})")
+        floor = NORM_RTOL * float(np.sum(coeffs.real**2 + coeffs.imag**2))
+        if not np.isfinite(norm_sq) or norm_sq <= floor:
+            raise ValueError(
+                f"state has squared norm {norm_sq:g}, not above the roundoff floor {floor:g}"
+            )
         self._gram = gram
         self._norm_sq = norm_sq
 

@@ -59,7 +59,7 @@ class TestConfigSchema:
             resolve_config({"experiment": "ring", "parameters": {}})
 
     def test_defaults_filled(self):
-        cfg = resolve_config(
+        cfg, _ = resolve_config(
             {"experiment": "ring", "parameters": {"absorber": {"kind": "delta", "strength": 0.1}}}
         )
         assert cfg["parameters"]["n_grid"] == 256
@@ -69,6 +69,17 @@ class TestConfigSchema:
     def test_bad_experiment(self):
         with pytest.raises(ConfigError):
             resolve_config({"experiment": "rings"})
+
+    @pytest.mark.parametrize(
+        "dt, message",
+        [(True, "must be a number"), ("1e-3", "must be a number"), (10**400, "must be finite")],
+    )
+    def test_number_must_be_a_finite_json_number(self, dt, message):
+        with pytest.raises(ConfigError, match=message):
+            resolve_config(
+                {"experiment": "ring",
+                 "parameters": {"dt": dt, "absorber": {"kind": "delta", "strength": 0.1}}}
+            )
 
     def test_plateau_needs_geometry(self):
         with pytest.raises(ConfigError, match="plateau"):
@@ -191,9 +202,10 @@ class TestCliSelect:
 
 
 def _ring_with_bad_grid(tmp_path, monkeypatch):
+    # a time grid too coarse for the step accuracy bound: the run itself fails
     config = {
         "experiment": "ring",
-        "parameters": {"n_grid": 100, "absorber": {"kind": "delta", "strength": 0.1}},
+        "parameters": {"dt": 1.0, "absorber": {"kind": "delta", "strength": 0.1}},
     }
     return "ring", write_config(tmp_path, "ring.json", config)
 
@@ -223,6 +235,68 @@ class TestFailedRunLeavesNoOutput:
         assert main([experiment, "--config", cfg, "--out", str(out)]) == 3
         assert [p.name for p in out.iterdir()] == ["sentinel.txt"]
         assert (out / "sentinel.txt").read_text() == "kept"
+
+
+_RING = {
+    "experiment": "ring",
+    "parameters": {"n_grid": 64, "dt": 5e-3, "steps": 10,
+                   "absorber": {"kind": "delta", "strength": 0.1}},
+}
+_SELECT = {
+    "experiment": "select",
+    "parameters": {"basis": {"omegas": [1.0]},
+                   "initial": {"components": [{"coeff": [1.0], "q": [0.0], "p": [0.0]}]}},
+}
+_CURRENT = {
+    "experiment": "current",
+    "parameters": {"modes": [{"k": [1.0, 0.0, 0.0]}],
+                   "trajectories": [{"charge": 1.0, "points": [[0, 0, 0, 0], [1, 0.5, 0, 0]]}]},
+}
+
+
+def _with(base, **params):
+    return {**base, "parameters": {**base["parameters"], **params}}
+
+
+def _track(*points):
+    return [{"charge": 1.0, "points": list(points)}]
+
+
+# Each input passes the schema and is rejected while resolution builds the domain objects.
+BAD_INPUTS = {
+    "n_grid_not_a_power_of_two": _with(_RING, n_grid=100),
+    "delta_absorber_negative_width": _with(
+        _RING, absorber={"kind": "delta", "strength": 0.1, "width": -1.0}),
+    "offset_spawn_longer_than_basis": _with(
+        _SELECT, drift={"kind": "offset_spawn", "dq": [1.0, 2.0], "dp": [0.0, 0.0]}),
+    "negative_omega": _with(_SELECT, basis={"omegas": [-1.0]}),
+    "zero_basis_weight": _with(_SELECT, basis={"omegas": [1.0], "weights": [0.0]}),
+    "zero_norm_state": _with(_SELECT, initial={"components": [
+        {"coeff": [1.0], "q": [0.0], "p": [0.0]}, {"coeff": [-1.0], "q": [0.0], "p": [0.0]}]}),
+    "superluminal_trajectory": _with(_CURRENT, trajectories=_track([0, 0, 0, 0], [1, 2, 0, 0])),
+    "zero_wave_vector": _with(_CURRENT, modes=[{"k": [0.0, 0.0, 0.0]}]),
+    "wave_vector_length_overflows": _with(_CURRENT, modes=[{"k": [1e300, 1e300, 0.0]}]),
+    "decreasing_breakpoint_times": _with(
+        _CURRENT, trajectories=_track([1, 0, 0, 0], [0, 0.1, 0, 0])),
+    "missing_trajectory_csv": _with(_CURRENT, trajectories={"csv": "missing.csv"}),
+    "trajectory_csv_without_rows": _with(_CURRENT, trajectories={"csv": "header_only.csv"}),
+    "trajectories_over_different_spans": _with(
+        _CURRENT,
+        trajectories=_track([0, 0, 0, 0], [1, 0.5, 0, 0]) + _track([0, 1, 0, 0], [2, 1, 0, 0])),
+    "schedule_shorter_than_events": _with(_SELECT, n_events=3, schedule={"energy": [1.0, 2.0]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "header_only.csv").write_text("particle,charge,t,x,y,z\n")
+    config = BAD_INPUTS[name]
+    cfg = write_config(tmp_path, "bad.json", config)
+    assert main([config["experiment"], "--config", cfg, "--out", "out"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("error[config]:") for line in err), err
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
 
 
 class TestCliBorn:

@@ -100,6 +100,16 @@ class TestSuperposedState:
         with pytest.raises(ValueError):
             SuperposedState([1.0], [_pt([0.0, 0.0], [0.0, 0.0])], single_mode())
 
+    @pytest.mark.parametrize("q", [0.0, 1.5e-8])
+    def test_roundoff_norm_rejected(self, q):
+        # exact norm_sq = 2 (1 - exp(-q^2 / 4)) is at most 1.1e-16; c* G c cannot resolve it
+        with pytest.raises(ValueError, match="roundoff"):
+            SuperposedState([1.0, -1.0], [_pt(0.0, 0.0), _pt(q, 0.0)], single_mode())
+
+    def test_resolved_cancellation_accepted(self):
+        state = SuperposedState([1.0, -1.0], [_pt(0.0, 0.0), _pt(1e-4, 0.0)], single_mode())
+        assert state.norm_sq == pytest.approx(-2.0 * np.expm1(-0.25e-8), rel=1e-6)
+
     def test_norm_of_orthogonal_like_superposition(self):
         basis = single_mode()
         state = SuperposedState([0.6, 0.8], [_pt(0.0, 0.0), _pt(14.0, 0.0)], basis)

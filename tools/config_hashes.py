@@ -1,10 +1,11 @@
 """Hash every artifact that the sample configs produce.
 
-Runs each ``configs/*.json`` through ``coherentlab.cli.main`` into a
-temporary directory, once with ``--workers 1`` and once with
-``--workers 2``, and prints one ``config workers file sha256`` line per
-artifact.  ``config_resolved.json`` is left out: it echoes the output
-directory, which is temporary.
+Runs each ``configs/*.json`` through ``coherentlab.cli.main``, once with
+``--workers 1`` and once with ``--workers 2``, and prints one
+``config workers file sha256`` line per artifact, ``config_resolved.json``
+included.  Each run works in a fresh temporary directory with the
+relative ``--out out``, so the output directory the config echo records
+does not depend on where the temporary directory is.
 
 A refactor keeps the artifacts byte-identical when the output of this
 script is the same before and after it:
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -28,22 +30,27 @@ sys.path.insert(0, str(ROOT / "src"))
 from coherentlab.cli import main  # noqa: E402
 
 WORKERS = (1, 2)
+OUT = "out"
 
 
 def config_hashes() -> list[str]:
     lines = []
+    cwd = os.getcwd()
     for config in sorted((ROOT / "configs").glob("*.json")):
         experiment = json.loads(config.read_text())["experiment"]
         for workers in WORKERS:
             with tempfile.TemporaryDirectory() as tmp:
-                argv = [experiment, "--config", str(config), "--out", tmp, "--workers", str(workers)]
-                code = main(argv)
+                os.chdir(tmp)
+                try:
+                    code = main([experiment, "--config", str(config), "--out", OUT,
+                                 "--workers", str(workers)])
+                finally:
+                    os.chdir(cwd)
                 if code != 0:
                     raise SystemExit(f"{config.name} --workers {workers} exited {code}")
-                for path in sorted(Path(tmp).iterdir()):
-                    if path.name != "config_resolved.json":
-                        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                        lines.append(f"{config.name} {workers} {path.name} {digest}")
+                for path in sorted((Path(tmp) / OUT).iterdir()):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    lines.append(f"{config.name} {workers} {path.name} {digest}")
     return lines
 
 
