@@ -1,7 +1,8 @@
 """Deterministic CSV, JSON, and SVG artifact writers.
 
 Floats are rendered with repr (shortest round-trip form), JSON keys are
-sorted, and the SVG writer emits a self-contained document with no
+sorted, a non-finite float in JSON raises ``ValueError`` (it has no JSON
+form), and the SVG writer emits a self-contained document with no
 timestamps or external references, so identical inputs always produce
 byte-identical files.
 """
@@ -40,7 +41,7 @@ def write_json(path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

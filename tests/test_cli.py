@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coherentlab
 import coherentlab.selection
 from coherentlab import spread_estimate
 from coherentlab.cli import main
@@ -299,6 +304,23 @@ def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, name):
     assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
 
 
+def test_empty_von_mises_grid_prints_only_the_config_error(tmp_path):
+    # a separate process, so that numpy warnings reach stderr as a user sees it
+    config = _with(_RING, n_grid=0, initial={"profile": "von_mises"})
+    cfg = write_config(tmp_path, "ring.json", config)
+    src = str(Path(coherentlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "coherentlab", "ring", "--config", cfg, "--out",
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
+    assert not (tmp_path / "out").exists()
+
+
 class TestCliBorn:
     def _config(self, tmp_path, seed=42):
         return write_config(
@@ -437,6 +459,21 @@ class TestCliSpread:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["config_resolved.json", "sentinel.txt", "spread.json"]
         assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["out"]
+
+    def test_non_finite_result_is_numeric_error(self, tmp_path, capsys):
+        # 1e300 * (hbar / 1e-300) / 1e-30 overflows; JSON has no Infinity
+        cfg = write_config(
+            tmp_path,
+            "spread.json",
+            {
+                "experiment": "spread",
+                "parameters": {"t_seconds": 1e300, "x_meters": 1e-300, "mass_kg": 1e-30},
+            },
+        )
+        assert main(["spread", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error[numeric]:") for line in err), err
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
 
     def test_unreadable_config(self, tmp_path):
         assert main(["spread", "--config", str(tmp_path / "missing.json")]) == 2

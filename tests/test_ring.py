@@ -209,6 +209,47 @@ class TestSurvival:
         assert np.all(curve.survival == np.asarray(norms))
 
 
+ABSORBERS = [
+    Absorber(kind="delta", center=0.25, strength=0.5),
+    Absorber(kind="plateau", center=0.1, strength=0.8, width=0.05, sigma=0.02),
+]
+
+
+@pytest.mark.parametrize("absorber", ABSORBERS)
+class TestInPlaceStep:
+    def test_inputs_left_untouched(self, absorber):
+        state = von_mises_state(128, 0.3, 20.0, boost=2)
+        before = state.psi.tobytes()
+        survival_curve(state, absorber, dt=1e-3, steps=20)
+        assert state.psi.tobytes() == before
+        step(state, absorber, 1e-3)
+        assert state.psi.tobytes() == before
+
+    def test_step_returns_a_new_array(self, absorber):
+        state = von_mises_state(128, 0.3, 20.0, boost=2)
+        out = step(state, absorber, 1e-3)
+        assert not np.shares_memory(out.psi, state.psi)
+
+    def test_equals_out_of_place_reference(self, absorber):
+        # the out-of-place formula with a real decay factor, as the stepper
+        # was first written; the in-place stepper must give the same bits
+        state = von_mises_state(128, 0.3, 20.0, boost=2, mass=1.5)
+        dt, steps = 1e-3, 200
+        decay_half = np.exp(-absorber.weight(128) * dt / 2.0)
+        k = 2.0 * np.pi * np.fft.fftfreq(128, d=1.0 / 128)
+        kinetic = np.exp(-1j * k * k * dt / (2.0 * state.mass))
+        psi = state.psi
+        norms = [np.mean(np.abs(psi) ** 2)]
+        for _ in range(steps):
+            psi = decay_half * np.fft.ifft(kinetic * np.fft.fft(decay_half * psi))
+            norms.append(np.mean(np.abs(psi) ** 2))
+        curve = survival_curve(state, absorber, dt=dt, steps=steps)
+        assert np.all(curve.survival == np.asarray(norms))
+        for _ in range(steps):
+            state = step(state, absorber, dt)
+        assert np.all(state.psi == psi)
+
+
 class TestClassicalEnsemble:
     def test_angles_validated(self):
         with pytest.raises(ValueError):
