@@ -42,11 +42,13 @@ modes = [
     FieldMode(k_vec=np.array([0.4, 0.4, 1.4]), weight=0.6, polarization=0),
 ]
 
-for i, mode in enumerate(modes):
-    j = current_j([trajectory], mode.k4)
-    div = current_divergence([trajectory], mode.k4)
-    print(f"mode {i}: |k| = {mode.omega:.3f}  J0 = {j[0]:+.3f}  "
-          f"k.J = {div:+.3f} (endpoint charge, reported not asserted)")
+# one stacked call evaluates every mode: row i of j is J(k_i)
+k = np.array([mode.k4 for mode in modes])
+j = current_j([trajectory], k)
+div = current_divergence([trajectory], k)
+for i in range(len(modes)):
+    print(f"mode {i}: |k| = {k[i, 0]:.3f}  J0 = {j[i, 0]:+.3f}  "
+          f"k.J = {div[i]:+.3f} (endpoint charge, reported not asserted)")
 
 point = displacement_from_current([trajectory], modes)
 print(f"\ndisplacement  q = {np.round(point.q, 3)}  p = {np.round(point.p, 3)}")

@@ -13,8 +13,8 @@ The package covers four connected model systems:
   sphere-geometry blocking rule that reproduces cos^2(theta)
   transition statistics (``selection``, ``borngeo``);
 * classical-current sources: closed-form currents of piecewise-linear
-  charged trajectories, mode brackets, vacuum persistence, and the
-  coherent displacement they induce (``currents``).
+  charged trajectories, vacuum persistence, and the coherent
+  displacement they induce (``currents``).
 
 Everything is deterministic for a fixed seed, including sharded Monte
 Carlo runs at any worker count.
@@ -29,7 +29,6 @@ from .borngeo import (
     sample_phi,
     sweep_transition_prob,
     theta_from_norms,
-    transition_prob_mc,
 )
 from .currents import (
     FieldMode,
@@ -40,7 +39,6 @@ from .currents import (
     displaced_state,
     displacement_from_current,
     lorentz_dot,
-    mass_shell_bracket,
     mode_basis_for,
     polarization_vectors,
     radiated_quanta,
@@ -116,7 +114,6 @@ __all__ = [
     "is_blocked",
     "lorentz_dot",
     "loss_rate",
-    "mass_shell_bracket",
     "mode_basis_for",
     "next_event_time",
     "offset_spawn",
@@ -134,7 +131,6 @@ __all__ = [
     "sweep_transition_prob",
     "theta_from_norms",
     "trajectories_from_csv",
-    "transition_prob_mc",
     "uniform_ensemble",
     "uniform_state",
     "v_value",

@@ -93,16 +93,6 @@ def is_blocked(geom: TransitionGeometry, phi: BlockingVector) -> bool:
     return bool(phi.alpha / 2.0 <= geom.theta)
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte Carlo acceptance estimate."""
-
-    p_hat: float
-    stderr: float
-    accepted: int
-    n: int
-
-
 def _shard_sizes(n: int, shards: int) -> list[int]:
     base, extra = divmod(n, shards)
     return [base + (1 if i < extra else 0) for i in range(shards)]
@@ -136,28 +126,6 @@ def _accepted_counts(cells: list[tuple[float, tuple]], n: int, shards: int, work
     return [sum(counts[c * shards:(c + 1) * shards]) for c in range(len(cells))]
 
 
-def transition_prob_mc(
-    geom: TransitionGeometry,
-    n: int,
-    seed: int,
-    shards: int = DEFAULT_SHARDS,
-    workers: int = 1,
-) -> McEstimate:
-    """Estimate the acceptance probability from n sampled blocking vectors.
-
-    Sampling is split across ``shards`` independent substreams keyed by
-    (seed, shard); the shard structure is independent of ``workers``, so
-    the counts (and hence the estimate) are identical for any worker
-    count.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    [accepted] = _accepted_counts([(geom.theta, (seed,))], n, shards, workers)
-    p_hat = accepted / n
-    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n))
-    return McEstimate(p_hat=p_hat, stderr=stderr, accepted=accepted, n=n)
-
-
 def sweep_transition_prob(
     thetas,
     n: int,
@@ -167,9 +135,13 @@ def sweep_transition_prob(
 ) -> list[dict]:
     """Acceptance sweep over transition angles; one result row per theta.
 
-    Every cell gets its own substream family keyed by (seed, cell, shard),
-    so the sweep is reproducible cell-by-cell.
+    Each cell draws n blocking vectors from its own substream family
+    keyed by (seed, cell, shard), so the sweep is reproducible cell by
+    cell.  The shard structure is independent of ``workers``, so the
+    counts are identical for any worker count.
     """
+    if n < 1:
+        raise ValueError("need at least one sample")
     geoms = [TransitionGeometry(theta=float(theta)) for theta in thetas]
     cells = [(geom.theta, (seed, cell)) for cell, geom in enumerate(geoms)]
     rows = []

@@ -140,15 +140,17 @@ def _run_current(config: dict, inputs: dict, outdir: Path, workers: int) -> None
         "k_dot_j_re", "k_dot_j_im",
         "q (quadrature units)", "p (quadrature units)",
     ]
-    rows = []
-    for i, mode in enumerate(modes):
-        j = current_j(trajectories, mode.k4)
-        div = current_divergence(trajectories, mode.k4)
-        rows.append(
-            [i, mode.omega, *[float(v) for v in mode.k_vec], mode.weight, mode.polarization]
-            + [float(f(j[mu])) for mu in range(4) for f in (lambda z: z.real, lambda z: z.imag)]
-            + [div.real, div.imag, float(point.q[i]), float(point.p[i])]
+    k = np.array([mode.k4 for mode in modes])
+    j = current_j(trajectories, k)
+    div = current_divergence(trajectories, k)
+    rows = [
+        [i, mode.omega, *mode.k_vec.tolist(), mode.weight, mode.polarization]
+        + [part for z in (*j_i, d) for part in (z.real, z.imag)]
+        + [q, p]
+        for i, (mode, j_i, d, q, p) in enumerate(
+            zip(modes, j.tolist(), div.tolist(), point.q.tolist(), point.p.tolist())
         )
+    ]
     write_csv(outdir / "current.csv", header, rows)
     write_json(
         outdir / "current.json",

@@ -11,12 +11,12 @@ x(t_a) with constant 4-velocity v = (1, v_vec) over duration dt
 contributes -i e * v_mu * exp(i k.x(t_a)) * (exp(i phi dt) - 1)/(i phi)
 with phi = k.v (the phi -> 0 limit is dt).
 
-The mode-summed bracket of two per-mode 4-vectors is
-sum_k weight_k X(k).Y(k) with the Lorentz contraction
-X.Y = X0 Y0 - X1 Y1 - X2 Y2 - X3 Y3 (bilinear, no conjugation; callers
-conjugate one side where needed).  Note that for finite open segments
-k.J does not vanish (the endpoints source charge); use
-current_divergence to inspect it.
+Every function that works per mode evaluates all modes in one stacked
+current_j call over a (K, 4) array of wave vectors.  The Lorentz
+contraction is X.Y = X0 Y0 - X1 Y1 - X2 Y2 - X3 Y3 (bilinear, no
+conjugation; callers conjugate one side where needed).  Note that for
+finite open segments k.J does not vanish (the endpoints source charge);
+use current_divergence to inspect it.
 """
 
 from __future__ import annotations
@@ -62,11 +62,16 @@ class FourVector:
         return self.components[1:]
 
 
-def lorentz_dot(x, y) -> complex:
-    """Contraction X.Y = X0 Y0 - X.Y (spatial), bilinear, no conjugation."""
+def lorentz_dot(x, y):
+    """Contraction X.Y = X0 Y0 - X.Y (spatial), bilinear, no conjugation.
+
+    Contracts over the last axis: a complex number for two 4-vectors, an
+    array for stacks of them.
+    """
     xc = x.components if isinstance(x, FourVector) else np.asarray(x, dtype=complex)
     yc = y.components if isinstance(y, FourVector) else np.asarray(y, dtype=complex)
-    return complex(np.sum(_METRIC_SIGNS * xc * yc))
+    dot = np.sum(_METRIC_SIGNS * xc * yc, axis=-1)
+    return complex(dot) if dot.ndim == 0 else dot
 
 
 @dataclass(frozen=True)
@@ -122,14 +127,17 @@ class Trajectory:
 
 
 def _check_on_shell(k) -> np.ndarray:
+    """One wave vector or a stack of them as a (K, 4) array, every row on shell."""
     k = np.asarray(k, dtype=float)
-    if k.shape != (4,):
+    if k.ndim not in (1, 2) or k.shape[-1] != 4:
         raise ValueError("the wave vector must have 4 components (k0, kx, ky, kz)")
-    if abs(k[0] - np.linalg.norm(k[1:])) > ON_SHELL_TOL:
-        raise ValueError(
-            f"wave vector off the mass shell: k0 = {k[0]:g}, |k| = {np.linalg.norm(k[1:]):g}"
-        )
-    return k
+    ks = np.atleast_2d(k)
+    norms = np.linalg.norm(ks[:, 1:], axis=1)
+    off = ~(np.abs(ks[:, 0] - norms) <= ON_SHELL_TOL)
+    if off.any():
+        i = int(np.argmax(off))
+        raise ValueError(f"wave vector off the mass shell: k0 = {ks[i, 0]:g}, |k| = {norms[i]:g}")
+    return ks
 
 
 def _check_common_span(trajectories) -> None:
@@ -138,48 +146,52 @@ def _check_common_span(trajectories) -> None:
         raise ValueError(f"trajectories must share one time interval, got {sorted(spans)}")
 
 
-def current_j(trajectories, k) -> FourVector:
-    """Total current 4-vector J_mu(k) of a trajectory set at on-shell k."""
+def current_j(trajectories, k):
+    """Total current J_mu(k) of a trajectory set at on-shell wave vectors.
+
+    ``k`` is one wave vector of shape (4,), which gives a FourVector, or
+    a stack of shape (K, 4), which gives a (K, 4) complex array whose
+    rows are the currents at the rows of ``k``.  Every row must be on
+    the mass shell.
+    """
     trajectories = list(trajectories)
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    k = _check_on_shell(k)
+    ks = _check_on_shell(k)
     _check_common_span(trajectories)
-    total = np.zeros(4, dtype=complex)
+    total = np.zeros((ks.shape[0], 4), dtype=complex)
     for traj in trajectories:
         if traj.charge == 0.0:
             continue
         dts = np.diff(traj.times)
         vel = np.diff(traj.positions, axis=0) / dts[:, None]
-        # k.x at segment entry events and phi = k.v per segment
-        kx_a = k[0] * traj.times[:-1] - traj.positions[:-1] @ k[1:]
-        phi = k[0] - vel @ k[1:]
-        seg = np.empty(dts.size, dtype=complex)
-        small = np.abs(phi * dts) < 1e-8
-        ph = phi[~small]
-        seg[~small] = (np.exp(1j * ph * dts[~small]) - 1.0) / (1j * ph)
+        # k.x at segment entry events and phi = k.v, shape (K, S); every
+        # product below is one vector-matrix product per row of k, so a
+        # row is the same whatever else the stack holds
+        k_row = ks[:, None, 1:]
+        kx_a = ks[:, :1] * traj.times[:-1] - (k_row @ traj.positions[:-1].T)[:, 0]
+        phi = ks[:, :1] - (k_row @ vel.T)[:, 0]
+        dt = np.broadcast_to(dts, phi.shape)
+        seg = np.empty(phi.shape, dtype=complex)
+        small = np.abs(phi * dt) < 1e-8
+        big = ~small
+        ph = phi[big]
+        seg[big] = (np.exp(1j * ph * dt[big]) - 1.0) / (1j * ph)
         # series (e^{i phi dt} - 1)/(i phi) = dt (1 + i phi dt/2 - (phi dt)^2/6)
-        sm = phi[small] * dts[small]
-        seg[small] = dts[small] * (1.0 + 0.5j * sm - sm * sm / 6.0)
+        sm = phi[small] * dt[small]
+        seg[small] = dt[small] * (1.0 + 0.5j * sm - sm * sm / 6.0)
         seg = seg * np.exp(1j * kx_a)
         v4 = np.concatenate([np.ones((dts.size, 1)), vel], axis=1)
-        total += -1j * traj.charge * (seg @ v4)
-    return FourVector(components=total)
+        total += -1j * traj.charge * (seg[:, None, :] @ v4)[:, 0]
+    return FourVector(components=total[0]) if np.ndim(k) == 1 else total
 
 
-def current_divergence(trajectories, k) -> complex:
-    """k.J, which vanishes only for conserved currents (reported, not asserted)."""
-    return lorentz_dot(np.asarray(_check_on_shell(k), dtype=complex), current_j(trajectories, k))
+def current_divergence(trajectories, k):
+    """k.J, which vanishes only for conserved currents (reported, not asserted).
 
-
-def mass_shell_bracket(x_values, y_values, basis: ModeBasis) -> complex:
-    """Weighted mode sum of Lorentz contractions, sum_k w_k X(k).Y(k)."""
-    xs = [v.components if isinstance(v, FourVector) else np.asarray(v, complex) for v in x_values]
-    ys = [v.components if isinstance(v, FourVector) else np.asarray(v, complex) for v in y_values]
-    if len(xs) != basis.n_modes or len(ys) != basis.n_modes:
-        raise ValueError("need one four-vector per basis mode on each side")
-    dots = np.array([np.sum(_METRIC_SIGNS * x * y) for x, y in zip(xs, ys)])
-    return complex(np.sum(basis.weights * dots))
+    A complex number for one wave vector, a (K,) array for a (K, 4) stack.
+    """
+    return lorentz_dot(k, current_j(trajectories, k))
 
 
 @dataclass(frozen=True)
@@ -194,7 +206,9 @@ class FieldMode:
         k = np.asarray(self.k_vec, dtype=float)
         if k.shape != (3,):
             raise ValueError("k_vec must be a spatial 3-vector")
-        if not 0.0 < np.linalg.norm(k) < np.inf:
+        with np.errstate(over="ignore"):
+            length = np.linalg.norm(k)
+        if not 0.0 < length < np.inf:
             raise ValueError("k_vec must be nonzero with a finite length")
         if not (self.weight > 0 and np.isfinite(self.weight)):
             raise ValueError("mode weight must be positive")
@@ -221,33 +235,40 @@ def mode_basis_for(modes) -> ModeBasis:
     )
 
 
+def _wave_vectors(modes) -> np.ndarray:
+    """(K, 4) stack of the on-shell wave vectors of the listed modes."""
+    return np.reshape([m.k4 for m in modes], (-1, 4))
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    # sqrt(v.v) per row, the same dot as np.linalg.norm of one vector
+    return v / np.sqrt(np.vecdot(v, v))[..., None]
+
+
 def polarization_vectors(k_vec) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal transverse pair (e1, e2) for a direction.
 
     e1 = normalize(z x k), falling back to normalize(x x k) within 1e-6 of
-    the z axis; e2 = k_hat x e1.
+    the z axis; e2 = k_hat x e1.  ``k_vec`` is one direction of shape (3,)
+    or a stack of shape (K, 3); e1 and e2 have the same shape.
     """
-    k_hat = np.asarray(k_vec, dtype=float)
-    k_hat = k_hat / np.linalg.norm(k_hat)
-    ref = np.array([0.0, 0.0, 1.0])
-    if np.linalg.norm(np.cross(ref, k_hat)) < 1e-6:
-        ref = np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(ref, k_hat)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(k_hat, e1)
-    return e1, e2
+    k_hat = _unit(np.asarray(k_vec, dtype=float))
+    e1 = np.cross([0.0, 0.0, 1.0], k_hat)
+    near_z = np.sqrt(np.vecdot(e1, e1)) < 1e-6
+    e1 = np.where(near_z[..., None], np.cross([1.0, 0.0, 0.0], k_hat), e1)
+    e1 = _unit(e1)
+    return e1, np.cross(k_hat, e1)
 
 
 def mode_amplitudes(trajectories, modes) -> np.ndarray:
     """Transverse amplitude eps_lambda . J_vec(k) for each field mode."""
     modes = list(modes)
-    out = np.empty(len(modes), dtype=complex)
-    for i, mode in enumerate(modes):
-        j = current_j(trajectories, mode.k4)
-        e1, e2 = polarization_vectors(mode.k_vec)
-        eps = e1 if mode.polarization == 0 else e2
-        out[i] = np.sum(eps * j.spatial)
-    return out
+    k = _wave_vectors(modes)
+    j = current_j(trajectories, k)[:, 1:]
+    e1, e2 = polarization_vectors(k[:, 1:])
+    polarization = np.array([m.polarization for m in modes])
+    eps = np.where(polarization[:, None] == 0, e1, e2)
+    return np.sum(eps * j, axis=1)
 
 
 def radiated_quanta(trajectories, modes) -> float:
@@ -260,13 +281,12 @@ def radiated_quanta(trajectories, modes) -> float:
     nothing) and quadratic in every charge.
     """
     modes = list(modes)
-    total = 0.0
-    for mode in modes:
-        j = current_j(trajectories, mode.k4).spatial
-        k_hat = mode.k_vec / np.linalg.norm(mode.k_vec)
-        transverse_sq = float(np.sum(np.abs(j) ** 2) - abs(np.sum(k_hat * j)) ** 2)
-        total += mode.weight * max(transverse_sq, 0.0)
-    return total
+    k = _wave_vectors(modes)
+    j = current_j(trajectories, k)[:, 1:]
+    k_hat = k[:, 1:] / k[:, :1]
+    transverse_sq = np.sum(np.abs(j) ** 2, axis=1) - np.abs(np.sum(k_hat * j, axis=1)) ** 2
+    weights = np.array([m.weight for m in modes])
+    return float(np.sum(weights * np.maximum(transverse_sq, 0.0)))
 
 
 def vacuum_persistence(trajectories, modes) -> float:
@@ -276,10 +296,9 @@ def vacuum_persistence(trajectories, modes) -> float:
     i.e. the weighted mode sum of squared transverse current amplitudes
     over both polarizations (see radiated_quanta).  Always in (0, 1]:
     the raw Lorentz contraction conj(J).J is indefinite for open
-    trajectory segments and would not yield a probability, so the
-    physical-mode form is used here; mass_shell_bracket remains
-    available for the general contraction.  Doubling a lone charge
-    quadruples the exponent exactly.
+    trajectory segments and would not yield a probability, so only the
+    physical transverse modes enter.  Doubling a lone charge quadruples
+    the exponent exactly.
     """
     return float(np.exp(-radiated_quanta(trajectories, modes)))
 

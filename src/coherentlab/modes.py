@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class ModeBasis:
 
     omegas: np.ndarray
     weights: np.ndarray
-    labels: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         omegas = np.atleast_1d(np.asarray(self.omegas, dtype=float))
@@ -40,18 +39,10 @@ class ModeBasis:
             raise ValueError("mode frequencies must be finite and non-negative")
         if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
             raise ValueError("quadrature weights must be finite and strictly positive")
-        labels = self.labels
-        if labels is None:
-            labels = np.arange(omegas.size)
-        labels = np.asarray(labels, dtype=int)
-        if labels.shape != omegas.shape or np.unique(labels).size != labels.size:
-            raise ValueError("mode labels must be unique and match the mode count")
         omegas.setflags(write=False)
         weights.setflags(write=False)
-        labels.setflags(write=False)
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n_modes(self) -> int:

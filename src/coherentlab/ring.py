@@ -88,10 +88,15 @@ def von_mises_state(
     the state periodic.
     """
     x = np.arange(n_grid) / n_grid
-    env = np.exp(concentration * (np.cos(2 * np.pi * (x - center)) - 1.0))
+    # kappa (cos - 1) may overflow to -inf, whose exp is the right limit 0
+    with np.errstate(over="ignore"):
+        env = np.exp(concentration * (np.cos(2 * np.pi * (x - center)) - 1.0))
     # check the grid before normalising: an empty grid has no mean
     state = RingState(psi=env * np.exp(2j * np.pi * int(boost) * x), mass=mass)
-    return RingState(psi=state.psi / np.sqrt(state.norm()), mass=mass)
+    norm = state.norm()
+    if norm == 0.0:
+        raise ValueError("the von Mises packet underflows to zero on this grid")
+    return RingState(psi=state.psi / np.sqrt(norm), mass=mass)
 
 
 def fourier_mode_state(n_grid: int = 256, mode: int = 1, mass: float = 1.0) -> RingState:

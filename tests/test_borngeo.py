@@ -11,7 +11,6 @@ from coherentlab import (
     sample_phi,
     sweep_transition_prob,
     theta_from_norms,
-    transition_prob_mc,
 )
 
 
@@ -115,23 +114,22 @@ class TestIsBlocked:
 
 class TestTransitionProbMc:
     def test_zero_theta_exact(self):
-        est = transition_prob_mc(TransitionGeometry(theta=0.0), n=1000, seed=1)
-        assert est.p_hat == 1.0
+        [row] = sweep_transition_prob([0.0], n=1000, seed=1)
+        assert row["p_hat"] == 1.0
 
     def test_quarter_angle_half(self):
-        est = transition_prob_mc(TransitionGeometry(theta=np.pi / 4), n=10**6, seed=2)
-        assert abs(est.p_hat - 0.5) < 3 * est.stderr
+        [row] = sweep_transition_prob([np.pi / 4], n=10**6, seed=2)
+        assert abs(row["p_hat"] - 0.5) < 3 * row["stderr"]
 
     def test_third_angle_quarter(self):
-        est = transition_prob_mc(TransitionGeometry(theta=np.pi / 3), n=10**6, seed=3)
-        assert abs(est.p_hat - 0.25) < 3 * est.stderr
+        [row] = sweep_transition_prob([np.pi / 3], n=10**6, seed=3)
+        assert abs(row["p_hat"] - 0.25) < 3 * row["stderr"]
 
     def test_worker_count_never_changes_counts(self):
-        geom = TransitionGeometry(theta=0.7)
-        base = transition_prob_mc(geom, n=100001, seed=9, workers=1)
+        [base] = sweep_transition_prob([0.7], n=100001, seed=9, workers=1)
         for workers in (2, 8):
-            est = transition_prob_mc(geom, n=100001, seed=9, workers=workers)
-            assert est.accepted == base.accepted
+            [row] = sweep_transition_prob([0.7], n=100001, seed=9, workers=workers)
+            assert row["p_hat"] == base["p_hat"]
 
     def test_law_match_sweep(self):
         thetas = [0.1 * i for i in range(1, 16)]
@@ -149,5 +147,5 @@ class TestTransitionProbMc:
         assert sum(round(r["p_hat"] * r["n"]) for r in rows) == 7_353_105
 
     def test_needs_samples(self):
-        with pytest.raises(ValueError):
-            transition_prob_mc(TransitionGeometry(theta=0.1), n=0, seed=0)
+        with pytest.raises(ValueError, match="at least one sample"):
+            sweep_transition_prob([0.1], n=0, seed=0)

@@ -267,9 +267,15 @@ def _track(*points):
     return [{"charge": 1.0, "points": list(points)}]
 
 
+# no grid point of n_grid 64 lies where exp(kappa (cos - 1)) is nonzero
+_UNDERFLOWING_VON_MISES = {"profile": "von_mises", "center": 0.501, "concentration": 1e10}
+
 # Each input passes the schema and is rejected while resolution builds the domain objects.
 BAD_INPUTS = {
     "n_grid_not_a_power_of_two": _with(_RING, n_grid=100),
+    "von_mises_packet_underflows": _with(_RING, initial=_UNDERFLOWING_VON_MISES),
+    "von_mises_exponent_overflows": _with(
+        _RING, initial={**_UNDERFLOWING_VON_MISES, "concentration": 1e308}),
     "delta_absorber_negative_width": _with(
         _RING, absorber={"kind": "delta", "strength": 0.1, "width": -1.0}),
     "offset_spawn_longer_than_basis": _with(
@@ -304,9 +310,8 @@ def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, name):
     assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
 
 
-def test_empty_von_mises_grid_prints_only_the_config_error(tmp_path):
+def _assert_prints_only_the_config_error(tmp_path, config):
     # a separate process, so that numpy warnings reach stderr as a user sees it
-    config = _with(_RING, n_grid=0, initial={"profile": "von_mises"})
     cfg = write_config(tmp_path, "ring.json", config)
     src = str(Path(coherentlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -319,6 +324,15 @@ def test_empty_von_mises_grid_prints_only_the_config_error(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
     assert not (tmp_path / "out").exists()
+
+
+def test_empty_von_mises_grid_prints_only_the_config_error(tmp_path):
+    _assert_prints_only_the_config_error(
+        tmp_path, _with(_RING, n_grid=0, initial={"profile": "von_mises"}))
+
+
+def test_underflowing_von_mises_packet_prints_only_the_config_error(tmp_path):
+    _assert_prints_only_the_config_error(tmp_path, _with(_RING, initial=_UNDERFLOWING_VON_MISES))
 
 
 class TestCliBorn:

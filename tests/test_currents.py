@@ -11,13 +11,11 @@ from coherentlab import (
     displaced_state,
     displacement_from_current,
     lorentz_dot,
-    mass_shell_bracket,
     polarization_vectors,
     radiated_quanta,
     trajectories_from_csv,
     vacuum_persistence,
 )
-from coherentlab.modes import ModeBasis
 
 
 def quad_current(traj: Trajectory, k: np.ndarray) -> np.ndarray:
@@ -162,37 +160,83 @@ class TestCurrentJ:
         assert np.isfinite(div.real) and np.isfinite(div.imag)
 
 
+class TestStackedCurrent:
+    """A (K, 4) stack of wave vectors gives the per-k currents as rows.
+
+    A row does not depend on the other rows of the stack, so it equals
+    the one-vector call exactly.
+    """
+
+    def test_rows_equal_per_k_calls(self):
+        for seed in range(40):
+            rng = np.random.default_rng([70, seed])
+            trajs = [random_trajectory(rng, n_segments=int(rng.integers(1, 9)))
+                     for _ in range(int(rng.integers(1, 4)))]
+            k = np.array([on_shell(rng.normal(0, 1.2, 3)) for _ in range(int(rng.integers(2, 9)))])
+            stacked = current_j(trajs, k)
+            assert stacked.shape == (k.shape[0], 4) and stacked.dtype == complex
+            for row, kk in zip(stacked, k):
+                assert np.array_equal(row, current_j(trajs, kk).components)
+
+    def test_series_branch_row_mixes_with_closed_form_rows(self):
+        rng = np.random.default_rng(71)
+        traj = random_trajectory(rng, n_segments=3)
+        k = np.array([on_shell([0.3, -0.5, 0.9]), on_shell([1e-10, 0.0, 0.0]),
+                      on_shell([-1.1, 0.2, 0.4])])
+        stacked = current_j([traj], k)
+        for row, kk in zip(stacked, k):
+            assert np.array_equal(row, current_j([traj], kk).components)
+        # at |k| -> 0 the current is -i e times the displacement 4-vector
+        span = np.concatenate([[traj.times[-1] - traj.times[0]],
+                               traj.positions[-1] - traj.positions[0]])
+        assert np.max(np.abs(stacked[1] + 1j * traj.charge * span)) < 1e-8
+
+    @pytest.mark.parametrize("bad_row", [[1.0, 0.0, 0.0, 0.5], [np.nan, 0.0, 0.0, 1.0]])
+    def test_off_shell_row_rejects_the_stack(self, bad_row):
+        traj = Trajectory(charge=1.0, times=np.array([0.0, 1.0]), positions=np.zeros((2, 3)))
+        k = np.array([on_shell([1.0, 0.0, 0.0]), bad_row, on_shell([0.0, 2.0, 0.0])])
+        with pytest.raises(ValueError, match="mass shell"):
+            current_j([traj], k)
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), (2, 2, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        traj = Trajectory(charge=1.0, times=np.array([0.0, 1.0]), positions=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="4 components"):
+            current_j([traj], np.ones(shape))
+
+    def test_divergence_rows_equal_per_k_calls(self):
+        rng = np.random.default_rng(72)
+        traj = random_trajectory(rng, n_segments=4)
+        k = np.array([on_shell(rng.normal(0, 1.0, 3)) for _ in range(5)])
+        div = current_divergence([traj], k)
+        assert div.shape == (5,)
+        assert np.array_equal(div, [current_divergence([traj], kk) for kk in k])
+
+
 class TestBracket:
+    """The Minkowski bracket X.Y = X0 Y0 - X.Y that `lorentz_dot` computes."""
+
     def test_zero_side_gives_zero(self):
-        basis = ModeBasis(omegas=[1.0], weights=[1.0])
-        x = [FourVector(np.array([1.0, 2.0, 3.0, 4.0], dtype=complex))]
-        y = [FourVector(np.zeros(4, dtype=complex))]
-        assert mass_shell_bracket(x, y, basis) == 0.0
+        x = FourVector(np.array([1.0, 2.0, 3.0, 4.0], dtype=complex))
+        assert lorentz_dot(x, np.zeros(4, dtype=complex)) == 0.0
 
     def test_time_component_positive(self):
-        basis = ModeBasis(omegas=[1.0], weights=[1.0])
-        x = [np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)]
-        assert mass_shell_bracket(x, x, basis) == pytest.approx(1.0)
+        x = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+        assert lorentz_dot(x, x) == pytest.approx(1.0)
 
     def test_space_component_negative(self):
-        basis = ModeBasis(omegas=[1.0], weights=[1.0])
-        x = [np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)]
-        assert mass_shell_bracket(x, x, basis) == pytest.approx(-1.0)
+        for axis in (1, 2, 3):
+            x = np.zeros(4, dtype=complex)
+            x[axis] = 1.0
+            assert lorentz_dot(x, x) == pytest.approx(-1.0)
 
-    def test_bilinear_weighted(self):
-        rng = np.random.default_rng(56)
-        basis = ModeBasis(omegas=[1.0, 2.0], weights=[0.5, 2.0])
-        xs = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2)]
-        ys = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(2)]
-        direct = sum(
-            w * lorentz_dot(x, y) for w, x, y in zip(basis.weights, xs, ys)
-        )
-        assert mass_shell_bracket(xs, ys, basis) == pytest.approx(direct)
 
-    def test_length_mismatch_rejected(self):
-        basis = ModeBasis(omegas=[1.0, 2.0], weights=[1.0, 1.0])
-        with pytest.raises(ValueError):
-            mass_shell_bracket([np.zeros(4)], [np.zeros(4)], basis)
+class TestLorentzDot:
+    def test_contracts_the_last_axis(self):
+        rng = np.random.default_rng(73)
+        x = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        y = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        assert np.array_equal(lorentz_dot(x, y), [lorentz_dot(a, b) for a, b in zip(x, y)])
 
 
 class TestVacuumPersistence:
@@ -308,6 +352,18 @@ class TestPolarization:
         e1, e2 = polarization_vectors([0.0, 0.0, 2.0])
         assert np.linalg.norm(e1) == pytest.approx(1.0)
         assert abs(np.dot(e1, [0.0, 0.0, 1.0])) < 1e-14
+
+    def test_stack_equals_per_row_calls(self):
+        rng = np.random.default_rng(65)
+        k = np.concatenate([rng.normal(size=(6, 3)), [[1e-8, 1e-8, -3.0]]])
+        e1, e2 = polarization_vectors(k)
+        assert e1.shape == e2.shape == (7, 3)
+        for row, a, b in zip(k, e1, e2):
+            r1, r2 = polarization_vectors(row)
+            assert np.array_equal(a, r1) and np.array_equal(b, r2)
+        # the last row lies within 1e-6 of the z axis, so e1 = normalize(x x k),
+        # not normalize(z x k) ~ (-1, 1, 0) / sqrt(2)
+        assert np.allclose(e1[-1], [0.0, 1.0, 0.0], rtol=0.0, atol=1e-8)
 
 
 class TestCsvIngest:

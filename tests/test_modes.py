@@ -7,7 +7,6 @@ from coherentlab import ModeBasis, single_mode
 def test_basic_construction():
     basis = ModeBasis(omegas=[1.0, 2.0], weights=[1.0, 0.5])
     assert basis.n_modes == 2
-    assert np.array_equal(basis.labels, [0, 1])
 
 
 def test_single_mode_helper():
@@ -30,11 +29,6 @@ def test_single_mode_helper():
 def test_invalid_inputs_rejected(omegas, weights):
     with pytest.raises(ValueError):
         ModeBasis(omegas=omegas, weights=weights)
-
-
-def test_duplicate_labels_rejected():
-    with pytest.raises(ValueError):
-        ModeBasis(omegas=[1.0, 2.0], weights=[1.0, 1.0], labels=[3, 3])
 
 
 def test_bracket_bilinear_and_symmetric():
