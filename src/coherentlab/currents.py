@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -221,9 +222,11 @@ class FieldMode:
     def omega(self) -> float:
         return float(np.linalg.norm(self.k_vec))
 
-    @property
+    @cached_property
     def k4(self) -> np.ndarray:
-        return np.concatenate([[self.omega], self.k_vec])
+        k4 = np.concatenate([[self.omega], self.k_vec])
+        k4.setflags(write=False)
+        return k4
 
 
 def mode_basis_for(modes) -> ModeBasis:
@@ -245,6 +248,17 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(np.vecdot(v, v))[..., None]
 
 
+def _cross(a, b) -> np.ndarray:
+    """a x b over the last axis, term for term in the order np.cross uses."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+_X_AXIS = np.array([1.0, 0.0, 0.0])
+_Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+
 def polarization_vectors(k_vec) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal transverse pair (e1, e2) for a direction.
 
@@ -253,11 +267,12 @@ def polarization_vectors(k_vec) -> tuple[np.ndarray, np.ndarray]:
     or a stack of shape (K, 3); e1 and e2 have the same shape.
     """
     k_hat = _unit(np.asarray(k_vec, dtype=float))
-    e1 = np.cross([0.0, 0.0, 1.0], k_hat)
+    e1 = _cross(_Z_AXIS, k_hat)
     near_z = np.sqrt(np.vecdot(e1, e1)) < 1e-6
-    e1 = np.where(near_z[..., None], np.cross([1.0, 0.0, 0.0], k_hat), e1)
+    if near_z.any():
+        e1 = np.where(near_z[..., None], _cross(_X_AXIS, k_hat), e1)
     e1 = _unit(e1)
-    return e1, np.cross(k_hat, e1)
+    return e1, _cross(k_hat, e1)
 
 
 def mode_amplitudes(trajectories, modes) -> np.ndarray:

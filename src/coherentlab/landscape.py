@@ -9,6 +9,8 @@ plus midpoints of nearby pairs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .states import SuperposedState, _kernel
@@ -40,24 +42,36 @@ def v_gradient(state: SuperposedState, x: np.ndarray) -> np.ndarray:
     return v_value_grad_hess(state, x)[1]
 
 
+def _curvature(basis) -> np.ndarray:
+    """Constant part of every component's log-kernel Hessian, (2n, 2n) complex.
+
+    Blocks [[-w/2, -iw/2], [-iw/2, -w/2]] (diagonal in the modes); built
+    once per basis and cached on it, since bases are immutable.
+    """
+    c = basis.__dict__.get("_curvature")
+    if c is None:
+        n = basis.n_modes
+        ww = np.concatenate([basis.weights, basis.weights])
+        k = np.arange(2 * n)
+        c = np.zeros((2 * n, 2 * n), complex)
+        c[k, k] = -0.5 * ww
+        # off-diagonal blocks: the negative columns k - n of the first n rows wrap to n + k
+        c[k, k - n] = -0.5j * ww
+        c.setflags(write=False)
+        basis.__dict__["_curvature"] = c
+    return c
+
+
 def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     """Landscape value, gradient, and Hessian in one pass."""
-    x = np.asarray(x, dtype=float)
-    n = state.n_modes
-    w = state.basis.weights
-    terms, d = _amp_terms(state, x)
+    terms, d = _amp_terms(state, np.asarray(x, dtype=float))
     a = terms.sum()
     da = terms @ d
     # Hessian of the amplitude: sum_j t_j (d_j d_j^T + const curvature blocks).
-    ha = np.einsum("j,ja,jb->ab", terms, d, d)
-    ww = np.concatenate([w, w])
-    k = np.arange(2 * n)
-    ha[k, k] += a * (-0.5 * ww)
-    # off-diagonal blocks: the negative columns k - n of the first n rows wrap to n + k
-    ha[k, k - n] += a * (-0.5j * ww)
+    ha = np.einsum("j,ja,jb->ab", terms, d, d) + a * _curvature(state.basis)
     v = float((a.real * a.real + a.imag * a.imag) / state.norm_sq)
     grad = 2.0 * np.real(np.conj(a) * da) / state.norm_sq
-    hess = 2.0 * np.real(np.outer(np.conj(da), da) + np.conj(a) * ha) / state.norm_sq
+    hess = 2.0 * np.real(np.conj(da)[:, None] * da + np.conj(a) * ha) / state.norm_sq
     return v, grad, hess
 
 
@@ -74,11 +88,16 @@ def ascend(
     Armijo backtracking.  Convergence is ||grad|| < tol * max(1, v), and
     a converged point only qualifies as a maximum if its Hessian is
     strictly negative definite.
+
+    The full step is tried with ``v_value_grad_hess``, so when it is
+    accepted its value, gradient and Hessian serve the next iteration;
+    shorter backtracking trials only need ``v_at``.  Both compute v with
+    the same arithmetic, so every Armijo decision is the same either way.
     """
     x = np.asarray(start, dtype=float).copy()
+    v, grad, hess = v_value_grad_hess(state, x)
     for _ in range(max_iter):
-        v, grad, hess = v_value_grad_hess(state, x)
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(grad @ grad)
         if gnorm < tol * max(1.0, v):
             # a stationary point only counts as a maximum if the curvature
             # is strictly negative; flat saddles between far bumps also pass
@@ -98,20 +117,28 @@ def ascend(
         slope = float(grad @ direction)
         alpha = 1.0
         ulp_gain = 8.0 * np.finfo(float).eps * max(v, 1e-300)
+        full = None
         for _ in range(60):
             # near the summit the predicted gain drops below the float
             # resolution of v itself; accept the nudge untested there so the
             # final Newton refinement is not blocked by a flat line search
             if alpha * slope <= ulp_gain:
                 break
-            if v_at(state, x + alpha * direction) > v + 1e-4 * alpha * slope:
+            trial = x + alpha * direction
+            if alpha == 1.0:
+                full = v_value_grad_hess(state, trial)
+                v_trial = full[0]
+            else:
+                v_trial = v_at(state, trial)
+            if v_trial > v + 1e-4 * alpha * slope:
                 break
+            full = None
             alpha *= 0.5
         else:
             return x, v, False
         x = x + alpha * direction
-    v, grad, hess = v_value_grad_hess(state, x)
-    ok = float(np.linalg.norm(grad)) < tol * max(1.0, v)
+        v, grad, hess = full if full is not None else v_value_grad_hess(state, x)
+    ok = math.sqrt(grad @ grad) < tol * max(1.0, v)
     return x, v, ok and bool(np.linalg.eigvalsh(hess).max() < 0.0)
 
 
@@ -122,14 +149,13 @@ def ascent_starts(state: SuperposedState, near_distance: float = 6.0) -> list[np
     component bump has unit width, so "near" means "overlapping enough to
     possibly merge or shift a maximum".
     """
-    centers = [np.concatenate([state.q[j], state.p[j]]) for j in range(state.n_components)]
-    starts = list(centers)
-    w = state.basis.weights
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            dq = state.q[i] - state.q[j]
-            dp = state.p[i] - state.p[j]
-            dist = np.sqrt(np.sum(w * (dq * dq + dp * dp)))
-            if dist < near_distance:
-                starts.append(0.5 * (centers[i] + centers[j]))
-    return starts
+    centers = np.concatenate([state.q, state.p], axis=1)
+    # the pairs i < j in row-major order, as np.triu_indices(m, 1) lists them
+    # but without its fixed cost, which exceeds the whole search at m <= 5
+    m = np.arange(state.n_components)
+    i, j = np.nonzero(m[:, None] < m)
+    dq = state.q[i] - state.q[j]
+    dp = state.p[i] - state.p[j]
+    dist = np.sqrt(np.sum(state.basis.weights * (dq * dq + dp * dp), axis=1))
+    near = dist < near_distance
+    return list(centers) + list(0.5 * (centers[i[near]] + centers[j[near]]))

@@ -4,12 +4,17 @@ Each oracle re-derives its answer by a method unrelated to the library
 code path it checks: the landscape is evaluated from the overlap formula
 directly (separable per-mode factors), the argmax is located by a
 zooming dense-grid scan with no derivative information, and gradients
-are checked against centered finite differences.
+are checked against centered finite differences.  Loop references keep
+the straightforward form of code that the library restructured for speed
+(the pairwise start search, the ascent that re-evaluates every accepted
+point), so the fast path can be required to give the same bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from coherentlab.landscape import _amp_terms, v_at
 
 
 def landscape_value(coeffs, q_centers, p_centers, weights, norm_sq, x):
@@ -130,3 +135,98 @@ def random_separated_state(rng, n_modes, n_comp, cls_point, cls_state, cls_basis
     coeffs += np.sign(coeffs.real) * 0.3  # keep components comparably weighted
     points = [cls_point(q=c[:n_modes], p=c[n_modes:]) for c in centers]
     return cls_state(coeffs, points, basis)
+
+
+def ascent_starts_loop(state, near_distance=6.0):
+    """Component centers plus midpoints of near pairs, one pair at a time."""
+    centers = [np.concatenate([state.q[j], state.p[j]]) for j in range(state.n_components)]
+    starts = list(centers)
+    w = state.basis.weights
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            dq = state.q[i] - state.q[j]
+            dp = state.p[i] - state.p[j]
+            dist = np.sqrt(np.sum(w * (dq * dq + dp * dp)))
+            if dist < near_distance:
+                starts.append(0.5 * (centers[i] + centers[j]))
+    return starts
+
+
+def value_grad_hess_indexed(state, x):
+    """Landscape value, gradient and Hessian with the curvature added by index."""
+    x = np.asarray(x, dtype=float)
+    n = state.n_modes
+    w = state.basis.weights
+    terms, d = _amp_terms(state, x)
+    a = terms.sum()
+    da = terms @ d
+    ha = np.einsum("j,ja,jb->ab", terms, d, d)
+    ww = np.concatenate([w, w])
+    k = np.arange(2 * n)
+    ha[k, k] += a * (-0.5 * ww)
+    ha[k, k - n] += a * (-0.5j * ww)
+    v = float((a.real * a.real + a.imag * a.imag) / state.norm_sq)
+    grad = 2.0 * np.real(np.conj(a) * da) / state.norm_sq
+    hess = 2.0 * np.real(np.outer(np.conj(da), da) + np.conj(a) * ha) / state.norm_sq
+    return v, grad, hess
+
+
+def ascend_reevaluating(state, start, tol=1e-10, max_iter=200, counts=None):
+    """Newton/gradient ascent with Armijo backtracking that evaluates afresh.
+
+    Each iteration evaluates value, gradient and Hessian at its own point,
+    also when the line search just evaluated v there.  ``counts``, if given,
+    accumulates "backtracks", "gradient_steps" and "failed" for the run.
+    """
+    counts = {} if counts is None else counts
+    for key in ("backtracks", "gradient_steps", "failed"):
+        counts.setdefault(key, 0)
+    x = np.asarray(start, dtype=float).copy()
+    for _ in range(max_iter):
+        v, grad, hess = value_grad_hess_indexed(state, x)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm < tol * max(1.0, v):
+            is_max = bool(np.linalg.eigvalsh(hess).max() < 0.0)
+            counts["failed"] += not is_max
+            return x, v, is_max
+        direction = None
+        try:
+            if np.linalg.eigvalsh(hess).max() < 0.0:
+                cand = np.linalg.solve(hess, -grad)
+                if float(cand @ grad) > 0.0:
+                    direction = cand
+        except np.linalg.LinAlgError:
+            direction = None
+        if direction is None:
+            counts["gradient_steps"] += 1
+            direction = grad / max(gnorm, 1e-300)
+        slope = float(grad @ direction)
+        alpha = 1.0
+        ulp_gain = 8.0 * np.finfo(float).eps * max(v, 1e-300)
+        for _ in range(60):
+            if alpha * slope <= ulp_gain:
+                break
+            if v_at(state, x + alpha * direction) > v + 1e-4 * alpha * slope:
+                break
+            counts["backtracks"] += 1
+            alpha *= 0.5
+        else:
+            counts["failed"] += 1
+            return x, v, False
+        x = x + alpha * direction
+    v, grad, hess = value_grad_hess_indexed(state, x)
+    ok = float(np.linalg.norm(grad)) < tol * max(1.0, v)
+    is_max = ok and bool(np.linalg.eigvalsh(hess).max() < 0.0)
+    counts["failed"] += not is_max
+    return x, v, is_max
+
+
+def polarization_cross_reference(k_vec):
+    """(e1, e2) for a direction or (K, 3) stack, every product taken by np.cross."""
+    k = np.asarray(k_vec, dtype=float)
+    k_hat = k / np.sqrt(np.vecdot(k, k))[..., None]
+    e1 = np.cross([0.0, 0.0, 1.0], k_hat)
+    near_z = np.sqrt(np.vecdot(e1, e1)) < 1e-6
+    e1 = np.where(near_z[..., None], np.cross([1.0, 0.0, 0.0], k_hat), e1)
+    e1 = e1 / np.sqrt(np.vecdot(e1, e1))[..., None]
+    return e1, np.cross(k_hat, e1)

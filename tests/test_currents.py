@@ -17,6 +17,8 @@ from coherentlab import (
     vacuum_persistence,
 )
 
+from oracles import polarization_cross_reference
+
 
 def quad_current(traj: Trajectory, k: np.ndarray) -> np.ndarray:
     """Adaptive-quadrature oracle for the defining current integral."""
@@ -364,6 +366,37 @@ class TestPolarization:
         # the last row lies within 1e-6 of the z axis, so e1 = normalize(x x k),
         # not normalize(z x k) ~ (-1, 1, 0) / sqrt(2)
         assert np.allclose(e1[-1], [0.0, 1.0, 0.0], rtol=0.0, atol=1e-8)
+
+    def test_same_bytes_as_np_cross(self):
+        # e1 and e2 are written out by component; every bit, signed zeros
+        # included, must be what np.cross gives, for single vectors and stacks,
+        # on rows near and exactly on the z axis
+        rng = np.random.default_rng(66)
+        fallback_rows = 0
+        for trial in range(2000):
+            rows = int(rng.integers(0, 5))
+            k = rng.normal(size=(rows, 3) if rows else 3)
+            if trial % 3 == 0:
+                k[..., :2] *= rng.choice([0.0, -0.0, 1e-7, 1e-12])
+            if trial % 7 == 0:
+                k[..., int(rng.integers(0, 3))] = rng.choice([0.0, -0.0])
+            if np.any(np.vecdot(k, k) == 0.0):
+                continue
+            got, want = polarization_vectors(k), polarization_cross_reference(k)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+                assert a.tobytes() == b.tobytes()
+            fallback_rows += np.sum(np.hypot(k[..., 0], k[..., 1]) < 1e-6 * np.abs(k[..., 2]))
+        assert fallback_rows > 100
+        on_axis = np.array([[0.3, -1.2, 0.4], [0.0, 0.0, -2.0]])
+        for a, b in zip(polarization_vectors(on_axis), polarization_cross_reference(on_axis)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_wave_vector_built_once_per_mode(self):
+        mode = FieldMode(k_vec=np.array([0.6, -0.3, 1.1]), weight=1.0)
+        assert mode.k4 is mode.k4
+        assert not mode.k4.flags.writeable
+        assert mode.k4.tobytes() == np.concatenate([[mode.omega], mode.k_vec]).tobytes()
 
 
 class TestCsvIngest:

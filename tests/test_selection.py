@@ -22,9 +22,18 @@ from coherentlab import (
     theta_from_norms,
     v_value,
 )
-from coherentlab.landscape import v_at, v_gradient, v_value_grad_hess
+import coherentlab.landscape
+from coherentlab.landscape import ascend, ascent_starts, v_at, v_gradient, v_value_grad_hess
 
-from oracles import fd_gradient, grid_argmax, random_separated_state
+import oracles
+from oracles import (
+    ascend_reevaluating,
+    ascent_starts_loop,
+    fd_gradient,
+    grid_argmax,
+    random_separated_state,
+    value_grad_hess_indexed,
+)
 
 
 def _pt(q, p):
@@ -121,6 +130,132 @@ class TestGradient:
             g_fd = fd_gradient(lambda y: v_at(state, y), x, h=1e-5)
             denom = max(np.linalg.norm(g_fd), 1e-12)
             assert np.linalg.norm(g - g_fd) / denom < 1e-5
+
+
+class TestHessian:
+    def _cases(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            n = int(rng.integers(1, 4))
+            state = random_separated_state(rng, n, int(rng.integers(2, 5)),
+                                           CoherentPoint, SuperposedState, ModeBasis)
+            yield state, np.concatenate([state.q[0], state.p[0]]) + rng.normal(0, 0.5, 2 * n)
+
+    def test_matches_finite_differences_of_the_gradient(self):
+        h = 1e-5
+        for state, x in self._cases():
+            hess = v_value_grad_hess(state, x)[2]
+            cols = []
+            for e in np.eye(x.size) * h:
+                cols.append((v_gradient(state, x + e) - v_gradient(state, x - e)) / (2.0 * h))
+            hess_fd = np.column_stack(cols)
+            denom = max(np.linalg.norm(hess_fd), 1e-12)
+            assert np.linalg.norm(hess - hess_fd) / denom < 1e-5
+
+    def test_symmetric_to_roundoff(self):
+        for state, x in self._cases():
+            hess = v_value_grad_hess(state, x)[2]
+            # entries are differences of larger terms, so the asymmetry is
+            # roundoff of those terms: up to ~3e-14 of max |hess| here
+            assert np.abs(hess - hess.T).max() <= 1e-12 * np.abs(hess).max()
+
+    def test_same_bytes_as_curvature_added_by_index(self):
+        # at random points and at the starts, where the centers' zero
+        # log-derivative rows make signed zeros
+        rng = np.random.default_rng(30)
+        for _ in range(150):
+            state = _overlapping_state(rng)
+            for x in ascent_starts(state) + [rng.normal(0.0, 3.0, 2 * state.n_modes)]:
+                v, grad, hess = v_value_grad_hess(state, x)
+                v_ref, grad_ref, hess_ref = value_grad_hess_indexed(state, x)
+                assert v == v_ref
+                assert grad.tobytes() == grad_ref.tobytes()
+                assert hess.tobytes() == hess_ref.tobytes()
+
+
+def _overlapping_state(rng, n_comp=None):
+    """1-3 modes, 1-8 components close enough for their bumps to interact."""
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 9)) if n_comp is None else n_comp
+    basis = ModeBasis(omegas=rng.uniform(0.0, 2.0, n), weights=rng.uniform(0.3, 3.0, n))
+    points = [_pt(rng.normal(0.0, 2.5, n), rng.normal(0.0, 2.5, n)) for _ in range(m)]
+    return SuperposedState(rng.normal(size=m) + 1j * rng.normal(size=m), points, basis)
+
+
+class TestAscentStarts:
+    def test_same_starts_as_the_pair_loop(self):
+        rng = np.random.default_rng(31)
+        midpoints = 0
+        for m in range(1, 41):
+            state = _overlapping_state(rng, n_comp=m)
+            got, want = ascent_starts(state), ascent_starts_loop(state)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+            midpoints += len(got) - m
+        assert midpoints > 100
+
+    def test_pair_at_exactly_the_near_distance_is_excluded(self):
+        basis = ModeBasis(omegas=[1.0], weights=[1.0])
+        points = [_pt(0.0, 0.0), _pt(6.0, 0.0), _pt(0.0, 5.5)]
+        state = SuperposedState([1.0, 1.0, 1.0], points, basis)
+        starts = ascent_starts(state, near_distance=6.0)
+        # (0, 1) sit exactly 6 apart; only (0, 2) at 5.5 is near
+        assert [s.tolist() for s in starts[3:]] == [[0.0, 2.75]]
+        assert len(ascent_starts_loop(state, near_distance=6.0)) == 4
+
+
+class TestAscentReuse:
+    """The accepted full step's evaluation is reused, with the same result."""
+
+    def test_same_results_as_reevaluating_every_point(self):
+        rng = np.random.default_rng(32)
+        counts = {}
+        for trial in range(60):
+            state = _overlapping_state(rng)
+            starts = ascent_starts(state) + [rng.normal(0.0, 3.0, 2 * state.n_modes)]
+            for start in starts:
+                for max_iter in (200, 3):
+                    x, v, ok = ascend(state, start, max_iter=max_iter)
+                    run = counts if max_iter == 200 else {}
+                    x_ref, v_ref, ok_ref = ascend_reevaluating(
+                        state, start, max_iter=max_iter, counts=run)
+                    assert x.tobytes() == x_ref.tobytes()
+                    assert v == v_ref and ok == ok_ref
+        # the sample exercises every branch of the line search
+        assert counts["backtracks"] >= 1
+        assert counts["gradient_steps"] >= 1
+        assert counts["failed"] >= 1
+
+    def test_no_point_is_evaluated_twice_in_a_row(self, monkeypatch):
+        # a shortened step is still tried with v_at and then evaluated in
+        # full, so this start is one whose line searches never backtrack
+        state = _overlapping_state(np.random.default_rng(36), n_comp=4)
+        start = ascent_starts(state)[0] + 0.7
+        counts = {}
+        ascend_reevaluating(state, start, counts=counts)
+        assert counts == {"backtracks": 0, "gradient_steps": 1, "failed": 0}
+
+        def evaluated_points(run):
+            points = []
+            amp_terms = coherentlab.landscape._amp_terms
+
+            def recording(state, x):
+                points.append(np.array(x).tobytes())
+                return amp_terms(state, x)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(coherentlab.landscape, "_amp_terms", recording)
+                patch.setattr(oracles, "_amp_terms", recording)
+                result = run(state, start)
+            return points, result
+
+        points, result = evaluated_points(ascend)
+        ref_points, ref_result = evaluated_points(ascend_reevaluating)
+        assert result[0].tobytes() == ref_result[0].tobytes()
+        assert len(points) < len(ref_points)
+        assert any(a == b for a, b in zip(ref_points, ref_points[1:]))
+        assert all(a != b for a, b in zip(points, points[1:]))
 
 
 class TestLandscapeUnderflow:

@@ -12,11 +12,17 @@ script is the same before and after it:
 
     python tools/config_hashes.py > before.txt
     # ... change the code ...
-    python tools/config_hashes.py | diff before.txt -
+    python tools/config_hashes.py --check before.txt
+
+``--check FILE`` compares the listing with a saved one, prints only the
+lines that differ (``-`` saved, ``+`` now) and exits 1 on any difference,
+0 when the two are identical.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import json
 import os
@@ -27,7 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from coherentlab.cli import main  # noqa: E402
+from coherentlab.cli import main as cli_main  # noqa: E402
 
 WORKERS = (1, 2)
 OUT = "out"
@@ -42,8 +48,8 @@ def config_hashes() -> list[str]:
             with tempfile.TemporaryDirectory() as tmp:
                 os.chdir(tmp)
                 try:
-                    code = main([experiment, "--config", str(config), "--out", OUT,
-                                 "--workers", str(workers)])
+                    code = cli_main([experiment, "--config", str(config), "--out", OUT,
+                                     "--workers", str(workers)])
                 finally:
                     os.chdir(cwd)
                 if code != 0:
@@ -54,5 +60,22 @@ def config_hashes() -> list[str]:
     return lines
 
 
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Hash the artifacts of every sample config.")
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with a saved listing; exit 1 if any line differs")
+    args = parser.parse_args(argv)
+    lines = config_hashes()
+    if args.check is None:
+        print("\n".join(lines))
+        return 0
+    saved = Path(args.check).read_text().splitlines()
+    diff = [line for line in difflib.unified_diff(saved, lines, lineterm="", n=0)
+            if not line.startswith(("---", "+++", "@@"))]
+    if diff:
+        print("\n".join(diff))
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
-    print("\n".join(config_hashes()))
+    sys.exit(main())
