@@ -11,6 +11,7 @@ measure reproduces acceptance probability cos^2(theta).
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -54,8 +55,10 @@ class BlockingVector:
 def theta_from_norms(norm_sq_psi: float, norm_sq_p_psi: float) -> TransitionGeometry:
     """Transition geometry from |Psi|^2 and |P Psi|^2.
 
-    theta = arccos(sqrt(ratio)) with the ratio clamped to [0, 1]; ratios
-    above 1 beyond a 1e-12 relative tolerance are rejected.
+    theta = atan2(sqrt(1 - ratio), sqrt(ratio)) with the ratio clamped to
+    [0, 1]; ratios above 1 beyond a 1e-12 relative tolerance are rejected.
+    1 - ratio is exact for ratio >= 1/2, so theta keeps its digits as
+    theta -> 0, where arccos(sqrt(ratio)) loses them.
     """
     norm_sq_psi = float(norm_sq_psi)
     norm_sq_p_psi = float(norm_sq_p_psi)
@@ -67,7 +70,7 @@ def theta_from_norms(norm_sq_psi: float, norm_sq_p_psi: float) -> TransitionGeom
     if ratio > 1.0 + 1e-12:
         raise ValueError(f"|P Psi|^2 exceeds |Psi|^2 (ratio {ratio})")
     ratio = min(max(ratio, 0.0), 1.0)
-    return TransitionGeometry(theta=float(np.arccos(np.sqrt(ratio))))
+    return TransitionGeometry(theta=math.atan2(math.sqrt(1.0 - ratio), math.sqrt(ratio)))
 
 
 def sample_phi(rng: np.random.Generator) -> BlockingVector:

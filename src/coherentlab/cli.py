@@ -11,11 +11,11 @@ regardless of worker count.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Every bad input, a file the config refers to included, exits 2 during
 resolution, before the run starts.  Exit 3 is kept for failures inside
-the run: a ring time step above the accuracy bound, or a selection
-ascent that finds no maximum.  A failed run creates no output directory
-and writes nothing into an existing one.  The output directory resolves
-as: --out flag, else the COHERENTLAB_OUT environment variable, else the
-config's "out" entry.
+the run: a ring time step above the accuracy bound, a selection ascent
+that finds no maximum, or a drift hook that fails before the last event.
+A failed run creates no output directory and writes nothing into an
+existing one.  The output directory resolves as: --out flag, else the
+COHERENTLAB_OUT environment variable, else the config's "out" entry.
 """
 
 from __future__ import annotations
@@ -75,6 +75,10 @@ def _run_select(config: dict, inputs: dict, outdir: Path, workers: int) -> None:
     p = config["parameters"]
     state = inputs["state"]
     records = run_sequence(state, inputs["schedule"], inputs["drift"], p["n_events"], p["t0"])
+    if len(records) < p["n_events"]:
+        raise ValueError(
+            f"drift hook failed: event {len(records) + 1} of {p['n_events']} did not run"
+        )
     n = state.n_modes
     header = (
         ["index", "time (natural units)", "v (dimensionless)", "blocked (bool)"]

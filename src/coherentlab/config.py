@@ -21,7 +21,7 @@ import numpy as np
 from .currents import FieldMode, Trajectory, _check_common_span, trajectories_from_csv
 from .modes import ModeBasis
 from .ring import Absorber, fourier_mode_state, uniform_state, von_mises_state
-from .selection import UrgencySchedule, no_drift, offset_spawn, seeded_spawn
+from .selection import UrgencySchedule, offset_spawn, seeded_spawn
 from .states import CoherentPoint, SuperposedState
 
 _REQUIRED = object()
@@ -317,7 +317,7 @@ def _select_inputs(config):
     schedule.energy_for(p["n_events"])  # a list of energies must cover every event
     d = p["drift"]
     if d["kind"] == "none":
-        drift = no_drift
+        drift = None
     elif d["kind"] == "offset_spawn":
         offset = CoherentPoint(q=d["dq"], p=d["dp"])
         if offset.n_modes != basis.n_modes:

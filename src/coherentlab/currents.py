@@ -51,13 +51,6 @@ class FourVector:
         c.setflags(write=False)
         object.__setattr__(self, "components", c)
 
-    def __getitem__(self, mu: int) -> complex:
-        return complex(self.components[mu])
-
-    @property
-    def time(self) -> complex:
-        return complex(self.components[0])
-
     @property
     def spatial(self) -> np.ndarray:
         return self.components[1:]
@@ -111,13 +104,9 @@ class Trajectory:
 
     @classmethod
     def from_breakpoints(cls, charge: float, breakpoints) -> "Trajectory":
-        """Build from an iterable of (t, (x, y, z)) or (t, x, y, z) rows."""
+        """Build from an iterable of (t, x, y, z) rows."""
         ts, xs = [], []
-        for bp in breakpoints:
-            if len(bp) == 2:
-                t, xyz = bp
-            else:
-                t, xyz = bp[0], bp[1:4]
+        for t, *xyz in breakpoints:
             ts.append(float(t))
             xs.append([float(v) for v in xyz])
         return cls(charge=charge, times=np.array(ts), positions=np.array(xs))

@@ -60,10 +60,6 @@ class RingState:
     def n_grid(self) -> int:
         return self.psi.size
 
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.n_grid) / self.n_grid
-
     def norm(self) -> float:
         """Squared norm (1/N) sum |psi_j|^2."""
         return float(np.mean(np.abs(self.psi) ** 2))

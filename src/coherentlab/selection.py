@@ -5,12 +5,16 @@ global maximum of its phase-space landscape.  Event times follow the
 urgency schedule t_{i+1} = t_i + 1/E_i (hbar = 1).  A blocking vector can
 veto the transition, in which case the state is left unchanged until the
 next scheduled event.
+
+A state's maxima search runs once: its result is cached on the state, and
+every event on that state reuses the argmax, the collapsed state and the
+veto angle taken from it on first use.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -18,6 +22,7 @@ import numpy as np
 
 from .borngeo import BlockingVector, TransitionGeometry, is_blocked, theta_from_norms
 from .landscape import ascend, ascent_starts
+from .modes import ModeBasis
 from .states import CoherentPoint, SuperposedState, evolve_free
 
 #: |dv| below which two global maxima count as tied (resolved lexicographically).
@@ -41,16 +46,47 @@ class Candidate:
 
 @dataclass(frozen=True)
 class MaximaResult:
-    """Deduplicated landscape maxima, sorted by descending value."""
+    """Deduplicated landscape maxima of one state, sorted by descending value.
+
+    What an event on the state selects is derived from the maxima on first
+    use and kept with them.
+    """
 
     maxima: list[Candidate]
-    failed_starts: int = 0
-
-    def __iter__(self):
-        return iter(self.maxima)
+    failed_starts: int
+    basis: ModeBasis
 
     def __len__(self):
         return len(self.maxima)
+
+    @cached_property
+    def argmax(self) -> tuple[Candidate, bool]:
+        """Global maximum with lexicographic tie-breaking on (q, p), and the tie flag."""
+        if not self.maxima:
+            raise ValueError(
+                f"no landscape maximum found: all {self.failed_starts} ascent start(s) failed"
+            )
+        top = self.maxima[0]
+        tied = [c for c in self.maxima if abs(c.v - top.v) < TIE_TOLERANCE]
+        tie = len(tied) > 1
+        if tie:
+            tied.sort(key=lambda c: tuple(c.point.as_vector()))
+            top = tied[0]
+        return top, tie
+
+    @cached_property
+    def collapsed(self) -> SuperposedState:
+        """The single coherent state at the argmax, coefficient 1."""
+        return SuperposedState.single(self.argmax[0].point, self.basis)
+
+    @cached_property
+    def geometry(self) -> TransitionGeometry:
+        """Transition angle of the collapse.
+
+        <x|x> = 1 for the argmax x, so cos^2(theta) = |P Psi|^2 / |Psi|^2
+        = |<x|Psi>|^2 / |Psi|^2 is the landscape value the ascent returned.
+        """
+        return theta_from_norms(1.0, self.argmax[0].v)
 
 
 @dataclass(frozen=True)
@@ -61,10 +97,10 @@ class EventRecord:
     time: float
     chosen: CoherentPoint
     v_at_choice: float
-    candidates: list[Candidate] = field(default_factory=list)
-    blocked: bool = False
-    tie: bool = False
-    failed_starts: int = 0
+    candidates: list[Candidate]
+    blocked: bool
+    tie: bool
+    failed_starts: int
 
 
 @dataclass(frozen=True)
@@ -105,32 +141,25 @@ def next_event_time(t_i: float, e: float) -> float:
     return float(t_i) + 1.0 / e
 
 
-def find_local_maxima(
-    state: SuperposedState,
-    tol: float = _TOL,
-    max_iter: int = _MAX_ITER,
-    dedup_radius: float = DEDUP_RADIUS,
-) -> MaximaResult:
+def find_local_maxima(state: SuperposedState) -> MaximaResult:
     """Locate local maxima of the landscape by multi-start ascent.
 
     Starts are all component centers plus midpoints of near pairs.
     Non-converged starts are dropped and counted in ``failed_starts``.
-    States are immutable, so the result is cached on the state instance
-    (keyed by the search parameters).
+    States are immutable, so the result is cached on the state instance.
     """
-    cache = state.__dict__.setdefault("_maxima_cache", {})
-    cache_key = (tol, max_iter, dedup_radius)
-    if cache_key in cache:
-        return cache[cache_key]
+    cached = state.__dict__.get("_maxima")
+    if cached is not None:
+        return cached
     found: list[tuple[np.ndarray, float]] = []
     failed = 0
     for start in ascent_starts(state):
-        x, v, ok = ascend(state, start, tol=tol, max_iter=max_iter)
+        x, v, ok = ascend(state, start, tol=_TOL, max_iter=_MAX_ITER)
         if not ok:
             failed += 1
             continue
         for k, (xk, vk) in enumerate(found):
-            if np.linalg.norm(x - xk) < dedup_radius:
+            if np.linalg.norm(x - xk) < DEDUP_RADIUS:
                 if v > vk:
                     found[k] = (x, v)
                 break
@@ -143,83 +172,28 @@ def find_local_maxima(
         )
     found.sort(key=lambda item: (-item[1], tuple(item[0])))
     maxima = [Candidate(point=CoherentPoint.from_vector(x), v=v) for x, v in found]
-    result = MaximaResult(maxima=maxima, failed_starts=failed)
-    cache[cache_key] = result
+    result = MaximaResult(maxima, failed, state.basis)
+    state.__dict__["_maxima"] = result
     return result
-
-
-def _argmax_candidate(result: MaximaResult) -> tuple[Candidate, bool]:
-    """Global maximum with lexicographic tie-breaking on (q, p)."""
-    if not result.maxima:
-        raise ValueError(
-            f"no landscape maximum found: all {result.failed_starts} ascent start(s) failed"
-        )
-    top = result.maxima[0]
-    tied = [c for c in result.maxima if abs(c.v - top.v) < TIE_TOLERANCE]
-    tie = len(tied) > 1
-    if tie:
-        tied.sort(key=lambda c: tuple(c.point.as_vector()))
-        top = tied[0]
-    return top, tie
-
-
-@dataclass(frozen=True)
-class _CollapseTarget:
-    """What an event on one state selects: a function of its cached maxima."""
-
-    result: MaximaResult
-    chosen: Candidate
-    tie: bool
-    state_next: SuperposedState
-
-    @cached_property
-    def geometry(self) -> TransitionGeometry:
-        """Transition angle of the collapse, computed on the first veto only.
-
-        <x|x> = 1 for the argmax x, so cos^2(theta) = |P Psi|^2 / |Psi|^2
-        = |<x|Psi>|^2 / |Psi|^2 is the landscape value the ascent returned.
-        """
-        return theta_from_norms(1.0, self.chosen.v)
-
-
-def _collapse_target(state: SuperposedState) -> _CollapseTarget:
-    """The state's collapse target, built once and kept beside its maxima.
-
-    find_local_maxima runs on every call (a cache hit after the first);
-    the target is cached on the state under the same search key.
-    """
-    result = find_local_maxima(state)
-    targets = state.__dict__.setdefault("_target_cache", {})
-    key = (_TOL, _MAX_ITER, DEDUP_RADIUS)
-    target = targets.get(key)
-    if target is None:
-        chosen, tie = _argmax_candidate(result)
-        target = _CollapseTarget(
-            result=result,
-            chosen=chosen,
-            tie=tie,
-            state_next=SuperposedState.single(chosen.point, state.basis),
-        )
-        targets[key] = target
-    return target
 
 
 def _select(
     state: SuperposedState, t: float, index: int, phi: BlockingVector | None
 ) -> CollapseOutcome:
-    target = _collapse_target(state)
-    blocked = phi is not None and is_blocked(target.geometry, phi)
+    result = find_local_maxima(state)
+    chosen, tie = result.argmax
+    blocked = phi is not None and is_blocked(result.geometry, phi)
     record = EventRecord(
         index=index,
         time=float(t),
-        chosen=target.chosen.point,
-        v_at_choice=target.chosen.v,
-        candidates=target.result.maxima,
+        chosen=chosen.point,
+        v_at_choice=chosen.v,
+        candidates=result.maxima,
         blocked=blocked,
-        tie=target.tie,
-        failed_starts=target.result.failed_starts,
+        tie=tie,
+        failed_starts=result.failed_starts,
     )
-    return CollapseOutcome(state_next=state if blocked else target.state_next, record=record)
+    return CollapseOutcome(state_next=state if blocked else result.collapsed, record=record)
 
 
 def select_and_collapse(state: SuperposedState, t: float, index: int = 1) -> CollapseOutcome:
@@ -250,10 +224,6 @@ def blocked_select(
 
 
 DriftHook = Callable[[SuperposedState, int], SuperposedState]
-
-
-def no_drift(state: SuperposedState, step: int) -> SuperposedState:
-    return state
 
 
 def offset_spawn(coeff: complex, dq: Sequence[float], dp: Sequence[float]) -> DriftHook:
@@ -301,8 +271,9 @@ def run_sequence(
 ) -> list[EventRecord]:
     """Run a sequence of scheduled selection events.
 
-    Each step evolves freely over 1/E, applies the drift hook (which
-    regenerates alternatives between events), then selects and collapses.
+    Each step evolves freely over 1/E, applies the drift hook if one is
+    given (it regenerates alternatives between events), then selects and
+    collapses.
     If ``phi_source`` is given, each event is routed through the blocking
     test with phi_source(step).  If the hook ever produces a state that
     cannot be constructed (zero norm), the run aborts and the partial log
@@ -310,20 +281,20 @@ def run_sequence(
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
-    drift = drift or no_drift
     records: list[EventRecord] = []
     state = initial
     t = float(t0)
     for i in range(1, n_events + 1):
         t_next = next_event_time(t, schedule.energy_for(i))
         state = evolve_free(state, t_next - t)
-        try:
-            state = drift(state, i)
-        except ValueError as exc:
-            warnings.warn(f"drift hook failed at event {i} ({exc}); aborting", RuntimeWarning)
-            return records
-        if not isinstance(state, SuperposedState):
-            raise TypeError("drift hook must return a SuperposedState")
+        if drift is not None:
+            try:
+                state = drift(state, i)
+            except ValueError as exc:
+                warnings.warn(f"drift hook failed at event {i} ({exc}); aborting", RuntimeWarning)
+                return records
+            if not isinstance(state, SuperposedState):
+                raise TypeError("drift hook must return a SuperposedState")
         if phi_source is None:
             outcome = select_and_collapse(state, t_next, index=i)
         else:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,13 @@ class TestThetaFromNorms:
     def test_tiny_overshoot_clamped(self):
         geom = theta_from_norms(1.0, 1.0 + 1e-14)
         assert geom.theta == 0.0
+
+    @pytest.mark.parametrize("e", range(10, 53))
+    def test_small_angle_keeps_its_digits(self, e):
+        # r = 1 - 2^-e is exact, so sin(theta) = sqrt(2^-e) exactly
+        expected = math.asin(math.sqrt(2.0**-e))
+        theta = theta_from_norms(1.0, 1.0 - 2.0**-e).theta
+        assert abs(theta - expected) <= 4 * math.ulp(expected)
 
     def test_nonpositive_norm_rejected(self):
         with pytest.raises(ValueError):

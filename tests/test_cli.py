@@ -212,7 +212,7 @@ def _ring_with_bad_grid(tmp_path, monkeypatch):
         "experiment": "ring",
         "parameters": {"dt": 1.0, "absorber": {"kind": "delta", "strength": 0.1}},
     }
-    return "ring", write_config(tmp_path, "ring.json", config)
+    return "ring", write_config(tmp_path, "ring.json", config), "dt = 1 exceeds the accuracy bound"
 
 
 def _select_without_maximum(tmp_path, monkeypatch):
@@ -220,26 +220,64 @@ def _select_without_maximum(tmp_path, monkeypatch):
         return np.asarray(start, dtype=float), 0.0, False
 
     monkeypatch.setattr(coherentlab.selection, "ascend", failing_ascend)
-    return "select", TestCliSelect()._config(tmp_path)
+    return "select", TestCliSelect()._config(tmp_path), "no landscape maximum found"
+
+
+def _cancelling_drift(tmp_path, components):
+    # each event the hook adds the leading component again with coefficient -1
+    config = {
+        "experiment": "select",
+        "parameters": {
+            "basis": {"omegas": [0.0]},
+            "initial": {"components": components},
+            "n_events": 3,
+            "drift": {"kind": "offset_spawn", "coeff": -1.0, "dq": [0.0], "dp": [0.0]},
+        },
+    }
+    return write_config(tmp_path, "drift.json", config)
+
+
+_AT_ORIGIN = {"coeff": [1.0], "q": [0.0], "p": [0.0]}
+
+
+def _select_drift_fails_mid_run(tmp_path, monkeypatch):
+    # event 1 collapses onto q = 20; at event 2 the hook cancels that state
+    cfg = _cancelling_drift(tmp_path, [_AT_ORIGIN, {"coeff": [0.5], "q": [20.0], "p": [0.0]}])
+    return "select", cfg, "drift hook failed: event 2 of 3 did not run"
+
+
+def _select_drift_fails_first(tmp_path, monkeypatch):
+    cfg = _cancelling_drift(tmp_path, [_AT_ORIGIN])
+    return "select", cfg, "drift hook failed: event 1 of 3 did not run"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("failing_run", [_ring_with_bad_grid, _select_without_maximum])
+@pytest.mark.parametrize(
+    "failing_run",
+    [_ring_with_bad_grid, _select_without_maximum, _select_drift_fails_mid_run,
+     _select_drift_fails_first],
+)
 class TestFailedRunLeavesNoOutput:
     def test_no_output_directory(self, tmp_path, monkeypatch, failing_run):
-        experiment, cfg = failing_run(tmp_path, monkeypatch)
+        experiment, cfg, _ = failing_run(tmp_path, monkeypatch)
         out = tmp_path / "runs" / "out"
         assert main([experiment, "--config", cfg, "--out", str(out)]) == 3
         assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
 
     def test_existing_directory_keeps_its_files(self, tmp_path, monkeypatch, failing_run):
-        experiment, cfg = failing_run(tmp_path, monkeypatch)
+        experiment, cfg, _ = failing_run(tmp_path, monkeypatch)
         out = tmp_path / "out"
         out.mkdir()
         (out / "sentinel.txt").write_text("kept")
         assert main([experiment, "--config", cfg, "--out", str(out)]) == 3
         assert [p.name for p in out.iterdir()] == ["sentinel.txt"]
         assert (out / "sentinel.txt").read_text() == "kept"
+
+    def test_one_numeric_error_line(self, tmp_path, monkeypatch, capsys, failing_run):
+        experiment, cfg, message = failing_run(tmp_path, monkeypatch)
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error[numeric]: {message}")
 
 
 _RING = {

@@ -1,13 +1,19 @@
 """Config fuzzer: one leaf of a small valid config replaced or removed.
 
 Whatever the replacement, ``main`` must exit 0, 2 or 3 and never raise,
-and a run that fails leaves no output directory.  The pool holds no large
+and a run that fails leaves no output directory.  What a user sees on
+stderr is checked too: a failed run prints exactly one ``error[...]``
+line, a successful run prints nothing, and the only warnings come from
+the selection engine (a dropped ascent start or a failed drift hook).
+The pool holds no large
 sizes and ``--workers`` is never varied, so no example can allocate much
 memory or start many threads.
 """
 
+import contextlib
 import copy
 import functools
+import io
 import json
 import operator
 import os
@@ -127,19 +133,31 @@ def _replaced(config, path, value):
 
 
 def _run(config, experiment):
-    """Run ``main`` in a fresh working directory; return (exit code, out exists)."""
+    """Run ``main`` in a fresh working directory and check what it prints.
+
+    Returns (exit code, out exists).
+    """
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             Path("tracks.csv").write_text(TRACKS_CSV)
             Path("config.json").write_text(json.dumps(config))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
                 code = main([experiment, "--config", "config.json", "--out", "out"])
-            return code, Path("out").exists()
+            out_exists = Path("out").exists()
         finally:
             os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error["), lines
+    for w in caught:
+        assert Path(w.filename).parts[-2:] == ("coherentlab", "selection.py"), str(w.message)
+    return code, out_exists
 
 
 def test_every_base_config_runs():

@@ -23,6 +23,7 @@ from coherentlab import (
     v_value,
 )
 import coherentlab.landscape
+import coherentlab.selection
 from coherentlab.landscape import ascend, ascent_starts, v_at, v_gradient, v_value_grad_hess
 
 import oracles
@@ -482,7 +483,7 @@ class TestVetoPath:
     @pytest.mark.parametrize("shape", VETO_SHAPES, ids=str)
     def test_accepted_state_is_single_at_argmax(self, shape):
         state = _veto_state(*shape)
-        for _ in range(2):  # the second call is served from the cached target
+        for _ in range(2):  # the second call is served from the cached search result
             out = blocked_select(state, 0.0, BlockingVector(alpha=np.pi, chi=0.0))
             assert out.accepted
             ref = SuperposedState.single(out.record.chosen, state.basis)
@@ -491,3 +492,53 @@ class TestVetoPath:
             np.testing.assert_array_equal(out.state_next.p, ref.p)
             np.testing.assert_array_equal(out.state_next.gram(), ref.gram())
             assert out.state_next.norm_sq == ref.norm_sq
+
+
+class TestOneSearchPerState:
+    """A state's search result is built once and serves every event on it."""
+
+    def test_ascent_runs_only_in_the_first_search(self, monkeypatch):
+        calls = []
+
+        def counting(state, start, tol, max_iter):
+            calls.append(1)
+            return ascend(state, start, tol=tol, max_iter=max_iter)
+
+        monkeypatch.setattr(coherentlab.selection, "ascend", counting)
+        state = _veto_state(1, 4)
+        first = find_local_maxima(state)
+        n_ascents = len(calls)
+        assert n_ascents == len(ascent_starts(state))
+        for _ in range(3):
+            assert find_local_maxima(state) is first
+        assert len(calls) == n_ascents
+
+    def test_veto_angle_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(norm_sq_psi, norm_sq_p_psi):
+            calls.append(1)
+            return theta_from_norms(norm_sq_psi, norm_sq_p_psi)
+
+        monkeypatch.setattr(coherentlab.selection, "theta_from_norms", counting)
+        state = _veto_state(1, 2)
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            blocked_select(state, 0.0, sample_phi(rng))
+        assert len(calls) == 1
+
+    def test_every_accepted_event_returns_the_same_state(self):
+        state = _veto_state(3, 3)
+        accept = BlockingVector(alpha=np.pi, chi=0.0)
+        collapsed = select_and_collapse(state, 0.0).state_next
+        for _ in range(3):
+            assert blocked_select(state, 0.0, accept).state_next is collapsed
+        assert select_and_collapse(state, 1.0).state_next is collapsed
+
+    def test_no_drift_hook_equals_identity_hook(self):
+        init = _veto_state(1, 4)
+        schedule = UrgencySchedule([1.0, 2.0, 4.0])
+        plain = run_sequence(init, schedule, None, n_events=3)
+        identity = run_sequence(init, schedule, lambda state, step: state, n_events=3)
+        as_dicts = coherentlab.selection.record_as_dict
+        assert [as_dicts(r) for r in plain] == [as_dicts(r) for r in identity]
