@@ -76,12 +76,15 @@ def theta_from_norms(norm_sq_psi: float, norm_sq_p_psi: float) -> TransitionGeom
 def sample_phi(rng: np.random.Generator) -> BlockingVector:
     """Draw one blocking vector from the uniform sphere-surface measure.
 
-    cos(alpha) is uniform on [-1, 1] and chi uniform on [0, 2 pi); equal
-    seeds produce identical sequences.
+    cos(alpha) is uniform on [-1, 1) and chi uniform on [0, 2 pi).  Both
+    come from one ``rng.random(2)`` call: ``-1 + 2 u`` and ``2 pi w`` are
+    bit for bit the values ``rng.uniform(-1, 1)`` and
+    ``rng.uniform(0, 2 pi)`` return, in the same stream order, so equal
+    seeds produce identical sequences.  ``np.arccos`` is kept on purpose:
+    ``math.acos`` differs from it in the last bit on some inputs.
     """
-    cos_alpha = rng.uniform(-1.0, 1.0)
-    chi = rng.uniform(0.0, 2.0 * np.pi)
-    return BlockingVector(alpha=float(np.arccos(cos_alpha)), chi=float(chi))
+    u, w = rng.random(2).tolist()
+    return BlockingVector(alpha=float(np.arccos(-1.0 + 2.0 * u)), chi=2.0 * np.pi * w)
 
 
 def is_blocked(geom: TransitionGeometry, phi: BlockingVector) -> bool:
@@ -101,26 +104,51 @@ def _shard_sizes(n: int, shards: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(shards)]
 
 
-def _accepted_count(theta: float, n: int, seed_key: tuple) -> int:
-    if n == 0:
-        return 0
-    rng = np.random.default_rng(list(seed_key))
-    cos_alpha = rng.uniform(-1.0, 1.0, size=n)
-    if theta <= 0.0:
+# The sweep counts raw generator draws, not floats.  numpy's default bit
+# generator (PCG64) makes each double as (raw >> 11) * 2**-53, so
+# rng.uniform(-1, 1) is exactly -1 + j * 2**-52 with j = raw >> 11.  Hence
+# cos(alpha) < c iff j < 2**52 (c + 1) iff j < k = ceil(2**52 (c + 1)) iff
+# raw < k * 2**11: one integer threshold per cell counts exactly the
+# samples the float test counts, draw for draw.
+_ALL_ACCEPTED = 1 << 53
+
+#: Most raw draws a shard holds at once, so its memory does not grow with n.
+_RAW_BLOCK = 1 << 16
+
+
+def _lattice_threshold(c: float) -> int:
+    """Least k in [0, 2**53] with -1 + k * 2**-52 >= c, in exact arithmetic.
+
+    A uniform(-1, 1) draw with lattice index j lies below c iff j < k.
+    """
+    num, den = float(c).as_integer_ratio()
+    k = -(-((num + den) << 52) // den)
+    return min(max(k, 0), _ALL_ACCEPTED)
+
+
+def _accepted_count(k: int, n: int, seed_key: tuple) -> int:
+    """Draws among n of the substream ``seed_key`` whose lattice index is below k."""
+    if k >= _ALL_ACCEPTED:
+        # every draw is accepted; the substream is this shard's alone
         return n
-    # blocked iff alpha <= 2 theta iff cos(alpha) >= cos(2 theta)
-    return int(np.count_nonzero(cos_alpha < np.cos(2.0 * theta)))
+    bitgen = np.random.default_rng(list(seed_key)).bit_generator
+    below = k << 11
+    accepted = 0
+    for start in range(0, n, _RAW_BLOCK):
+        raw = bitgen.random_raw(min(_RAW_BLOCK, n - start))
+        accepted += int(np.count_nonzero(raw < below))
+    return accepted
 
 
-def _accepted_counts(cells: list[tuple[float, tuple]], n: int, shards: int, workers: int) -> list[int]:
-    """Accepted counts of n samples for each (theta, seed prefix) cell.
+def _accepted_counts(cells: list[tuple[int, tuple]], n: int, shards: int, workers: int) -> list[int]:
+    """Accepted counts of n samples for each (lattice threshold, seed prefix) cell.
 
     Each cell is split into ``shards`` substreams keyed by (*prefix,
     shard); all shards of all cells share one thread pool, and the counts
     never depend on ``workers``.
     """
     sizes = _shard_sizes(n, shards)
-    jobs = [(theta, m, (*prefix, i)) for theta, prefix in cells for i, m in enumerate(sizes)]
+    jobs = [(k, m, (*prefix, i)) for k, prefix in cells for i, m in enumerate(sizes)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(lambda job: _accepted_count(*job), jobs))
@@ -141,17 +169,23 @@ def sweep_transition_prob(
     Each cell draws n blocking vectors from its own substream family
     keyed by (seed, cell, shard), so the sweep is reproducible cell by
     cell.  The shard structure is independent of ``workers``, so the
-    counts are identical for any worker count.
+    counts are identical for any worker count.  ``stderr`` is the
+    estimated standard error; ``z_score`` is taken against the null one,
+    sqrt(cos2 (1 - cos2) / n), and is 0 where that is 0.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     geoms = [TransitionGeometry(theta=float(theta)) for theta in thetas]
-    cells = [(geom.theta, (seed, cell)) for cell, geom in enumerate(geoms)]
+    # accepted iff alpha/2 > theta iff cos(alpha) < cos(2 theta); theta = 0
+    # gives cos(2 theta) = 1 and accepts every sample, as is_blocked says
+    cells = [(_lattice_threshold(np.cos(2.0 * geom.theta)), (seed, cell))
+             for cell, geom in enumerate(geoms)]
     rows = []
     for geom, accepted in zip(geoms, _accepted_counts(cells, n, shards, workers)):
         p_hat = accepted / n
         stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / n))
-        z = (p_hat - geom.cos2) / stderr if stderr > 0 else 0.0
+        null_stderr = math.sqrt(geom.cos2 * (1.0 - geom.cos2) / n)
+        z = (p_hat - geom.cos2) / null_stderr if null_stderr > 0 else 0.0
         rows.append(
             {
                 "theta": geom.theta,

@@ -13,6 +13,8 @@ Every bad input, a file the config refers to included, exits 2 during
 resolution, before the run starts.  Exit 3 is kept for failures inside
 the run: a ring time step above the accuracy bound, a selection ascent
 that finds no maximum, or a drift hook that fails before the last event.
+An allocation that fails, during resolution or the run, also exits 3,
+with one ``error[memory]`` line.
 A failed run creates no output directory and writes nothing into an
 existing one.  The output directory resolves as: --out flag, else the
 COHERENTLAB_OUT environment variable, else the config's "out" entry.
@@ -230,6 +232,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _memory_error(exc: MemoryError) -> int:
+    print(f"error[memory]: {str(exc) or 'out of memory'}", file=sys.stderr)
+    return 3
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -256,6 +263,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        return _memory_error(exc)
     out = args.out or os.environ.get(ENV_OUT) or config.get("out")
     if not out:
         print("error[config]: no output directory (use --out, the config, or "
@@ -273,6 +282,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        return _memory_error(exc)
     return 0
 
 

@@ -1,9 +1,13 @@
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherentlab import (
     BlockingVector,
@@ -13,6 +17,7 @@ from coherentlab import (
     sweep_transition_prob,
     theta_from_norms,
 )
+from coherentlab.borngeo import _accepted_count, _lattice_threshold
 
 
 BORN_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "born.json"
@@ -96,6 +101,17 @@ class TestSamplePhi:
         d = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
         assert d < 1.63 / np.sqrt(n)  # 1% critical value
 
+    def test_same_draws_as_two_uniform_calls(self):
+        def two_uniform_phi(rng):
+            cos_alpha = rng.uniform(-1.0, 1.0)
+            chi = rng.uniform(0.0, 2.0 * np.pi)
+            return float(np.arccos(cos_alpha)), float(chi)
+
+        rng, ref = np.random.default_rng(45), np.random.default_rng(45)
+        for _ in range(10**5):
+            phi = sample_phi(rng)
+            assert (phi.alpha, phi.chi) == two_uniform_phi(ref)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BlockingVector(alpha=-0.1, chi=0.0)
@@ -118,6 +134,69 @@ class TestIsBlocked:
         geom = TransitionGeometry(theta=np.pi / 4)
         assert is_blocked(geom, BlockingVector(alpha=np.pi / 4, chi=0.0)) is True
         assert is_blocked(geom, BlockingVector(alpha=np.pi / 2 + 0.01, chi=0.0)) is False
+
+
+def _lattice(j):
+    """The j-th uniform(-1, 1) value, exactly: -1 + j * 2**-52."""
+    return Fraction(-1) + Fraction(j, 2**52)
+
+
+def _reference_count(c, n, key):
+    return int(np.count_nonzero(np.random.default_rng(list(key)).uniform(-1.0, 1.0, n) < c))
+
+
+class TestRawDrawCounts:
+    """The sweep counts raw draws below an integer threshold; these pin that
+    it counts exactly the float test cos(alpha) < c on the same draws."""
+
+    def test_uniform_is_the_pcg64_lattice(self):
+        # a numpy that changes the generator or its double conversion fails
+        # here instead of silently moving counts
+        rng, twin = np.random.default_rng(46), np.random.default_rng(46)
+        assert type(rng.bit_generator) is np.random.PCG64
+        raw = twin.bit_generator.random_raw(10**4)
+        assert np.array_equal(rng.uniform(-1.0, 1.0, 10**4), -1.0 + (raw >> 11) * 2.0**-52)
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(c=st.floats(-1.0, 1.0))
+    def test_threshold_is_the_least_lattice_index_at_or_above_c(self, c):
+        k = _lattice_threshold(c)
+        assert 0 <= k <= 2**53
+        assert _lattice(k - 1) < Fraction(c) <= _lattice(k)
+
+    @pytest.mark.parametrize(
+        "theta",
+        [0.0, 1e-300, 1e-9, np.pi / 4, np.pi / 2]
+        + np.random.default_rng(47).uniform(0.0, np.pi / 2, 8).tolist(),
+    )
+    def test_shard_count_equals_float_count(self, theta):
+        c = np.cos(2.0 * theta)
+        key = (5, 3, 1)
+        assert _accepted_count(_lattice_threshold(c), 5000, key) == _reference_count(c, 5000, key)
+
+    @pytest.mark.parametrize("index", [0, 17, 999])
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_shard_count_with_c_on_and_beside_a_drawn_value(self, index, step):
+        # c equal to a drawn value, or one ulp either side of it: the one
+        # place where an off-by-one threshold changes a count
+        key = (8, 0, 2)
+        drawn = np.random.default_rng(list(key)).uniform(-1.0, 1.0, 1000)[index]
+        c = float(np.nextafter(drawn, step * np.inf)) if step else float(drawn)
+        assert _accepted_count(_lattice_threshold(c), 1000, key) == _reference_count(c, 1000, key)
+
+    def test_shard_drawn_in_blocks_equals_one_call(self):
+        n, key = 3 * 2**16 + 17, (9, 9, 9)
+        c = np.cos(2.0 * 0.6)
+        assert _accepted_count(_lattice_threshold(c), n, key) == _reference_count(c, n, key)
+
+    def test_shard_memory_does_not_grow_with_samples(self):
+        tracemalloc.start()
+        try:
+            sweep_transition_prob([0.6], n=10**7, seed=4, shards=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestTransitionProbMc:
@@ -153,6 +232,13 @@ class TestTransitionProbMc:
             p["thetas"], p["samples"], config["seed"], shards=p["shards"], workers=workers
         )
         assert sum(round(r["p_hat"] * r["n"]) for r in rows) == 7_353_105
+
+    @pytest.mark.parametrize("theta", [1.55, np.pi / 2])
+    def test_z_score_against_the_null_stderr(self, theta):
+        # p_hat = 0 here, so an estimated stderr would make |z| huge
+        [row] = sweep_transition_prob([theta], n=1000, seed=1)
+        assert row["p_hat"] == 0.0
+        assert abs(row["z_score"]) < 5
 
     def test_needs_samples(self):
         with pytest.raises(ValueError, match="at least one sample"):

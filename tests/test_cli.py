@@ -348,8 +348,9 @@ def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, name):
     assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
 
 
-def _assert_prints_only_the_config_error(tmp_path, config):
-    # a separate process, so that numpy warnings reach stderr as a user sees it
+def _assert_prints_one_error_line(tmp_path, config, code, tag):
+    # a separate process, so that numpy warnings and tracebacks reach stderr
+    # as a user sees them
     cfg = write_config(tmp_path, "ring.json", config)
     src = str(Path(coherentlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -358,19 +359,36 @@ def _assert_prints_only_the_config_error(tmp_path, config):
          str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 2
+    assert proc.returncode == code
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error[config]:"), lines
+    assert len(lines) == 1 and lines[0].startswith(f"error[{tag}]:"), lines
     assert not (tmp_path / "out").exists()
 
 
 def test_empty_von_mises_grid_prints_only_the_config_error(tmp_path):
-    _assert_prints_only_the_config_error(
-        tmp_path, _with(_RING, n_grid=0, initial={"profile": "von_mises"}))
+    _assert_prints_one_error_line(
+        tmp_path, _with(_RING, n_grid=0, initial={"profile": "von_mises"}), 2, "config")
 
 
 def test_underflowing_von_mises_packet_prints_only_the_config_error(tmp_path):
-    _assert_prints_only_the_config_error(tmp_path, _with(_RING, initial=_UNDERFLOWING_VON_MISES))
+    _assert_prints_one_error_line(
+        tmp_path, _with(_RING, initial=_UNDERFLOWING_VON_MISES), 2, "config")
+
+
+def test_grid_too_large_to_allocate_prints_one_memory_error(tmp_path):
+    # 2**52 complex amplitudes are 64 PiB: the allocation fails on any machine
+    _assert_prints_one_error_line(tmp_path, _with(_RING, n_grid=2**52), 3, "memory")
+
+
+def test_memory_error_during_the_run_is_one_line(tmp_path, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(coherentlab.cli, "survival_curve", exhausted)
+    cfg = write_config(tmp_path, "ring.json", _RING)
+    assert main(["ring", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error[memory]: out of memory"]
+    assert not (tmp_path / "out").exists()
 
 
 class TestCliBorn:
