@@ -1,5 +1,9 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from oracles import ring_exact_survival
 
 from coherentlab import (
     Absorber,
@@ -9,12 +13,16 @@ from coherentlab import (
     dt_bound,
     fourier_mode_state,
     loss_rate,
+    ring,
     step,
     survival_curve,
     uniform_ensemble,
     uniform_state,
     von_mises_state,
 )
+from coherentlab.config import resolve_config
+
+RING_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ring.json"
 
 
 class TestRingState:
@@ -33,6 +41,17 @@ class TestRingState:
     def test_profiles_normalized(self):
         assert von_mises_state(128, 0.5, 30.0).norm() == pytest.approx(1.0)
         assert fourier_mode_state(128, 3).norm() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("value", [0.5, 2.7, -1.5, float("nan"), float("inf")])
+    def test_fractional_boost_or_mode_rejected(self, value):
+        with pytest.raises(ValueError, match="boost must be an integer"):
+            von_mises_state(64, boost=value)
+        with pytest.raises(ValueError, match="mode must be an integer"):
+            fourier_mode_state(64, value)
+
+    def test_integral_float_boost_or_mode_accepted(self):
+        assert np.all(von_mises_state(64, boost=2.0).psi == von_mises_state(64, boost=2).psi)
+        assert np.all(fourier_mode_state(64, -3.0).psi == fourier_mode_state(64, -3).psi)
 
 
 class TestAbsorber:
@@ -248,6 +267,118 @@ class TestInPlaceStep:
         for _ in range(steps):
             state = step(state, absorber, dt)
         assert np.all(state.psi == psi)
+
+
+def _forced(monkeypatch, path, *args):
+    """``survival_curve(*args)`` with the cost model's choice fixed to ``path``."""
+    monkeypatch.setattr(ring, "_stride_is_cheaper", lambda *_: path == "stride")
+    return survival_curve(*args)
+
+
+def _strang_calls(monkeypatch):
+    """Record the shape of every ``psi`` that ``survival_curve`` steps."""
+    shapes = []
+    stepper = ring._strang
+
+    def recorder(psi, *rest):
+        shapes.append(psi.shape)
+        stepper(psi, *rest)
+
+    monkeypatch.setattr(ring, "_strang", recorder)
+    return shapes
+
+
+STRIDE_ABSORBERS = ABSORBERS + [Absorber(kind="delta", center=0.5, strength=0.0)]
+
+
+class TestStridePropagator:
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    @pytest.mark.parametrize("absorber", ABSORBERS)
+    def test_stacked_rows_equal_one_vector_steps(self, n, absorber):
+        state = von_mises_state(n, 0.3, 20.0, boost=2)
+        decay_half, kinetic = ring._step_factors(state, absorber, 0.25 * dt_bound(n, 1.0))
+        rng = np.random.default_rng(n)
+        stack = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        stack[0] = state.psi
+        rows = stack.copy()
+        ring._strang(rows, np.empty_like(rows), decay_half, kinetic)
+        for psi, row in zip(stack, rows):
+            psi = psi.copy()
+            ring._strang(psi, np.empty_like(psi), decay_half, kinetic)
+            assert np.all(row == psi)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("record_every", [2, 5, 40])
+    @pytest.mark.parametrize("absorber", STRIDE_ABSORBERS)
+    @pytest.mark.parametrize("mass", [1.0, 1.5])
+    def test_stride_agrees_with_stepping(self, monkeypatch, n, record_every, absorber, mass):
+        state = von_mises_state(n, 0.3, 20.0, boost=2, mass=mass)
+        dt = 0.25 * dt_bound(n, mass)
+        for steps in (200, 203):
+            args = (state, absorber, dt, steps, record_every)
+            stepped = _forced(monkeypatch, "step", *args)
+            strided = _forced(monkeypatch, "stride", *args)
+            assert strided.t.tobytes() == stepped.t.tobytes()
+            assert np.max(np.abs(strided.survival - stepped.survival)) <= 2e-14
+
+    def test_ring_config_never_gains_norm_on_the_stride_path(self, monkeypatch):
+        config, inputs = resolve_config(json.loads(RING_CONFIG.read_text()))
+        p = config["parameters"]
+        shapes = _strang_calls(monkeypatch)
+        curve = survival_curve(inputs["state"], inputs["absorber"], p["dt"], p["steps"],
+                               p["record_every"])
+        assert shapes == [(256, 256)] * p["record_every"]
+        assert curve.survival.size == p["steps"] // p["record_every"] + 1
+        assert np.all(np.diff(curve.survival) <= 1e-14)
+        assert curve.survival[-1] == pytest.approx(3.5e-4, rel=0.05)
+
+    @pytest.mark.parametrize(
+        "n, record_every, steps, calls",
+        [
+            (256, 5, 4000, [(256, 256)] * 5),
+            (256, 5, 4003, [(256, 256)] * 5 + [(256,)] * 3),
+            (256, 5, 100, [(256,)] * 100),
+            (512, 5, 4000, [(512,)] * 4000),
+            (64, 1, 100, [(64,)] * 100),
+            (1024, 16, 32, [(1024,)] * 32),
+        ],
+    )
+    def test_cost_model_picks_the_path(self, monkeypatch, n, record_every, steps, calls):
+        shapes = _strang_calls(monkeypatch)
+        curve = survival_curve(uniform_state(n), Absorber(kind="delta", strength=0.5),
+                               0.25 * dt_bound(n, 1.0), steps, record_every)
+        assert shapes == calls
+        assert curve.t.size == -(-steps // record_every) + 1
+
+
+class TestExactReference:
+    """Both paths against psi(t) = exp(-i H t) psi_0 on N = 128, T = 0.4,
+    20 records; the error is the largest over the records."""
+
+    def _errors(self, monkeypatch, state, absorber):
+        """Error of each path (columns: stepping, stride) at 1600, 3200, 6400 steps."""
+        T, errors = 0.4, []
+        exact = ring_exact_survival(state, absorber, np.arange(21) * (T / 20))
+        for steps in (1600, 3200, 6400):
+            args = (state, absorber, T / steps, steps, steps // 20)
+            curves = [_forced(monkeypatch, path, *args) for path in ("step", "stride")]
+            assert curves[1].t.tobytes() == curves[0].t.tobytes()
+            assert np.max(np.abs(curves[1].survival - curves[0].survival)) <= 2e-14
+            errors.append([np.max(np.abs(c.survival - exact)) for c in curves])
+        return np.array(errors)
+
+    def test_plateau_converges_at_second_order(self, monkeypatch):
+        # measured: 4.0e-7, 1.0e-7, 2.5e-8
+        absorber = Absorber(kind="plateau", center=0.0, strength=1.0, width=0.06, sigma=0.02)
+        errors = self._errors(monkeypatch, von_mises_state(128, 0.3, 15.0, boost=2), absorber)
+        assert np.all(errors[0] < 5e-7)
+        assert np.all(errors[:-1] / errors[1:] > 3.8)
+
+    def test_delta_within_measured_bound(self, monkeypatch):
+        # measured: 5.9e-5, 5.3e-5, 3.0e-5; not yet second order at these dt
+        absorber = Absorber(kind="delta", center=0.0, strength=0.5)
+        errors = self._errors(monkeypatch, uniform_state(128), absorber)
+        assert np.all(errors < 7e-5)
 
 
 class TestClassicalEnsemble:
