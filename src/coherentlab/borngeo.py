@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,18 +39,30 @@ class TransitionGeometry:
         return float(np.cos(self.theta) ** 2)
 
 
-@dataclass(frozen=True)
-class BlockingVector:
-    """Point on the half-radius sphere: polar angle alpha, azimuth chi."""
-
+class _SpherePoint(NamedTuple):
     alpha: float
     chi: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.alpha <= np.pi):
-            raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
-        if not (0.0 <= self.chi < 2 * np.pi):
-            raise ValueError(f"chi must lie in [0, 2 pi), got {self.chi}")
+
+class BlockingVector(_SpherePoint):
+    """Point on the half-radius sphere: polar angle alpha, azimuth chi.
+
+    An immutable named tuple, built on every veto.  The constructor checks
+    both ranges, and ``_make`` (which ``_replace`` uses) goes through it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, chi: float):
+        if not (0.0 <= alpha <= math.pi):
+            raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
+        if not (0.0 <= chi < 2 * math.pi):
+            raise ValueError(f"chi must lie in [0, 2 pi), got {chi}")
+        return tuple.__new__(cls, (alpha, chi))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def theta_from_norms(norm_sq_psi: float, norm_sq_p_psi: float) -> TransitionGeometry:
@@ -76,15 +89,18 @@ def theta_from_norms(norm_sq_psi: float, norm_sq_p_psi: float) -> TransitionGeom
 def sample_phi(rng: np.random.Generator) -> BlockingVector:
     """Draw one blocking vector from the uniform sphere-surface measure.
 
-    cos(alpha) is uniform on [-1, 1) and chi uniform on [0, 2 pi).  Both
-    come from one ``rng.random(2)`` call: ``-1 + 2 u`` and ``2 pi w`` are
-    bit for bit the values ``rng.uniform(-1, 1)`` and
-    ``rng.uniform(0, 2 pi)`` return, in the same stream order, so equal
+    cos(alpha) is uniform on [-1, 1) and chi uniform on [0, 2 pi).  They
+    come from two scalar ``rng.random()`` calls, u then w: a scalar call
+    takes the next double of the same stream that ``rng.random(2)`` fills
+    its array from, so u and w are the same doubles in the same order, and
+    ``-1 + 2 u`` and ``2 pi w`` are bit for bit the values
+    ``rng.uniform(-1, 1)`` and ``rng.uniform(0, 2 pi)`` return.  Equal
     seeds produce identical sequences.  ``np.arccos`` is kept on purpose:
     ``math.acos`` differs from it in the last bit on some inputs.
     """
-    u, w = rng.random(2).tolist()
-    return BlockingVector(alpha=float(np.arccos(-1.0 + 2.0 * u)), chi=2.0 * np.pi * w)
+    u = rng.random()
+    w = rng.random()
+    return BlockingVector(float(np.arccos(-1.0 + 2.0 * u)), 2.0 * np.pi * w)
 
 
 def is_blocked(geom: TransitionGeometry, phi: BlockingVector) -> bool:

@@ -26,6 +26,11 @@ import numpy as np
 #: phase of the fastest representable grid mode and is far stricter than
 #: needed for smooth states; the default targets sub-percent accuracy of
 #: the loss law at desk scale (validated by the refinement test-suite).
+#: Against the exact expm reference (N = 128, T = 0.4, 20 records) the
+#: delta absorber's survival error is 5.9e-5, 5.3e-5 and 3.0e-5 at
+#: dt/bound 0.10, 0.05 and 0.025, not yet second order: its one-cell
+#: depth b N is a stiffness this kinetic-only bound leaves out.  The
+#: plateau absorber's error is 4e-7 at 0.10.
 DT_SAFETY_DEFAULT = 4000.0
 
 #: CODATA value of the reduced Planck constant, J s.

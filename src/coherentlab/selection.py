@@ -16,7 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,9 +89,8 @@ class MaximaResult:
         return theta_from_norms(1.0, self.argmax[0].v)
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """Log entry for one selection event."""
+class EventRecord(NamedTuple):
+    """Log entry for one selection event (an immutable named tuple)."""
 
     index: int
     time: float
@@ -103,8 +102,9 @@ class EventRecord:
     failed_starts: int
 
 
-@dataclass(frozen=True)
-class CollapseOutcome:
+class CollapseOutcome(NamedTuple):
+    """State after one selection event, and the event's log entry."""
+
     state_next: SuperposedState
     record: EventRecord
 
@@ -184,16 +184,9 @@ def _select(
     chosen, tie = result.argmax
     blocked = phi is not None and is_blocked(result.geometry, phi)
     record = EventRecord(
-        index=index,
-        time=float(t),
-        chosen=chosen.point,
-        v_at_choice=chosen.v,
-        candidates=result.maxima,
-        blocked=blocked,
-        tie=tie,
-        failed_starts=result.failed_starts,
+        index, float(t), chosen.point, chosen.v, result.maxima, blocked, tie, result.failed_starts
     )
-    return CollapseOutcome(state_next=state if blocked else result.collapsed, record=record)
+    return CollapseOutcome(state if blocked else result.collapsed, record)
 
 
 def select_and_collapse(state: SuperposedState, t: float, index: int = 1) -> CollapseOutcome:

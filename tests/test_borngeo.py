@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -117,6 +118,39 @@ class TestSamplePhi:
             BlockingVector(alpha=-0.1, chi=0.0)
         with pytest.raises(ValueError):
             BlockingVector(alpha=0.1, chi=7.0)
+
+
+class TestBlockingVector:
+    """The record every veto builds: an immutable, validated named tuple."""
+
+    @pytest.mark.parametrize("alpha, chi", [(0.0, 0.0), (math.pi, 0.0), (1.0, 0.0),
+                                            (1.0, math.nextafter(2 * math.pi, 0.0))])
+    def test_range_ends_accepted(self, alpha, chi):
+        for phi in (BlockingVector(alpha, chi), BlockingVector(alpha=alpha, chi=chi)):
+            assert (phi.alpha, phi.chi) == (alpha, chi)
+
+    @pytest.mark.parametrize("alpha, chi", [(1.0, 2 * math.pi), (math.nan, 0.0), (1.0, math.nan),
+                                            (math.nextafter(math.pi, 4.0), 0.0), (-1e-300, 0.0)])
+    def test_out_of_range_or_nan_rejected(self, alpha, chi):
+        with pytest.raises(ValueError):
+            BlockingVector(alpha=alpha, chi=chi)
+
+    def test_fields_cannot_be_assigned(self):
+        phi = BlockingVector(alpha=1.0, chi=2.0)
+        for field in ("alpha", "chi"):
+            with pytest.raises(AttributeError):
+                setattr(phi, field, 0.5)
+        with pytest.raises(AttributeError):
+            phi.extra = 0.5  # no instance dict
+        assert phi == (1.0, 2.0)
+
+    def test_replace_validates_and_pickle_round_trips(self):
+        phi = BlockingVector(alpha=1.0, chi=2.0)
+        assert phi._replace(chi=3.0) == BlockingVector(1.0, 3.0)
+        with pytest.raises(ValueError):
+            phi._replace(alpha=-1.0)
+        back = pickle.loads(pickle.dumps(phi))
+        assert type(back) is BlockingVector and back == phi
 
 
 class TestIsBlocked:

@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -492,6 +495,56 @@ class TestVetoPath:
             np.testing.assert_array_equal(out.state_next.p, ref.p)
             np.testing.assert_array_equal(out.state_next.gram(), ref.gram())
             assert out.state_next.norm_sq == ref.norm_sq
+
+
+    def test_decisions_and_draws_pinned(self):
+        # 4000 veto calls on a 1-mode and a 3-mode state from one seeded stream;
+        # the digest of (alpha, chi, blocked) per call was recorded when phi was
+        # drawn with one rng.random(2) call and the records were dataclasses.
+        states = [_veto_state(1, 4), _veto_state(3, 3)]
+        rng = np.random.default_rng(2718)
+        digest = hashlib.sha256()
+        blocked = [0, 0]
+        for _ in range(2000):
+            for j, state in enumerate(states):
+                phi = sample_phi(rng)
+                out = blocked_select(state, 0.0, phi)
+                blocked[j] += out.record.blocked
+                digest.update(struct.pack("<dd?", phi.alpha, phi.chi, out.record.blocked))
+        assert blocked == [979, 624]
+        assert digest.hexdigest() == (
+            "ac563a8ac0f0e9e1b2472963bfc57840fc4afad779289ad49cc701607832f40c"
+        )
+
+
+class TestRecords:
+    """Event records and outcomes are immutable named tuples."""
+
+    def test_fields_cannot_be_assigned(self):
+        state = _veto_state(1, 2)
+        out = blocked_select(state, 2.5, BlockingVector(alpha=0.0, chi=0.0), index=3)
+        for record in (out, out.record):
+            for field in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, None)
+
+    def test_fields_hold_the_event(self):
+        state = _veto_state(1, 2)
+        result = find_local_maxima(state)
+        out = blocked_select(state, 2.5, BlockingVector(alpha=0.0, chi=0.0), index=3)
+        record = out.record
+        assert (record.index, record.time, record.blocked) == (3, 2.5, True)
+        assert record.chosen is result.argmax[0].point
+        assert record.v_at_choice == result.argmax[0].v
+        assert record.candidates is result.maxima
+        assert (record.tie, record.failed_starts) == (False, 0)
+        assert out.state_next is state
+
+    @pytest.mark.parametrize("alpha", [0.0, np.pi])
+    def test_accepted_is_not_blocked(self, alpha):
+        out = blocked_select(_veto_state(1, 2), 0.0, BlockingVector(alpha=alpha, chi=0.0))
+        assert out.accepted == (not out.record.blocked)
+        assert out.accepted is (alpha == np.pi)
 
 
 class TestOneSearchPerState:
