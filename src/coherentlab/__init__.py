@@ -36,7 +36,6 @@ from .currents import (
     Trajectory,
     current_divergence,
     current_j,
-    displaced_state,
     displacement_from_current,
     lorentz_dot,
     mode_basis_for,
@@ -104,7 +103,6 @@ __all__ = [
     "classical_survival",
     "current_divergence",
     "current_j",
-    "displaced_state",
     "displacement_from_current",
     "dt_bound",
     "evolve_free",

@@ -10,9 +10,10 @@ regardless of worker count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Every bad input, a file the config refers to included, exits 2 during
-resolution, before the run starts.  Exit 3 is kept for failures inside
-the run: a ring time step above the accuracy bound, a selection ascent
-that finds no maximum, or a drift hook that fails before the last event.
+resolution, before the run starts; a ring time step above the accuracy
+bound is one (it exits 2, no longer 3).  Exit 3 is kept for failures
+inside the run: a selection ascent that finds no maximum, or a drift
+hook that fails before the last event.
 An allocation that fails, during resolution or the run, also exits 3,
 with one ``error[memory]`` line.
 A failed run creates no output directory and writes nothing into an

@@ -20,7 +20,7 @@ import numpy as np
 
 from .currents import FieldMode, Trajectory, _check_common_span, trajectories_from_csv
 from .modes import ModeBasis
-from .ring import Absorber, fourier_mode_state, uniform_state, von_mises_state
+from .ring import Absorber, _check_run, fourier_mode_state, uniform_state, von_mises_state
 from .selection import UrgencySchedule, offset_spawn, seeded_spawn
 from .states import CoherentPoint, SuperposedState
 
@@ -150,9 +150,9 @@ def _ring_params(raw, where):
         {
             "n_grid": (256, _int),
             "mass": (1.0, _float),
-            "dt": (2.5e-4, lambda v, w: _float(v, w, minimum=0.0, strict_min=True)),
-            "steps": (20000, lambda v, w: _int(v, w, minimum=1)),
-            "record_every": (10, lambda v, w: _int(v, w, minimum=1)),
+            "dt": (2.5e-4, _float),
+            "steps": (20000, _int),
+            "record_every": (10, _int),
             "absorber": (_REQUIRED, _absorber),
             "initial": (_REQUIRED, _ring_initial),
             "classical": (None, _classical),
@@ -301,6 +301,7 @@ def _ring_inputs(config):
         )
     else:
         state = fourier_mode_state(p["n_grid"], init["mode"], p["mass"])
+    _check_run(state, p["dt"], p["steps"], p["record_every"])
     return {"state": state, "absorber": Absorber(**p["absorber"])}
 
 

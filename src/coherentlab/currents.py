@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .modes import ModeBasis
-from .states import CoherentPoint, SuperposedState
+from .states import CoherentPoint
 
 ON_SHELL_TOL = 1e-9
 
@@ -50,10 +50,6 @@ class FourVector:
             raise ValueError("four-vector components must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "components", c)
-
-    @property
-    def spatial(self) -> np.ndarray:
-        return self.components[1:]
 
 
 def lorentz_dot(x, y):
@@ -316,12 +312,6 @@ def displacement_from_current(trajectories, modes) -> CoherentPoint:
     """
     amps = mode_amplitudes(trajectories, modes)
     return CoherentPoint(q=np.sqrt(2.0) * amps.real, p=np.sqrt(2.0) * amps.imag)
-
-
-def displaced_state(trajectories, modes) -> SuperposedState:
-    """The sourced coherent state as a one-component superposition."""
-    point = displacement_from_current(trajectories, modes)
-    return SuperposedState.single(point, mode_basis_for(modes))
 
 
 def trajectories_from_csv(path) -> list[Trajectory]:

@@ -5,6 +5,9 @@ The landscape of a superposition is a smooth mixture of Gaussian bumps
 are closed-form.  Maxima are found by Newton ascent with a gradient
 fallback and Armijo backtracking, started from every component center
 plus midpoints of nearby pairs.
+
+Values come from the one landscape evaluator in ``states``; the
+derivative rows are built from the differences it returns.
 """
 
 from __future__ import annotations
@@ -13,28 +16,12 @@ import math
 
 import numpy as np
 
-from .states import SuperposedState, _kernel
-
-
-def _amp_terms(state: SuperposedState, x: np.ndarray):
-    """Per-component kernel values and log-derivative rows at phase point x."""
-    n = state.n_modes
-    q, p = x[:n], x[n:]
-    w = state.basis.weights
-    dq = q - state.q
-    dp = p - state.p
-    sq = q + state.q
-    terms = state.coeffs * _kernel(dq, dp, sq, w)
-    dgq = -0.5 * w * (dq + 1j * dp)
-    dgp = -0.5 * w * (dp + 1j * sq)
-    return terms, np.concatenate([dgq, dgp], axis=1)
+from .states import SuperposedState, _component_terms, _landscape_value
 
 
 def v_at(state: SuperposedState, x: np.ndarray) -> float:
     """Landscape value at a flattened phase-space vector [q..., p...]."""
-    terms, _ = _amp_terms(state, np.asarray(x, dtype=float))
-    a = terms.sum()
-    return float((a.real * a.real + a.imag * a.imag) / state.norm_sq)
+    return float(_landscape_value(_component_terms(state, x)[0].sum(), state.norm_sq))
 
 
 def v_gradient(state: SuperposedState, x: np.ndarray) -> np.ndarray:
@@ -64,12 +51,15 @@ def _curvature(basis) -> np.ndarray:
 
 def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     """Landscape value, gradient, and Hessian in one pass."""
-    terms, d = _amp_terms(state, np.asarray(x, dtype=float))
+    terms, dq, dp, sq = _component_terms(state, x)
+    # log-derivative rows of every term with respect to [q..., p...]
+    half_w = -0.5 * state.basis.weights
+    d = np.concatenate([half_w * (dq + 1j * dp), half_w * (dp + 1j * sq)], axis=1)
     a = terms.sum()
     da = terms @ d
     # Hessian of the amplitude: sum_j t_j (d_j d_j^T + const curvature blocks).
     ha = np.einsum("j,ja,jb->ab", terms, d, d) + a * _curvature(state.basis)
-    v = float((a.real * a.real + a.imag * a.imag) / state.norm_sq)
+    v = float(_landscape_value(a, state.norm_sq))
     grad = 2.0 * np.real(np.conj(a) * da) / state.norm_sq
     hess = 2.0 * np.real(np.conj(da)[:, None] * da + np.conj(a) * ha) / state.norm_sq
     return v, grad, hess

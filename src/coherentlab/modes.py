@@ -16,7 +16,7 @@ class ModeBasis:
     define the bilinear bracket used throughout: for per-mode values
     x_k and y_k,
 
-        bracket(x, y) = sum_k weight_k * x_k * y_k
+        <x.y> = sum_k weight_k * x_k * y_k
 
     (no conjugation; the bracket is symmetric in its arguments).
     """
@@ -47,14 +47,6 @@ class ModeBasis:
     @property
     def n_modes(self) -> int:
         return self.omegas.size
-
-    def bracket(self, x, y):
-        """Weighted bilinear bracket sum_k w_k x_k y_k (symmetric, no conjugation)."""
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if x.shape[-1] != self.n_modes or y.shape[-1] != self.n_modes:
-            raise ValueError("bracket arguments must supply one value per mode")
-        return np.sum(self.weights * x * y, axis=-1)
 
 
 def single_mode(omega: float = 1.0, weight: float = 1.0) -> ModeBasis:

@@ -190,7 +190,8 @@ def _strang(psi: np.ndarray, work: np.ndarray, decay_half: np.ndarray, kinetic: 
     np.multiply(decay_half, work, out=psi)
 
 
-def _check_dt(state: RingState, dt: float):
+def _check_run(state: RingState, dt: float, steps: int = 1, record_every: int = 1):
+    """The one check of a run's inputs; config resolution calls it too."""
     if not (dt > 0 and np.isfinite(dt)):
         raise ValueError("dt must be positive and finite")
     bound = dt_bound(state.n_grid, state.mass)
@@ -199,11 +200,15 @@ def _check_dt(state: RingState, dt: float):
             f"dt = {dt:g} exceeds the accuracy bound {bound:g} "
             f"for N = {state.n_grid}, m = {state.mass:g}"
         )
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
 
 
 def step(state: RingState, absorber: Absorber, dt: float) -> RingState:
     """Advance by one Strang split step; the norm never increases."""
-    _check_dt(state, dt)
+    _check_run(state, dt)
     psi = state.psi.copy()
     _strang(psi, np.empty_like(psi), *_step_factors(state, absorber, dt))
     return RingState(psi=psi, mass=state.mass, time=state.time + dt)
@@ -258,11 +263,7 @@ def survival_curve(
     bit.  The two paths agree to roundoff; M is a contraction, so on
     either path the norm never increases beyond roundoff.
     """
-    _check_dt(initial, dt)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    _check_run(initial, dt, steps, record_every)
     decay_half, kinetic = _step_factors(initial, absorber, dt)
     psi = initial.psi.copy()
     times = [initial.time]

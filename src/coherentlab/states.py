@@ -10,6 +10,11 @@ standard Glauber overlap times the separable phase
 exp(i sum_k w_k (q'_k p'_k - q_k p_k) / 2), so every Gram matrix built
 from it is positive semidefinite and |overlap| <= 1 with equality only
 at coincident points.
+
+The landscape |<x|Psi>|^2 / <Psi|Psi> has one evaluator, owned here:
+``_component_terms`` forms the terms c_j <x|x_j>, ``_landscape_value``
+takes the landscape from their sum, and ``amplitude``, ``v_value`` and
+the ascent in ``landscape`` are all built on these two.
 """
 
 from __future__ import annotations
@@ -103,10 +108,7 @@ def overlap(a: CoherentPoint, b: CoherentPoint, basis: ModeBasis) -> complex:
     """
     _check_point(a, basis)
     _check_point(b, basis)
-    if a is b or (np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)):
-        return 1.0 + 0.0j
-    m = _overlap_matrix(a.q[None, :], a.p[None, :], b.q[None, :], b.p[None, :], basis.weights)
-    return complex(m[0, 0])
+    return complex(_kernel(a.q - b.q, a.p - b.p, a.q + b.q, basis.weights))
 
 
 class SuperposedState:
@@ -173,9 +175,6 @@ class SuperposedState:
     def points(self) -> list[CoherentPoint]:
         return [CoherentPoint(q=self.q[j], p=self.p[j]) for j in range(self.n_components)]
 
-    def components(self) -> list[tuple[complex, CoherentPoint]]:
-        return list(zip([complex(c) for c in self.coeffs], self.points()))
-
     def scaled(self, factor: complex) -> "SuperposedState":
         """Same ray, all coefficients multiplied by a nonzero scalar."""
         if factor == 0:
@@ -190,13 +189,25 @@ class SuperposedState:
         )
 
 
+def _component_terms(state: SuperposedState, x):
+    """The terms c_j <x|x_j> at x = [q..., p...], and the dq, dp, sq they came from."""
+    x = np.asarray(x, dtype=float)
+    n = state.n_modes
+    dq = x[:n] - state.q
+    dp = x[n:] - state.p
+    sq = x[:n] + state.q
+    return state.coeffs * _kernel(dq, dp, sq, state.basis.weights), dq, dp, sq
+
+
+def _landscape_value(a, norm_sq):
+    """The landscape |a|^2 / <Psi|Psi> at the amplitude a = <x|Psi>."""
+    return (a.real * a.real + a.imag * a.imag) / norm_sq
+
+
 def amplitude(state: SuperposedState, point: CoherentPoint) -> complex:
     """The coherent-state amplitude <point|Psi> = sum_j c_j <point|pt_j>."""
     _check_point(point, state.basis)
-    row = _overlap_matrix(
-        point.q[None, :], point.p[None, :], state.q, state.p, state.basis.weights
-    )[0]
-    return complex(np.sum(state.coeffs * row))
+    return complex(_component_terms(state, point.as_vector())[0].sum())
 
 
 def v_value(state: SuperposedState, point: CoherentPoint) -> float:
@@ -205,9 +216,7 @@ def v_value(state: SuperposedState, point: CoherentPoint) -> float:
     The explicit division keeps the landscape meaningful for states that
     have not been renormalized after a projection.
     """
-    a = amplitude(state, point)
-    v = (a.real * a.real + a.imag * a.imag) / state.norm_sq
-    return float(min(v, 1.0)) if v > 1.0 else float(v)
+    return min(_landscape_value(amplitude(state, point), state.norm_sq), 1.0)
 
 
 def evolve_free(state: SuperposedState, dt: float) -> SuperposedState:
@@ -301,7 +310,7 @@ def identity_check(
     boundary_max = 0.0
     if n == 1:
         amp = np.einsum("j,abj->ab", state.coeffs, factors[0])
-        v = (amp.real**2 + amp.imag**2) / state.norm_sq
+        v = _landscape_value(amp, state.norm_sq)
         boundary_max = max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max())
         total = float(np.einsum("a,b,ab->", trap[0], trap[1], v))
     else:
@@ -311,7 +320,7 @@ def identity_check(
         m0 = len(axes[0])
         for i in range(m0):
             amp = np.einsum("j,bj,cdj->bcd", state.coeffs, factors[0][i], factors[1])
-            v = (amp.real**2 + amp.imag**2) / state.norm_sq
+            v = _landscape_value(amp, state.norm_sq)
             if i == 0 or i == m0 - 1:
                 boundary_max = max(boundary_max, v.max())
             else:

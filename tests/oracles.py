@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from coherentlab.landscape import _amp_terms, v_at
+from coherentlab.landscape import v_at
+from coherentlab.states import _component_terms
 
 
 def landscape_value(coeffs, q_centers, p_centers, weights, norm_sq, x):
@@ -156,11 +157,16 @@ def ascent_starts_loop(state, near_distance=6.0):
 
 
 def value_grad_hess_indexed(state, x):
-    """Landscape value, gradient and Hessian with the curvature added by index."""
+    """Landscape value, gradient and Hessian with the curvature added by index.
+
+    The derivative rows d_j = d log(c_j K(x, x_j)) / dx are formed here from
+    the kernel's differences, not taken from the library's ascent.
+    """
     x = np.asarray(x, dtype=float)
     n = state.n_modes
     w = state.basis.weights
-    terms, d = _amp_terms(state, x)
+    terms, dq, dp, sq = _component_terms(state, x)
+    d = np.concatenate([-0.5 * w * (dq + 1j * dp), -0.5 * w * (dp + 1j * sq)], axis=1)
     a = terms.sum()
     da = terms @ d
     ha = np.einsum("j,ja,jb->ab", terms, d, d)

@@ -143,7 +143,8 @@ class TestCliRing:
         values = {float(r.split(",")[1]) for r in rows[1:]}
         assert len(values) == 1  # exactly constant
 
-    def test_numerical_failure_exit_code(self, tmp_path):
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # the step accuracy bound is known from the config, so resolution rejects dt
         cfg = write_config(
             tmp_path,
             "ring.json",
@@ -157,7 +158,11 @@ class TestCliRing:
                 },
             },
         )
-        assert main(["ring", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert main(["ring", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            "error[config]: config.parameters(ring): dt = 1 exceeds the accuracy bound")
+        assert not (tmp_path / "o").exists()
 
 
 class TestCliSelect:
@@ -206,13 +211,13 @@ class TestCliSelect:
         assert main(["born", "--config", self._config(tmp_path), "--out", str(tmp_path / "o")]) == 2
 
 
-def _ring_with_bad_grid(tmp_path, monkeypatch):
-    # a time grid too coarse for the step accuracy bound: the run itself fails
+def _spread_overflows(tmp_path, monkeypatch):
+    # valid inputs whose result overflows to inf, which JSON cannot hold
     config = {
-        "experiment": "ring",
-        "parameters": {"dt": 1.0, "absorber": {"kind": "delta", "strength": 0.1}},
+        "experiment": "spread",
+        "parameters": {"t_seconds": 1e300, "x_meters": 1e-300, "mass_kg": 1e-30},
     }
-    return "ring", write_config(tmp_path, "ring.json", config), "dt = 1 exceeds the accuracy bound"
+    return "spread", write_config(tmp_path, "spread.json", config), "Out of range float values"
 
 
 def _select_without_maximum(tmp_path, monkeypatch):
@@ -254,7 +259,7 @@ def _select_drift_fails_first(tmp_path, monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "failing_run",
-    [_ring_with_bad_grid, _select_without_maximum, _select_drift_fails_mid_run,
+    [_spread_overflows, _select_without_maximum, _select_drift_fails_mid_run,
      _select_drift_fails_first],
 )
 class TestFailedRunLeavesNoOutput:
@@ -333,6 +338,9 @@ BAD_INPUTS = {
         _CURRENT,
         trajectories=_track([0, 0, 0, 0], [1, 0.5, 0, 0]) + _track([0, 1, 0, 0], [2, 1, 0, 0])),
     "schedule_shorter_than_events": _with(_SELECT, n_events=3, schedule={"energy": [1.0, 2.0]}),
+    "ring_zero_dt": _with(_RING, dt=0.0),
+    "ring_zero_steps": _with(_RING, steps=0),
+    "ring_zero_record_every": _with(_RING, record_every=0),
 }
 
 
@@ -373,6 +381,12 @@ def test_empty_von_mises_grid_prints_only_the_config_error(tmp_path):
 def test_underflowing_von_mises_packet_prints_only_the_config_error(tmp_path):
     _assert_prints_one_error_line(
         tmp_path, _with(_RING, initial=_UNDERFLOWING_VON_MISES), 2, "config")
+
+
+def test_sample_ring_config_with_dt_above_the_bound_prints_only_the_config_error(tmp_path):
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "ring.json").read_text())
+    config["parameters"]["dt"] = 0.01
+    _assert_prints_one_error_line(tmp_path, config, 2, "config")
 
 
 def test_grid_too_large_to_allocate_prints_one_memory_error(tmp_path):

@@ -5,12 +5,13 @@ from scipy.integrate import quad
 from coherentlab import (
     FieldMode,
     FourVector,
+    SuperposedState,
     Trajectory,
     current_divergence,
     current_j,
-    displaced_state,
     displacement_from_current,
     lorentz_dot,
+    mode_basis_for,
     polarization_vectors,
     radiated_quanta,
     trajectories_from_csv,
@@ -279,7 +280,7 @@ class TestVacuumPersistence:
         modes = self._modes(rng)
         explicit = 0.0
         for mode in modes:
-            j = current_j([traj], mode.k4).spatial
+            j = current_j([traj], mode.k4).components[1:]
             e1, e2 = polarization_vectors(mode.k_vec)
             explicit += mode.weight * (abs(np.sum(e1 * j)) ** 2 + abs(np.sum(e2 * j)) ** 2)
         assert radiated_quanta([traj], modes) == pytest.approx(explicit, rel=1e-12)
@@ -333,7 +334,9 @@ class TestDisplacement:
     def test_feeds_states_layer(self):
         rng = np.random.default_rng(63)
         traj = random_trajectory(rng, charge=1.0)
-        state = displaced_state([traj], self._modes(rng))
+        modes = self._modes(rng)
+        point = displacement_from_current([traj], modes)
+        state = SuperposedState.single(point, mode_basis_for(modes))
         assert state.norm_sq == pytest.approx(1.0)
         assert state.basis.n_modes == 2
 

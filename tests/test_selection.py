@@ -27,6 +27,7 @@ from coherentlab import (
 )
 import coherentlab.landscape
 import coherentlab.selection
+import coherentlab.states
 from coherentlab.landscape import ascend, ascent_starts, v_at, v_gradient, v_value_grad_hess
 
 import oracles
@@ -242,15 +243,15 @@ class TestAscentReuse:
 
         def evaluated_points(run):
             points = []
-            amp_terms = coherentlab.landscape._amp_terms
+            component_terms = coherentlab.states._component_terms
 
             def recording(state, x):
                 points.append(np.array(x).tobytes())
-                return amp_terms(state, x)
+                return component_terms(state, x)
 
             with monkeypatch.context() as patch:
-                patch.setattr(coherentlab.landscape, "_amp_terms", recording)
-                patch.setattr(oracles, "_amp_terms", recording)
+                for module in (coherentlab.states, coherentlab.landscape, oracles):
+                    patch.setattr(module, "_component_terms", recording)
                 result = run(state, start)
             return points, result
 

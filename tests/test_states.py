@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coherentlab import (
     CoherentPoint,
@@ -14,6 +18,7 @@ from coherentlab import (
     single_mode,
     v_value,
 )
+from coherentlab.landscape import v_at, v_value_grad_hess
 from coherentlab.states import _overlap_matrix
 
 E_MINUS_1 = 0.36787944117144233  # exp(-(4+0+0)/4) for a 2-quadrature-unit offset
@@ -118,9 +123,8 @@ class TestSuperposedState:
     def test_components_round_trip(self):
         basis = single_mode()
         state = SuperposedState([0.5j, 1.0], [_pt(1.0, 2.0), _pt(-3.0, 0.5)], basis)
-        comps = state.components()
-        assert comps[0][0] == 0.5j
-        assert np.array_equal(comps[1][1].q, [-3.0])
+        assert state.coeffs[0] == 0.5j
+        assert np.array_equal(state.points()[1].q, [-3.0])
 
 
 class TestAmplitude:
@@ -183,6 +187,74 @@ class TestLandscapeValue:
                 continue
             v = v_value(state, _random_point(rng, 2))
             assert 0.0 <= v <= 1.0
+
+
+_COORD = st.floats(-6.0, 6.0)
+
+
+@st.composite
+def _states_with_probes(draw):
+    """1-3 modes, 1-6 components, and probe points near and far from them.
+
+    Optionally the last component sits 1e3 away in q_1, so its kernel
+    underflows to zero at every other component, and the first two form a
+    near-cancelling pair c (|x> - (1 - eps) |x + delta>) whose squared norm
+    is orders of magnitude below sum |c_j|^2 yet above the roundoff floor.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    vec = st.lists(_COORD, min_size=2 * n, max_size=2 * n).map(np.array)
+    basis = ModeBasis(omegas=draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)),
+                      weights=draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n)))
+    centers = [draw(vec) for _ in range(m)]
+    coeffs = [draw(st.floats(0.2, 2.0)) * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+              for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        centers[1] = centers[0].copy()
+        centers[1][draw(st.integers(0, 2 * n - 1))] += draw(st.floats(1e-3, 0.1))
+        coeffs[1] = -coeffs[0] * (1.0 - draw(st.floats(0.0, 1e-3)))
+    if draw(st.booleans()):
+        centers[-1] = centers[-1].copy()
+        centers[-1][0] += 1e3
+    points = [CoherentPoint.from_vector(c) for c in centers]
+    try:
+        state = SuperposedState(coeffs, points, basis)
+    except ValueError:  # exact cancellation, e.g. coincident centers
+        assume(False)
+    probes = [c + draw(vec) / 3.0 for c in centers] + [draw(vec) * 2.0]
+    return state, probes
+
+
+class TestOneLandscapeEvaluator:
+    """Every entry point to the landscape gives the same value, bit for bit."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(case=_states_with_probes())
+    def test_evaluators_agree(self, case):
+        state, probes = case
+        for x in probes:
+            pt = CoherentPoint.from_vector(x)
+            v = v_value(state, pt)
+            assert 0.0 <= v <= 1.0
+            assert min(v_at(state, x), 1.0) == v
+            assert min(v_value_grad_hess(state, x)[0], 1.0) == v
+            a = amplitude(state, pt)
+            assert min((a.real * a.real + a.imag * a.imag) / state.norm_sq, 1.0) == v
+            # |a|^2 through abs() rounds twice (hypot, then the square), so it
+            # may differ from re^2 + im^2 in the last bits
+            assert min(abs(a) ** 2 / state.norm_sq, 1.0) == pytest.approx(v, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_overlap_of_coincident_points_is_exactly_one(self, n, data):
+        coord = st.floats(-200.0, 200.0)
+        x = np.array(data.draw(st.lists(coord, min_size=2 * n, max_size=2 * n)))
+        basis = ModeBasis(omegas=[1.0] * n,
+                          weights=data.draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n)))
+        a = CoherentPoint.from_vector(x)
+        got = overlap(a, a, basis)
+        assert got == 1.0 + 0.0j and got.imag == 0.0
+        assert overlap(a, CoherentPoint.from_vector(x.copy()), basis) == 1.0 + 0.0j
 
 
 class TestFreeEvolution:
