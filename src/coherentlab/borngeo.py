@@ -30,7 +30,7 @@ class TransitionGeometry:
     theta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= np.pi / 2 + 1e-15):
+        if not (0.0 <= self.theta <= np.pi / 2):
             raise ValueError(f"theta must lie in [0, pi/2], got {self.theta}")
 
     @property
@@ -173,6 +173,15 @@ def _accepted_counts(cells: list[tuple[int, tuple]], n: int, shards: int, worker
     return [sum(counts[c * shards:(c + 1) * shards]) for c in range(len(cells))]
 
 
+def _check_sweep(thetas, n: int, shards: int) -> list[TransitionGeometry]:
+    """The one check of a sweep's inputs; config resolution calls it too."""
+    if n < 1:
+        raise ValueError(f"need at least one sample, got {n}")
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    return [TransitionGeometry(theta=float(theta)) for theta in thetas]
+
+
 def sweep_transition_prob(
     thetas,
     n: int,
@@ -189,9 +198,7 @@ def sweep_transition_prob(
     estimated standard error; ``z_score`` is taken against the null one,
     sqrt(cos2 (1 - cos2) / n), and is 0 where that is 0.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    geoms = [TransitionGeometry(theta=float(theta)) for theta in thetas]
+    geoms = _check_sweep(thetas, n, shards)
     # accepted iff alpha/2 > theta iff cos(alpha) < cos(2 theta); theta = 0
     # gives cos(2 theta) = 1 and accepts every sample, as is_blocked says
     cells = [(_lattice_threshold(np.cos(2.0 * geom.theta)), (seed, cell))

@@ -11,9 +11,9 @@ regardless of worker count.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Every bad input, a file the config refers to included, exits 2 during
 resolution, before the run starts; a ring time step above the accuracy
-bound is one (it exits 2, no longer 3).  Exit 3 is kept for failures
-inside the run: a selection ascent that finds no maximum, or a drift
-hook that fails before the last event.
+bound is one.  Exit 3 is kept for failures inside the run: a selection
+ascent that finds no maximum, or a drift hook that fails before the
+last event.
 An allocation that fails, during resolution or the run, also exits 3,
 with one ``error[memory]`` line.
 A failed run creates no output directory and writes nothing into an
@@ -38,7 +38,7 @@ from .borngeo import sweep_transition_prob
 from .config import EXPERIMENTS, ConfigError, resolve_config
 from .currents import current_divergence, current_j, displacement_from_current, vacuum_persistence
 from .reporting import svg_line_plot, write_csv, write_json
-from .ring import classical_survival, spread_estimate, survival_curve, uniform_ensemble
+from .ring import classical_survival, survival_curve
 from .selection import record_as_dict, run_sequence
 
 ENV_OUT = "COHERENTLAB_OUT"
@@ -57,8 +57,9 @@ def _run_ring(config: dict, inputs: dict, outdir: Path, workers: int) -> None:
     series = [(curve.t, curve.survival, "quantum")]
     if p["classical"] is not None:
         c = p["classical"]
-        ensemble = uniform_ensemble(c["members"], config["seed"])
-        classical = classical_survival(ensemble, c["region_center"], c["region_width"], curve.t)
+        classical = classical_survival(
+            inputs["ensemble"], c["region_center"], c["region_width"], curve.t
+        )
         write_csv(
             outdir / "classical.csv",
             ["t (natural units)", "survival (fraction)"],
@@ -175,14 +176,13 @@ def _run_current(config: dict, inputs: dict, outdir: Path, workers: int) -> None
 
 def _run_spread(config: dict, inputs: dict, outdir: Path, workers: int) -> None:
     p = config["parameters"]
-    result = spread_estimate(p["t_seconds"], p["x_meters"], p["mass_kg"])
     write_json(
         outdir / "spread.json",
         {
             "t_seconds": p["t_seconds"],
             "x_meters": p["x_meters"],
             "mass_kg": p["mass_kg"],
-            "spread_meters": result,
+            "spread_meters": inputs["spread_meters"],
         },
     )
 

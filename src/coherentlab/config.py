@@ -1,16 +1,18 @@
 """Strict experiment configuration schema.
 
-Configs are plain JSON objects.  The schema checks shape and type: every
-key is checked against the schema for its experiment, unknown or
-misspelled keys are rejected, every value must have its JSON type, and
-resolution fills in all defaults so the echoed config is complete.  It
-checks a range only where no domain object owns the rule, such as the
-ring time step, the counts, the born angles and the spread inputs.
+Configs are plain JSON objects.  The schema checks shape and type only:
+every key is checked against the schema for its experiment, unknown or
+misspelled keys are rejected, every value must have its JSON type (a
+finite number, a list of the right length, one of the named choices),
+and resolution fills in all defaults so the echoed config is complete.
+The one range rule it keeps is seed >= 0, which no domain object owns.
 
-The domain constructors check values.  As its last step, resolution
-builds the experiment's domain objects once (the ring state and
-absorber; the selection state, schedule and drift hook; the field modes
-and trajectories) and reports a ValueError or OSError they raise as a
+Every other range rule belongs to the domain function that uses the
+value.  As its last step, resolution reaches that owner for all five
+families: it builds the ring state, absorber and classical ensemble and
+runs the ring's run and region checks; the selection state, schedule
+and drift hook; the born sweep's check; the spread estimate; the field
+modes and trajectories.  A ValueError or OSError they raise becomes a
 ConfigError, so a bad input fails before the run starts.
 """
 
@@ -18,11 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .borngeo import _check_sweep
 from .currents import FieldMode, Trajectory, _check_common_span, trajectories_from_csv
 from .modes import ModeBasis
-from .ring import Absorber, _check_run, fourier_mode_state, uniform_state, von_mises_state
+from .ring import (Absorber, _check_region, _check_run, fourier_mode_state, spread_estimate,
+                   uniform_ensemble, uniform_state, von_mises_state)
 from .selection import UrgencySchedule, offset_spawn, seeded_spawn
-from .states import CoherentPoint, SuperposedState
+from .states import CoherentPoint, SuperposedState, _check_point
 
 _REQUIRED = object()
 
@@ -44,11 +48,11 @@ def _strict(raw, spec: dict, where: str) -> dict:
         elif default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r} in {where}")
         else:
-            out[key] = default
+            out[key] = cast(default, f"{where}.{key}") if isinstance(default, dict) else default
     return out
 
 
-def _float(value, where, minimum=None, maximum=None, strict_min=False):
+def _float(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
     try:
@@ -57,10 +61,6 @@ def _float(value, where, minimum=None, maximum=None, strict_min=False):
         v = np.inf
     if not np.isfinite(v):
         raise ConfigError(f"{where} must be finite")
-    if minimum is not None and (v <= minimum if strict_min else v < minimum):
-        raise ConfigError(f"{where} must be {'>' if strict_min else '>='} {minimum}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(f"{where} must be <= {maximum}")
     return v
 
 
@@ -98,67 +98,46 @@ def _objects(spec):
     return cast
 
 
-def _absorber(value, where):
-    return _strict(
-        value,
-        {
-            "kind": (_REQUIRED, _str_choice(("delta", "plateau"))),
-            "center": (0.0, _float),
-            "strength": (_REQUIRED, _float),
-            "width": (None, _float),
-            "sigma": (None, _float),
-        },
-        where,
-    )
+def _object(spec):
+    """Cast for an object that follows ``spec``."""
+    return lambda value, where: _strict(value, spec, where)
 
 
-def _ring_initial(value, where):
-    return _strict(
-        value,
-        {
-            "profile": ("uniform", _str_choice(("uniform", "von_mises", "fourier_mode"))),
-            "center": (0.5, _float),
-            "concentration": (40.0, lambda v, w: _float(v, w, minimum=0.0, strict_min=True)),
-            "boost": (0, _int),
-            "mode": (1, _int),
-        },
-        where,
-    )
+_ABSORBER = {
+    "kind": (_REQUIRED, _str_choice(("delta", "plateau"))),
+    "center": (0.0, _float),
+    "strength": (_REQUIRED, _float),
+    "width": (None, _float),
+    "sigma": (None, _float),
+}
+_RING_INITIAL = {
+    "profile": ("uniform", _str_choice(("uniform", "von_mises", "fourier_mode"))),
+    "center": (0.5, _float),
+    "concentration": (40.0, _float),
+    "boost": (0, _int),
+    "mode": (1, _int),
+}
+_CLASSICAL = {
+    "members": (100000, _int),
+    "region_center": (0.0, _float),
+    "region_width": (_REQUIRED, _float),
+}
 
 
 def _classical(value, where):
-    if value is None:
-        return None
-    return _strict(
-        value,
-        {
-            "members": (100000, lambda v, w: _int(v, w, minimum=1)),
-            "region_center": (0.0, _float),
-            "region_width": (_REQUIRED, lambda v, w: _float(v, w, minimum=0.0, maximum=1.0)),
-        },
-        where,
-    )
+    return None if value is None else _strict(value, _CLASSICAL, where)
 
 
-def _ring_params(raw, where):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object")
-    raw = dict(raw)
-    raw.setdefault("initial", {})
-    return _strict(
-        raw,
-        {
-            "n_grid": (256, _int),
-            "mass": (1.0, _float),
-            "dt": (2.5e-4, _float),
-            "steps": (20000, _int),
-            "record_every": (10, _int),
-            "absorber": (_REQUIRED, _absorber),
-            "initial": (_REQUIRED, _ring_initial),
-            "classical": (None, _classical),
-        },
-        where,
-    )
+_RING = {
+    "n_grid": (256, _int),
+    "mass": (1.0, _float),
+    "dt": (2.5e-4, _float),
+    "steps": (20000, _int),
+    "record_every": (10, _int),
+    "absorber": (_REQUIRED, _object(_ABSORBER)),
+    "initial": ({}, _object(_RING_INITIAL)),
+    "classical": (None, _classical),
+}
 
 
 def _energy(value, where):
@@ -203,8 +182,8 @@ def _drift(value, where):
             "coeff": (0.1, _float),
             "dq": (None, _float_list),
             "dp": (None, _float_list),
-            "count": (1, lambda v, w: _int(v, w, minimum=1)),
-            "spread": (8.0, lambda v, w: _float(v, w, minimum=0.0, strict_min=True)),
+            "count": (1, _int),
+            "spread": (8.0, _float),
         },
         where,
     )
@@ -213,40 +192,19 @@ def _drift(value, where):
     return out
 
 
-def _select_params(raw, where):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object")
-    raw = dict(raw)
-    raw.setdefault("schedule", {"energy": 1.0})
-    raw.setdefault("drift", {})
-    return _strict(
-        raw,
-        {
-            "basis": (_REQUIRED, _basis),
-            "initial": (_REQUIRED, lambda v, w: _strict(v, _INITIAL_STATE, w)),
-            "n_events": (3, lambda v, w: _int(v, w, minimum=1)),
-            "schedule": (_REQUIRED, lambda v, w: _strict(v, _SCHEDULE, w)),
-            "drift": (_REQUIRED, _drift),
-            "t0": (0.0, _float),
-        },
-        where,
-    )
-
-
-def _born_params(raw, where):
-    out = _strict(
-        raw,
-        {
-            "thetas": ([round(0.1 * i, 10) for i in range(1, 16)], _float_list),
-            "samples": (100000, lambda v, w: _int(v, w, minimum=1)),
-            "shards": (16, lambda v, w: _int(v, w, minimum=1)),
-        },
-        where,
-    )
-    for i, theta in enumerate(out["thetas"]):
-        if not (0.0 <= theta <= np.pi / 2):
-            raise ConfigError(f"{where}.thetas[{i}] must lie in [0, pi/2]")
-    return out
+_SELECT = {
+    "basis": (_REQUIRED, _basis),
+    "initial": (_REQUIRED, _object(_INITIAL_STATE)),
+    "n_events": (3, _int),
+    "schedule": ({"energy": 1.0}, _object(_SCHEDULE)),
+    "drift": ({}, _drift),
+    "t0": (0.0, _float),
+}
+_BORN = {
+    "thetas": ([round(0.1 * i, 10) for i in range(1, 16)], _float_list),
+    "samples": (100000, _int),
+    "shards": (16, _int),
+}
 
 
 def _points(value, where):
@@ -267,27 +225,9 @@ def _trajectories(value, where):
     return _objects(_TRAJECTORY)(value, where)
 
 
-def _current_params(raw, where):
-    return _strict(
-        raw,
-        {
-            "modes": (_REQUIRED, _objects(_MODE)),
-            "trajectories": (_REQUIRED, _trajectories),
-        },
-        where,
-    )
-
-
-def _spread_params(raw, where):
-    return _strict(
-        raw,
-        {
-            "t_seconds": (_REQUIRED, lambda v, w: _float(v, w, minimum=0.0, strict_min=True)),
-            "x_meters": (_REQUIRED, lambda v, w: _float(v, w, minimum=0.0, strict_min=True)),
-            "mass_kg": (_REQUIRED, lambda v, w: _float(v, w, minimum=0.0, strict_min=True)),
-        },
-        where,
-    )
+_CURRENT = {"modes": (_REQUIRED, _objects(_MODE)), "trajectories": (_REQUIRED, _trajectories)}
+_SPREAD = {"t_seconds": (_REQUIRED, _float), "x_meters": (_REQUIRED, _float),
+           "mass_kg": (_REQUIRED, _float)}
 
 
 def _ring_inputs(config):
@@ -302,7 +242,11 @@ def _ring_inputs(config):
     else:
         state = fourier_mode_state(p["n_grid"], init["mode"], p["mass"])
     _check_run(state, p["dt"], p["steps"], p["record_every"])
-    return {"state": state, "absorber": Absorber(**p["absorber"])}
+    inputs = {"state": state, "absorber": Absorber(**p["absorber"]), "ensemble": None}
+    if p["classical"] is not None:
+        inputs["ensemble"] = uniform_ensemble(p["classical"]["members"], config["seed"])
+        _check_region(p["classical"]["region_width"])
+    return inputs
 
 
 def _select_inputs(config):
@@ -315,20 +259,28 @@ def _select_inputs(config):
         basis,
     )
     schedule = UrgencySchedule(p["schedule"]["energy"])
-    schedule.energy_for(p["n_events"])  # a list of energies must cover every event
+    schedule.energy_for(p["n_events"])  # n_events >= 1, and a list of energies covers it
     d = p["drift"]
     if d["kind"] == "none":
         drift = None
     elif d["kind"] == "offset_spawn":
         offset = CoherentPoint(q=d["dq"], p=d["dp"])
-        if offset.n_modes != basis.n_modes:
-            raise ValueError(
-                f"drift offset has {offset.n_modes} modes but basis has {basis.n_modes}"
-            )
+        _check_point(offset, basis)
         drift = offset_spawn(d["coeff"], offset.q, offset.p)
     else:
         drift = seeded_spawn(config["seed"], d["count"], d["spread"], d["coeff"])
     return {"state": state, "schedule": schedule, "drift": drift}
+
+
+def _born_inputs(config):
+    p = config["parameters"]
+    _check_sweep(p["thetas"], p["samples"], p["shards"])
+    return {}
+
+
+def _spread_inputs(config):
+    p = config["parameters"]
+    return {"spread_meters": spread_estimate(p["t_seconds"], p["x_meters"], p["mass_kg"])}
 
 
 def _current_inputs(config):
@@ -343,17 +295,13 @@ def _current_inputs(config):
     return {"modes": modes, "trajectories": trajectories}
 
 
-def _no_inputs(config):
-    return {}
-
-
 #: Per experiment family: its parameter schema and its domain-object builder.
 _FAMILIES = {
-    "ring": (_ring_params, _ring_inputs),
-    "select": (_select_params, _select_inputs),
-    "born": (_born_params, _no_inputs),
-    "current": (_current_params, _current_inputs),
-    "spread": (_spread_params, _no_inputs),
+    "ring": (_RING, _ring_inputs),
+    "select": (_SELECT, _select_inputs),
+    "born": (_BORN, _born_inputs),
+    "current": (_CURRENT, _current_inputs),
+    "spread": (_SPREAD, _spread_inputs),
 }
 
 EXPERIMENTS = tuple(_FAMILIES)
@@ -377,8 +325,8 @@ def resolve_config(raw: dict) -> tuple[dict, dict]:
         "config",
     )
     where = f"config.parameters({top['experiment']})"
-    params, build = _FAMILIES[top["experiment"]]
-    top["parameters"] = params(top["parameters"], where)
+    spec, build = _FAMILIES[top["experiment"]]
+    top["parameters"] = _strict(top["parameters"], spec, where)
     try:
         inputs = build(top)
     except (ValueError, OSError) as exc:

@@ -18,6 +18,9 @@ import numpy as np
 
 from .states import SuperposedState, _component_terms, _landscape_value
 
+#: Component pairs closer than this, in the weight-scaled metric, add a midpoint start.
+NEAR_DISTANCE = 6.0
+
 
 def v_at(state: SuperposedState, x: np.ndarray) -> float:
     """Landscape value at a flattened phase-space vector [q..., p...]."""
@@ -132,8 +135,8 @@ def ascend(
     return x, v, ok and bool(np.linalg.eigvalsh(hess).max() < 0.0)
 
 
-def ascent_starts(state: SuperposedState, near_distance: float = 6.0) -> list[np.ndarray]:
-    """Component centers plus midpoints of pairs closer than ``near_distance``.
+def ascent_starts(state: SuperposedState) -> list[np.ndarray]:
+    """Component centers plus midpoints of pairs closer than ``NEAR_DISTANCE``.
 
     Distances are measured in the weight-scaled metric in which every
     component bump has unit width, so "near" means "overlapping enough to
@@ -147,5 +150,5 @@ def ascent_starts(state: SuperposedState, near_distance: float = 6.0) -> list[np
     dq = state.q[i] - state.q[j]
     dp = state.p[i] - state.p[j]
     dist = np.sqrt(np.sum(state.basis.weights * (dq * dq + dp * dp), axis=1))
-    near = dist < near_distance
+    near = dist < NEAR_DISTANCE
     return list(centers) + list(0.5 * (centers[i[near]] + centers[j[near]]))

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Default multiplier on the conservative phase-resolution bound
-#: 0.1 * m / (pi N)^2.  The conservative bound (safety = 1) resolves the
-#: phase of the fastest representable grid mode and is far stricter than
-#: needed for smooth states; the default targets sub-percent accuracy of
-#: the loss law at desk scale (validated by the refinement test-suite).
+#: Multiplier on the conservative phase-resolution bound 0.1 * m / (pi N)^2,
+#: which alone resolves the phase of the fastest representable grid mode and
+#: is far stricter than needed for smooth states; the multiplier targets
+#: sub-percent accuracy of the loss law at desk scale (validated by the
+#: refinement test-suite).
 #: Against the exact expm reference (N = 128, T = 0.4, 20 records) the
 #: delta absorber's survival error is 5.9e-5, 5.3e-5 and 3.0e-5 at
 #: dt/bound 0.10, 0.05 and 0.025, not yet second order: its one-cell
@@ -37,9 +37,9 @@ DT_SAFETY_DEFAULT = 4000.0
 HBAR_SI = 1.054571817e-34
 
 
-def dt_bound(n_grid: int, mass: float, safety: float = DT_SAFETY_DEFAULT) -> float:
-    """Largest accepted time step for a given grid and mass."""
-    return 0.1 * mass / (np.pi * n_grid) ** 2 * safety
+def dt_bound(n_grid: int, mass: float) -> float:
+    """Largest accepted time step 0.1 m / (pi N)^2 * DT_SAFETY_DEFAULT."""
+    return 0.1 * mass / (np.pi * n_grid) ** 2 * DT_SAFETY_DEFAULT
 
 
 @dataclass
@@ -96,10 +96,12 @@ def von_mises_state(
     """Periodic analog of a Gaussian packet, optionally momentum-boosted.
 
     amplitude ~ exp(kappa (cos(2 pi (x - center)) - 1)) * exp(2 pi i boost x),
-    normalized to unit squared norm.  ``boost`` must be an integer to keep
-    the state periodic.
+    normalized to unit squared norm.  ``concentration`` must be positive,
+    and ``boost`` an integer to keep the state periodic.
     """
     boost = _whole("boost", boost)
+    if not concentration > 0:
+        raise ValueError(f"concentration must be > 0, got {concentration}")
     x = np.arange(n_grid) / n_grid
     # kappa (cos - 1) may overflow to -inf, whose exp is the right limit 0
     with np.errstate(over="ignore"):
@@ -322,8 +324,16 @@ class ClassicalEnsemble:
 
 def uniform_ensemble(members: int, seed: int) -> ClassicalEnsemble:
     """Uniformly distributed stationary members, seeded."""
+    if members < 1:
+        raise ValueError(f"members must be >= 1, got {members}")
     rng = np.random.default_rng(seed)
     return ClassicalEnsemble(angles=rng.uniform(0.0, 1.0, size=members))
+
+
+def _check_region(region_width: float):
+    """The one check of an opened section's width; config resolution calls it too."""
+    if not (0.0 <= region_width <= 1.0):
+        raise ValueError(f"region_width is a fraction of the circle in [0, 1], got {region_width}")
 
 
 def classical_survival(
@@ -337,8 +347,7 @@ def classical_survival(
     Members inside the section die at t = 0; everyone else persists, so
     the curve is exactly constant at the surviving fraction.
     """
-    if not (0.0 <= region_width <= 1.0):
-        raise ValueError("region width is a fraction of the circle, in [0, 1]")
+    _check_region(region_width)
     d = np.abs((ensemble.angles - region_center + 0.5) % 1.0 - 0.5)
     inside = d < region_width / 2.0
     ensemble.alive = ensemble.alive & ~inside

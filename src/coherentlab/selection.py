@@ -126,9 +126,11 @@ class UrgencySchedule:
 
     def energy_for(self, step: int) -> float:
         """Energy for event number ``step`` (1-based); a scalar schedule repeats."""
+        if step < 1:
+            raise ValueError(f"events are numbered from 1, so n_events must be >= 1, got {step}")
         if len(self.energies) == 1:
             return self.energies[0]
-        if step < 1 or step > len(self.energies):
+        if step > len(self.energies):
             raise ValueError(f"schedule has {len(self.energies)} entries, asked for {step}")
         return self.energies[step - 1]
 
@@ -238,6 +240,10 @@ def seeded_spawn(seed: int, count: int = 1, spread: float = 8.0, coeff: float = 
     Deterministic: the generator is keyed by (seed, step), so a rerun with
     the same seed reproduces the sequence exactly.
     """
+    if count < 1:
+        raise ValueError(f"seeded_spawn count must be >= 1, got {count}")
+    if not spread > 0:
+        raise ValueError(f"seeded_spawn spread must be > 0, got {spread}")
 
     def hook(state: SuperposedState, step: int) -> SuperposedState:
         rng = np.random.default_rng([seed, step])
@@ -270,10 +276,9 @@ def run_sequence(
     If ``phi_source`` is given, each event is routed through the blocking
     test with phi_source(step).  If the hook ever produces a state that
     cannot be constructed (zero norm), the run aborts and the partial log
-    is returned.
+    is returned.  The schedule must cover event ``n_events`` >= 1.
     """
-    if n_events < 1:
-        raise ValueError("n_events must be >= 1")
+    schedule.energy_for(n_events)
     records: list[EventRecord] = []
     state = initial
     t = float(t0)

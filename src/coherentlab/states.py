@@ -275,17 +275,17 @@ def _trap_weights(m: int) -> np.ndarray:
     return w
 
 
-def identity_check(
-    state: SuperposedState,
-    grid: QuadratureGrid = QuadratureGrid(),
-    boundary_tol: float = 1e-12,
-) -> float:
+# identity_check rejects a grid whose boundary carries a landscape value above this.
+BOUNDARY_TOL = 1e-12
+
+
+def identity_check(state: SuperposedState, grid: QuadratureGrid = QuadratureGrid()) -> float:
     """Quadrature estimate of the landscape integral against the coherent measure.
 
     The measure is prod_k w_k dq_k dp_k / (2 pi); with it the integral of
     the normalized landscape converges to 1 as the grid refines.  Only 1-
     and 2-mode states are supported (cost grows as grid^(2n)).  A grid
-    whose boundary still carries landscape values above ``boundary_tol``
+    whose boundary still carries landscape values above ``BOUNDARY_TOL``
     raises SupportTruncationError.
     """
     n = state.n_modes
@@ -331,10 +331,10 @@ def identity_check(
                     v[:, :, 0].max(), v[:, :, -1].max(),
                 )
             total += trap[0][i] * float(np.sum(tw_rest * v))
-    if boundary_max > boundary_tol:
+    if boundary_max > BOUNDARY_TOL:
         raise SupportTruncationError(
             f"grid boundary carries landscape value {boundary_max:.3e} "
-            f"(> {boundary_tol:.1e}); enlarge the margin"
+            f"(> {BOUNDARY_TOL:.1e}); enlarge the margin"
         )
     cell = h ** (2 * n) * float(np.prod(w))
     return total * cell / (2.0 * np.pi) ** n

@@ -277,3 +277,18 @@ class TestTransitionProbMc:
     def test_needs_samples(self):
         with pytest.raises(ValueError, match="at least one sample"):
             sweep_transition_prob([0.1], n=0, seed=0)
+
+    @pytest.mark.parametrize("shards", [-1, 0])
+    def test_needs_a_shard(self, shards):
+        # -1 used to return p_hat 0.0 for every cell, and 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match=f"shards must be >= 1, got {shards}"):
+            sweep_transition_prob([0.1, 1.0], n=1000, seed=3, shards=shards)
+
+    def test_theta_just_above_a_right_angle_is_rejected(self):
+        theta = np.nextafter(np.pi / 2, 4)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            TransitionGeometry(theta)
+        with pytest.raises(ValueError, match="theta must lie in"):
+            sweep_transition_prob([theta], n=10, seed=0)
+        # the largest angle theta_from_norms makes is exactly pi/2
+        assert theta_from_norms(1.0, 0.0).theta == np.pi / 2

@@ -295,6 +295,7 @@ _SELECT = {
     "parameters": {"basis": {"omegas": [1.0]},
                    "initial": {"components": [{"coeff": [1.0], "q": [0.0], "p": [0.0]}]}},
 }
+_BORN = {"experiment": "born", "parameters": {"thetas": [0.3], "samples": 100, "shards": 2}}
 _CURRENT = {
     "experiment": "current",
     "parameters": {"modes": [{"k": [1.0, 0.0, 0.0]}],
@@ -341,6 +342,18 @@ BAD_INPUTS = {
     "ring_zero_dt": _with(_RING, dt=0.0),
     "ring_zero_steps": _with(_RING, steps=0),
     "ring_zero_record_every": _with(_RING, record_every=0),
+    "born_zero_shards": _with(_BORN, shards=0),
+    "born_zero_samples": _with(_BORN, samples=0),
+    "born_theta_above_a_right_angle": _with(_BORN, thetas=[0.5, float(np.nextafter(np.pi / 2, 4))]),
+    "select_zero_events_scalar_schedule": _with(_SELECT, n_events=0, schedule={"energy": 2.0}),
+    "seeded_spawn_zero_count": _with(_SELECT, drift={"kind": "seeded_spawn", "count": 0}),
+    "seeded_spawn_zero_spread": _with(_SELECT, drift={"kind": "seeded_spawn", "spread": 0.0}),
+    "von_mises_zero_concentration": _with(
+        _RING, initial={"profile": "von_mises", "concentration": 0.0}),
+    "classical_zero_members": _with(_RING, classical={"members": 0, "region_width": 0.1}),
+    "classical_region_wider_than_the_ring": _with(_RING, classical={"region_width": 1.5}),
+    "spread_zero_mass": {"experiment": "spread", "parameters": {
+        "t_seconds": 1.0, "x_meters": 1e-9, "mass_kg": 0.0}},
 }
 
 

@@ -49,6 +49,11 @@ class TestRingState:
         with pytest.raises(ValueError, match="mode must be an integer"):
             fourier_mode_state(64, value)
 
+    @pytest.mark.parametrize("value", [0.0, -2.0, float("nan")])
+    def test_nonpositive_concentration_rejected(self, value):
+        with pytest.raises(ValueError, match="concentration must be > 0"):
+            von_mises_state(64, concentration=value)
+
     def test_integral_float_boost_or_mode_accepted(self):
         assert np.all(von_mises_state(64, boost=2.0).psi == von_mises_state(64, boost=2).psi)
         assert np.all(fourier_mode_state(64, -3.0).psi == fourier_mode_state(64, -3).psi)
@@ -385,6 +390,16 @@ class TestClassicalEnsemble:
     def test_angles_validated(self):
         with pytest.raises(ValueError):
             ClassicalEnsemble(angles=np.array([0.5, 1.2]))
+
+    @pytest.mark.parametrize("members", [0, -1])
+    def test_needs_a_member(self, members):
+        with pytest.raises(ValueError, match=f"members must be >= 1, got {members}"):
+            uniform_ensemble(members, seed=1)
+
+    @pytest.mark.parametrize("width", [-0.1, 1.5, float("nan")])
+    def test_region_width_is_a_fraction_of_the_circle(self, width):
+        with pytest.raises(ValueError, match="region_width"):
+            classical_survival(uniform_ensemble(10, seed=1), 0.0, width, times=[0.0])
 
     def test_zero_region_survives_forever(self):
         ens = uniform_ensemble(1000, seed=2)

@@ -69,6 +69,11 @@ class TestEventTiming:
         with pytest.raises(ValueError):
             sched.energy_for(4)
 
+    @pytest.mark.parametrize("energies", [1.0, [1.0, 2.0]])
+    def test_events_are_numbered_from_one(self, energies):
+        with pytest.raises(ValueError, match="n_events must be >= 1, got 0"):
+            UrgencySchedule(energies).energy_for(0)
+
     def test_schedule_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             UrgencySchedule([1.0, 0.0])
@@ -204,7 +209,7 @@ class TestAscentStarts:
         basis = ModeBasis(omegas=[1.0], weights=[1.0])
         points = [_pt(0.0, 0.0), _pt(6.0, 0.0), _pt(0.0, 5.5)]
         state = SuperposedState([1.0, 1.0, 1.0], points, basis)
-        starts = ascent_starts(state, near_distance=6.0)
+        starts = ascent_starts(state)
         # (0, 1) sit exactly 6 apart; only (0, 2) at 5.5 is near
         assert [s.tolist() for s in starts[3:]] == [[0.0, 2.75]]
         assert len(ascent_starts_loop(state, near_distance=6.0)) == 4
@@ -410,6 +415,21 @@ class TestRunSequence:
         for a, b in zip(r1, r2):
             assert np.array_equal(a.chosen.as_vector(), b.chosen.as_vector())
             assert a.v_at_choice == b.v_at_choice
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"count": 0}, "count must be >= 1, got 0"),
+        ({"spread": 0.0}, "spread must be > 0, got 0.0"),
+        ({"spread": float("nan")}, "spread must be > 0, got nan"),
+    ])
+    def test_seeded_spawn_checks_when_built(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            seeded_spawn(1, **kwargs)
+
+    def test_short_schedule_rejected_before_the_first_event(self, monkeypatch):
+        monkeypatch.setattr(coherentlab.selection, "find_local_maxima", None)
+        with pytest.raises(ValueError, match="schedule has 2 entries, asked for 3"):
+            run_sequence(SuperposedState.single(_pt(0.0, 0.0), single_mode()),
+                         UrgencySchedule([1.0, 2.0]), None, n_events=3)
 
     def test_zero_events_rejected(self):
         basis = single_mode()

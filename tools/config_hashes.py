@@ -60,12 +60,13 @@ def config_hashes() -> list[str]:
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Hash the artifacts of every sample config.")
+def listing_main(description: str, listing, argv=None) -> int:
+    """Print ``listing()``, or with ``--check FILE`` print only its differences from FILE."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--check", metavar="FILE",
                         help="compare with a saved listing; exit 1 if any line differs")
     args = parser.parse_args(argv)
-    lines = config_hashes()
+    lines = listing()
     if args.check is None:
         print("\n".join(lines))
         return 0
@@ -75,6 +76,10 @@ def main(argv=None) -> int:
     if diff:
         print("\n".join(diff))
     return 1 if diff else 0
+
+
+def main(argv=None) -> int:
+    return listing_main("Hash the artifacts of every sample config.", config_hashes, argv)
 
 
 if __name__ == "__main__":
