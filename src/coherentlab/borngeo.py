@@ -176,7 +176,7 @@ def _accepted_counts(cells: list[tuple[int, tuple]], n: int, shards: int, worker
 def _check_sweep(thetas, n: int, shards: int) -> list[TransitionGeometry]:
     """The one check of a sweep's inputs; config resolution calls it too."""
     if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
+        raise ValueError(f"samples must be >= 1, got {n}")
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     return [TransitionGeometry(theta=float(theta)) for theta in thetas]

@@ -9,13 +9,13 @@ Identical (config, seed) runs produce byte-identical CSV and JSON
 regardless of worker count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-Every bad input, a file the config refers to included, exits 2 during
-resolution, before the run starts; a ring time step above the accuracy
-bound is one.  Exit 3 is kept for failures inside the run: a selection
-ascent that finds no maximum, or a drift hook that fails before the
-last event.
-An allocation that fails, during resolution or the run, also exits 3,
-with one ``error[memory]`` line.
+Every bad input exits 2 during resolution, before the run starts: a
+config file that cannot be read, is not UTF-8 or nests too deeply for
+the JSON parser, a file the config refers to, a ring time step above
+the accuracy bound.  Exit 3 is kept for failures inside the run: a
+selection ascent that finds no maximum, or a drift hook that fails
+before the last event.  An allocation that fails, during resolution or
+the run, also exits 3, with one ``error[memory]`` line.
 A failed run creates no output directory and writes nothing into an
 existing one.  The output directory resolves as: --out flag, else the
 COHERENTLAB_OUT environment variable, else the config's "out" entry.
@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .borngeo import sweep_transition_prob
 from .config import EXPERIMENTS, ConfigError, resolve_config
-from .currents import current_divergence, current_j, displacement_from_current, vacuum_persistence
+from .currents import current_j, displacement_from_current, lorentz_dot, vacuum_persistence
 from .reporting import svg_line_plot, write_csv, write_json
 from .ring import classical_survival, survival_curve
 from .selection import record_as_dict, run_sequence
@@ -150,7 +150,7 @@ def _run_current(config: dict, inputs: dict, outdir: Path, workers: int) -> None
     ]
     k = np.array([mode.k4 for mode in modes])
     j = current_j(trajectories, k)
-    div = current_divergence(trajectories, k)
+    div = lorentz_dot(k, j)
     rows = [
         [i, mode.omega, *mode.k_vec.tolist(), mode.weight, mode.polarization]
         + [part for z in (*j_i, d) for part in (z.real, z.imag)]
@@ -233,59 +233,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _memory_error(exc: MemoryError) -> int:
-    print(f"error[memory]: {str(exc) or 'out of memory'}", file=sys.stderr)
-    return 3
+def _resolve(args) -> tuple[dict, dict]:
+    """Read, check and resolve the config the arguments name; a bad input raises ConfigError."""
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and bytes that are not UTF-8
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    raw.setdefault("experiment", args.experiment)
+    if raw["experiment"] != args.experiment:
+        raise ConfigError(
+            f"config is for experiment {raw['experiment']!r} "
+            f"but the {args.experiment!r} subcommand was invoked"
+        )
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    config, inputs = resolve_config(raw)
+    config["out"] = args.out or os.environ.get(ENV_OUT) or config.get("out")
+    if not config["out"]:
+        raise ConfigError(f"no output directory (use --out, the config, or {ENV_OUT})")
+    if args.workers < 1:
+        raise ConfigError("workers must be >= 1")
+    return config, inputs
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error[config]: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(raw, dict):
-        print("error[config]: config must be a JSON object", file=sys.stderr)
-        return 2
-    raw.setdefault("experiment", args.experiment)
-    if raw["experiment"] != args.experiment:
-        print(
-            f"error[config]: config is for experiment {raw['experiment']!r} "
-            f"but the {args.experiment!r} subcommand was invoked",
-            file=sys.stderr,
-        )
-        return 2
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    try:
-        config, inputs = resolve_config(raw)
-    except ConfigError as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        return _memory_error(exc)
-    out = args.out or os.environ.get(ENV_OUT) or config.get("out")
-    if not out:
-        print("error[config]: no output directory (use --out, the config, or "
-              f"{ENV_OUT})", file=sys.stderr)
-        return 2
-    config["out"] = out
-    if args.workers < 1:
-        print("error[config]: workers must be >= 1", file=sys.stderr)
-        return 2
-    try:
+        config, inputs = _resolve(args)
         run(config, inputs, workers=args.workers)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error[numeric]: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return 3
+        return 0
+    except ConfigError as exc:
+        kind, code, message = "config", 2, str(exc)
     except MemoryError as exc:
-        return _memory_error(exc)
-    return 0
+        kind, code, message = "memory", 3, str(exc) or "out of memory"
+    except (ValueError, ArithmeticError) as exc:  # np.linalg.LinAlgError is a ValueError
+        kind, code, message = "numeric", 3, str(exc)
+    except OSError as exc:
+        kind, code, message = "io", 3, str(exc)
+    print(f"error[{kind}]: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .borngeo import _check_sweep
+from .borngeo import DEFAULT_SHARDS, _check_sweep
 from .currents import FieldMode, Trajectory, _check_common_span, trajectories_from_csv
 from .modes import ModeBasis
 from .ring import (Absorber, _check_region, _check_run, fourier_mode_state, spread_estimate,
@@ -81,9 +81,9 @@ def _str_choice(choices):
     return cast
 
 
-def _float_list(value, where, min_len=1):
-    if not isinstance(value, list) or len(value) < min_len:
-        raise ConfigError(f"{where} must be a list of at least {min_len} number(s)")
+def _float_list(value, where):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list of numbers")
     return [_float(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
@@ -203,7 +203,7 @@ _SELECT = {
 _BORN = {
     "thetas": ([round(0.1 * i, 10) for i in range(1, 16)], _float_list),
     "samples": (100000, _int),
-    "shards": (16, _int),
+    "shards": (DEFAULT_SHARDS, _int),
 }
 
 

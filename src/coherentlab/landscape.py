@@ -21,6 +21,12 @@ from .states import SuperposedState, _component_terms, _landscape_value
 #: Component pairs closer than this, in the weight-scaled metric, add a midpoint start.
 NEAR_DISTANCE = 6.0
 
+#: The ascent has converged once ||grad|| < ASCENT_TOL * max(1, v).
+ASCENT_TOL = 1e-10
+
+#: A start that has not converged after this many ascent steps fails.
+ASCENT_MAX_ITER = 200
+
 
 def v_at(state: SuperposedState, x: np.ndarray) -> float:
     """Landscape value at a flattened phase-space vector [q..., p...]."""
@@ -68,19 +74,14 @@ def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     return v, grad, hess
 
 
-def ascend(
-    state: SuperposedState,
-    start: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[np.ndarray, float, bool]:
+def ascend(state: SuperposedState, start: np.ndarray) -> tuple[np.ndarray, float, bool]:
     """Ascend the landscape from ``start``; returns (x, v, is_max).
 
     Newton steps are taken whenever the Hessian is negative definite and
     the step is an ascent direction; otherwise plain gradient steps with
-    Armijo backtracking.  Convergence is ||grad|| < tol * max(1, v), and
-    a converged point only qualifies as a maximum if its Hessian is
-    strictly negative definite.
+    Armijo backtracking.  Convergence is ||grad|| < ASCENT_TOL * max(1, v)
+    within ASCENT_MAX_ITER steps, and a converged point only qualifies as
+    a maximum if its Hessian is strictly negative definite.
 
     The full step is tried with ``v_value_grad_hess``, so when it is
     accepted its value, gradient and Hessian serve the next iteration;
@@ -89,14 +90,11 @@ def ascend(
     """
     x = np.asarray(start, dtype=float).copy()
     v, grad, hess = v_value_grad_hess(state, x)
-    for _ in range(max_iter):
+    for it in range(ASCENT_MAX_ITER + 1):
         gnorm = math.sqrt(grad @ grad)
-        if gnorm < tol * max(1.0, v):
-            # a stationary point only counts as a maximum if the curvature
-            # is strictly negative; flat saddles between far bumps also pass
-            # the gradient test and must be dropped
-            is_max = bool(np.linalg.eigvalsh(hess).max() < 0.0)
-            return x, v, is_max
+        converged = gnorm < ASCENT_TOL * max(1.0, v)
+        if converged or it == ASCENT_MAX_ITER:
+            break
         direction = None
         try:
             if np.linalg.eigvalsh(hess).max() < 0.0:
@@ -128,11 +126,13 @@ def ascend(
             full = None
             alpha *= 0.5
         else:
-            return x, v, False
+            break  # no ascent step along the direction: not converged
         x = x + alpha * direction
         v, grad, hess = full if full is not None else v_value_grad_hess(state, x)
-    ok = math.sqrt(grad @ grad) < tol * max(1.0, v)
-    return x, v, ok and bool(np.linalg.eigvalsh(hess).max() < 0.0)
+    # a stationary point only counts as a maximum if the curvature is
+    # strictly negative; flat saddles between far bumps also pass the
+    # gradient test and must be dropped
+    return x, v, converged and bool(np.linalg.eigvalsh(hess).max() < 0.0)
 
 
 def ascent_starts(state: SuperposedState) -> list[np.ndarray]:

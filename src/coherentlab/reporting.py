@@ -45,12 +45,12 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if not math.isfinite(lo) or not math.isfinite(hi):
         return [0.0, 1.0]
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 5  # aim at five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -74,13 +74,12 @@ def svg_line_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> None:
-    """Write a self-contained SVG line chart.
+    """Write a self-contained SVG line chart, 720 x 480 pixels.
 
     ``series`` is a list of (x, y, label) with equal-length sequences.
     """
+    width, height = 720, 480
     ml, mr, mt, mb = 70, 20, 36, 52
     pw, ph = width - ml - mr, height - mt - mb
     xs = [float(v) for x, _, _ in series for v in x]

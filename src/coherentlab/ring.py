@@ -356,13 +356,13 @@ def classical_survival(
     return SurvivalCurve(t=times, survival=np.full(times.size, fraction))
 
 
-def spread_estimate(t: float, x: float, m: float) -> float:
-    """Free spreading t * (hbar / x) / m of a packet squeezed through width x.
+def spread_estimate(t_seconds: float, x_meters: float, mass_kg: float) -> float:
+    """Free spreading t * (hbar / x) / m of a packet of mass m squeezed through width x.
 
-    SI units: t in seconds, x in meters, m in kilograms; the result is in
-    meters.  All inputs must be strictly positive.
+    SI units, as the names say; the result is in meters.  All inputs
+    must be strictly positive.
     """
-    for name, value in (("t", t), ("x", x), ("m", m)):
+    for name, value in (("t_seconds", t_seconds), ("x_meters", x_meters), ("mass_kg", mass_kg)):
         if not (value > 0 and np.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    return t * (HBAR_SI / x) / m
+    return t_seconds * (HBAR_SI / x_meters) / mass_kg

@@ -31,10 +31,6 @@ TIE_TOLERANCE = 1e-12
 #: Converged maxima closer than this (flattened Euclidean) are merged.
 DEDUP_RADIUS = 1e-6
 
-# Ascent tolerance and iteration cap of the maxima search a selection event runs.
-_TOL = 1e-10
-_MAX_ITER = 200
-
 
 @dataclass(frozen=True)
 class Candidate:
@@ -156,7 +152,7 @@ def find_local_maxima(state: SuperposedState) -> MaximaResult:
     found: list[tuple[np.ndarray, float]] = []
     failed = 0
     for start in ascent_starts(state):
-        x, v, ok = ascend(state, start, tol=_TOL, max_iter=_MAX_ITER)
+        x, v, ok = ascend(state, start)
         if not ok:
             failed += 1
             continue
@@ -266,17 +262,14 @@ def run_sequence(
     drift: DriftHook | None = None,
     n_events: int = 1,
     t0: float = 0.0,
-    phi_source: Callable[[int], BlockingVector] | None = None,
 ) -> list[EventRecord]:
     """Run a sequence of scheduled selection events.
 
     Each step evolves freely over 1/E, applies the drift hook if one is
     given (it regenerates alternatives between events), then selects and
-    collapses.
-    If ``phi_source`` is given, each event is routed through the blocking
-    test with phi_source(step).  If the hook ever produces a state that
-    cannot be constructed (zero norm), the run aborts and the partial log
-    is returned.  The schedule must cover event ``n_events`` >= 1.
+    collapses.  If the hook ever produces a state that cannot be
+    constructed (zero norm), the run aborts and the partial log is
+    returned.  The schedule must cover event ``n_events`` >= 1.
     """
     schedule.energy_for(n_events)
     records: list[EventRecord] = []
@@ -293,10 +286,7 @@ def run_sequence(
                 return records
             if not isinstance(state, SuperposedState):
                 raise TypeError("drift hook must return a SuperposedState")
-        if phi_source is None:
-            outcome = select_and_collapse(state, t_next, index=i)
-        else:
-            outcome = blocked_select(state, t_next, phi_source(i), index=i)
+        outcome = select_and_collapse(state, t_next, index=i)
         records.append(outcome.record)
         state = outcome.state_next
         t = t_next

@@ -20,6 +20,7 @@ the ascent in ``landscape`` are all built on these two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -307,34 +308,23 @@ def identity_check(state: SuperposedState, grid: QuadratureGrid = QuadratureGrid
         factors.append(_kernel(qg - qk, pg - pk, qg + qk, w[k:k + 1]))
 
     trap = [_trap_weights(len(ax)) for ax in axes]
+    # One slice of the first q axis at a time bounds memory at O(grid^(2n-1)).
+    spec = "j,bj->b" if n == 1 else "j,bj,cdj->bcd"
+    tw_rest = reduce(np.multiply.outer, trap[1:])
+    m0 = len(axes[0])
+    total = 0.0
     boundary_max = 0.0
-    if n == 1:
-        amp = np.einsum("j,abj->ab", state.coeffs, factors[0])
+    for i in range(m0):
+        amp = np.einsum(spec, state.coeffs, factors[0][i], *factors[1:])
         v = _landscape_value(amp, state.norm_sq)
-        boundary_max = max(v[0, :].max(), v[-1, :].max(), v[:, 0].max(), v[:, -1].max())
-        total = float(np.einsum("a,b,ab->", trap[0], trap[1], v))
-    else:
-        # Chunk along the first q axis to bound memory at O(grid^3).
-        total = 0.0
-        tw_rest = np.einsum("b,c,d->bcd", trap[1], trap[2], trap[3])
-        m0 = len(axes[0])
-        for i in range(m0):
-            amp = np.einsum("j,bj,cdj->bcd", state.coeffs, factors[0][i], factors[1])
-            v = _landscape_value(amp, state.norm_sq)
-            if i == 0 or i == m0 - 1:
-                boundary_max = max(boundary_max, v.max())
-            else:
-                boundary_max = max(
-                    boundary_max,
-                    v[0].max(), v[-1].max(),
-                    v[:, 0].max(), v[:, -1].max(),
-                    v[:, :, 0].max(), v[:, :, -1].max(),
-                )
-            total += trap[0][i] * float(np.sum(tw_rest * v))
+        # the first and last slices are boundary in full, inner ones on their faces
+        faces = [v] if i in (0, m0 - 1) else [np.take(v, [0, -1], axis=a) for a in range(v.ndim)]
+        boundary_max = max(boundary_max, *(f.max() for f in faces))
+        total += trap[0][i] * float(np.sum(tw_rest * v))
     if boundary_max > BOUNDARY_TOL:
         raise SupportTruncationError(
             f"grid boundary carries landscape value {boundary_max:.3e} "
             f"(> {BOUNDARY_TOL:.1e}); enlarge the margin"
         )
     cell = h ** (2 * n) * float(np.prod(w))
-    return total * cell / (2.0 * np.pi) ** n
+    return float(total * cell / (2.0 * np.pi) ** n)

@@ -275,7 +275,7 @@ class TestTransitionProbMc:
         assert abs(row["z_score"]) < 5
 
     def test_needs_samples(self):
-        with pytest.raises(ValueError, match="at least one sample"):
+        with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
             sweep_transition_prob([0.1], n=0, seed=0)
 
     @pytest.mark.parametrize("shards", [-1, 0])

@@ -196,7 +196,7 @@ class TestCliSelect:
         assert doc["events"][0]["chosen"]["q"] == pytest.approx([1.5])
 
     def test_search_without_maximum_is_numeric_error(self, tmp_path, monkeypatch, capsys):
-        def failing_ascend(state, start, tol, max_iter):
+        def failing_ascend(state, start):
             return np.asarray(start, dtype=float), 0.0, False
 
         monkeypatch.setattr(coherentlab.selection, "ascend", failing_ascend)
@@ -221,7 +221,7 @@ def _spread_overflows(tmp_path, monkeypatch):
 
 
 def _select_without_maximum(tmp_path, monkeypatch):
-    def failing_ascend(state, start, tol, max_iter):
+    def failing_ascend(state, start):
         return np.asarray(start, dtype=float), 0.0, False
 
     monkeypatch.setattr(coherentlab.selection, "ascend", failing_ascend)
@@ -356,6 +356,12 @@ BAD_INPUTS = {
         "t_seconds": 1.0, "x_meters": 1e-9, "mass_kg": 0.0}},
 }
 
+# The error line of these inputs names the config key and the value given.
+KEY_IN_MESSAGE = {
+    "born_zero_samples": "samples must be >= 1, got 0",
+    "spread_zero_mass": "mass_kg must be positive and finite, got 0.0",
+}
+
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, name):
@@ -364,26 +370,41 @@ def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, name):
     config = BAD_INPUTS[name]
     cfg = write_config(tmp_path, "bad.json", config)
     assert main([config["experiment"], "--config", cfg, "--out", "out"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert any(line.startswith("error[config]:") for line in err), err
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if line.startswith("error[config]:")]
+    assert err and KEY_IN_MESSAGE.get(name, "") in err[0], err
     assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
 
 
 def _assert_prints_one_error_line(tmp_path, config, code, tag):
+    _assert_file_prints_one_line(tmp_path, json.dumps(config).encode(), code, f"error[{tag}]:")
+
+
+def _assert_file_prints_one_line(tmp_path, raw, code, prefix):
     # a separate process, so that numpy warnings and tracebacks reach stderr
     # as a user sees them
-    cfg = write_config(tmp_path, "ring.json", config)
+    cfg = tmp_path / "ring.json"
+    cfg.write_bytes(raw)
     src = str(Path(coherentlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-m", "coherentlab", "ring", "--config", cfg, "--out",
+        [sys.executable, "-m", "coherentlab", "ring", "--config", str(cfg), "--out",
          str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error[{tag}]:"), lines
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe", b"[" * 100000 + b"]" * 100000],
+    ids=["not_utf8", "nested_too_deeply"],
+)
+def test_unreadable_config_file_prints_one_config_error(tmp_path, raw):
+    _assert_file_prints_one_line(tmp_path, raw, 2, "error[config]: cannot read config:")
 
 
 def test_empty_von_mises_grid_prints_only_the_config_error(tmp_path):

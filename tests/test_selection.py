@@ -218,7 +218,7 @@ class TestAscentStarts:
 class TestAscentReuse:
     """The accepted full step's evaluation is reused, with the same result."""
 
-    def test_same_results_as_reevaluating_every_point(self):
+    def test_same_results_as_reevaluating_every_point(self, monkeypatch):
         rng = np.random.default_rng(32)
         counts = {}
         for trial in range(60):
@@ -226,7 +226,8 @@ class TestAscentReuse:
             starts = ascent_starts(state) + [rng.normal(0.0, 3.0, 2 * state.n_modes)]
             for start in starts:
                 for max_iter in (200, 3):
-                    x, v, ok = ascend(state, start, max_iter=max_iter)
+                    monkeypatch.setattr(coherentlab.landscape, "ASCENT_MAX_ITER", max_iter)
+                    x, v, ok = ascend(state, start)
                     run = counts if max_iter == 200 else {}
                     x_ref, v_ref, ok_ref = ascend_reevaluating(
                         state, start, max_iter=max_iter, counts=run)
@@ -574,9 +575,9 @@ class TestOneSearchPerState:
     def test_ascent_runs_only_in_the_first_search(self, monkeypatch):
         calls = []
 
-        def counting(state, start, tol, max_iter):
+        def counting(state, start):
             calls.append(1)
-            return ascend(state, start, tol=tol, max_iter=max_iter)
+            return ascend(state, start)
 
         monkeypatch.setattr(coherentlab.selection, "ascend", counting)
         state = _veto_state(1, 4)

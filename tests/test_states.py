@@ -345,6 +345,18 @@ class TestIdentityCheck:
         with pytest.raises(SupportTruncationError):
             identity_check(state, QuadratureGrid(spacing=0.25, margin=1.0))
 
+    @pytest.mark.parametrize(
+        "weights, margin",
+        # clipped on every axis, and only on the second mode's axes, which
+        # the boundary faces of the inner first-q slices must catch
+        [([1.0, 1.0], 1.0), ([10.0, 0.1], 3.0)],
+    )
+    def test_clipped_two_mode_grid_raises(self, weights, margin):
+        basis = ModeBasis(omegas=[1.0, 0.5], weights=weights)
+        state = SuperposedState.single(CoherentPoint(q=[0.0, 0.0], p=[0.0, 0.0]), basis)
+        with pytest.raises(SupportTruncationError):
+            identity_check(state, QuadratureGrid(spacing=0.5, margin=margin))
+
     def test_three_modes_rejected(self):
         basis = ModeBasis(omegas=[1.0, 1.0, 1.0], weights=[1.0, 1.0, 1.0])
         state = SuperposedState.single(
