@@ -64,7 +64,6 @@ from .selection import (
     UrgencySchedule,
     blocked_select,
     find_local_maxima,
-    next_event_time,
     offset_spawn,
     run_sequence,
     seeded_spawn,
@@ -113,7 +112,6 @@ __all__ = [
     "lorentz_dot",
     "loss_rate",
     "mode_basis_for",
-    "next_event_time",
     "offset_spawn",
     "overlap",
     "polarization_vectors",

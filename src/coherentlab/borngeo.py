@@ -144,10 +144,8 @@ def _lattice_threshold(c: float) -> int:
 
 def _accepted_count(k: int, n: int, seed_key: tuple) -> int:
     """Draws among n of the substream ``seed_key`` whose lattice index is below k."""
-    if k >= _ALL_ACCEPTED:
-        # every draw is accepted; the substream is this shard's alone
-        return n
     bitgen = np.random.default_rng(list(seed_key)).bit_generator
+    # at theta = 0 below is 2**64; numpy >= 2 compares it exactly, so every draw counts
     below = k << 11
     accepted = 0
     for start in range(0, n, _RAW_BLOCK):

@@ -147,8 +147,6 @@ def current_j(trajectories, k):
     _check_common_span(trajectories)
     total = np.zeros((ks.shape[0], 4), dtype=complex)
     for traj in trajectories:
-        if traj.charge == 0.0:
-            continue
         dts = np.diff(traj.times)
         vel = np.diff(traj.positions, axis=0) / dts[:, None]
         # k.x at segment entry events and phi = k.v, shape (K, S); every
@@ -321,7 +319,7 @@ def trajectories_from_csv(path) -> list[Trajectory]:
     consistent across its rows; rows may appear in any order.
     """
     groups: dict[str, dict] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"particle", "charge", "t", "x", "y", "z"}
         if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):

@@ -71,13 +71,15 @@ _PALETTE = ["#1f6fb2", "#d1495b", "#3a7d44", "#8661c1", "#c77d2f", "#3b3b3b"]
 def svg_line_plot(
     path,
     series,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> None:
     """Write a self-contained SVG line chart, 720 x 480 pixels.
 
     ``series`` is a list of (x, y, label) with equal-length sequences.
+    Every element is drawn: the title, both axis labels and one legend
+    entry per series, so each of them must be given.
     """
     width, height = 720, 480
     ml, mr, mt, mb = 70, 20, 36, 52
@@ -108,11 +110,10 @@ def svg_line_plot(
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         'stroke="#444444" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{title}</text>'
-        )
+    parts.append(
+        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}</text>'
+    )
     for tx in _nice_ticks(x0, x1):
         if tx < x0 or tx > x1:
             continue
@@ -135,33 +136,30 @@ def svg_line_plot(
             f'<text x="{ml - 8}" y="{py(ty) + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{ty:g}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{ml + pw / 2:.1f}" y="{height - 14}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13" '
-            f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{ml + pw / 2:.1f}" y="{height - 14}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>'
+    )
     for i, (x, y, label) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(x, y))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
-        if label:
-            ly = mt + 16 + 16 * i
-            parts.append(
-                f'<line x1="{ml + pw - 150}" y1="{ly - 4}" x2="{ml + pw - 120}" '
-                f'y2="{ly - 4}" stroke="{color}" stroke-width="1.6"/>'
-            )
-            parts.append(
-                f'<text x="{ml + pw - 114}" y="{ly}" font-family="sans-serif" '
-                f'font-size="11">{label}</text>'
-            )
+        ly = mt + 16 + 16 * i
+        parts.append(
+            f'<line x1="{ml + pw - 150}" y1="{ly - 4}" x2="{ml + pw - 120}" '
+            f'y2="{ly - 4}" stroke="{color}" stroke-width="1.6"/>'
+        )
+        parts.append(
+            f'<text x="{ml + pw - 114}" y="{ly}" font-family="sans-serif" '
+            f'font-size="11">{label}</text>'
+        )
     parts.append("</svg>")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ of a packet squeezed through a slit, in SI units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -305,7 +305,6 @@ class ClassicalEnsemble:
     """Stationary angular ensemble: members never move in angle."""
 
     angles: np.ndarray
-    alive: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=float)
@@ -314,8 +313,6 @@ class ClassicalEnsemble:
         if np.any(angles < 0) or np.any(angles >= 1):
             raise ValueError("angles must lie in [0, 1)")
         self.angles = angles
-        if self.alive is None:
-            self.alive = np.ones(angles.size, dtype=bool)
 
     @property
     def members(self) -> int:
@@ -345,13 +342,13 @@ def classical_survival(
     """Survival of the stationary ensemble with an opened angular section.
 
     Members inside the section die at t = 0; everyone else persists, so
-    the curve is exactly constant at the surviving fraction.
+    the curve is exactly constant at the surviving fraction.  The
+    ensemble is not changed, so repeated calls give the same curve.
     """
     _check_region(region_width)
     d = np.abs((ensemble.angles - region_center + 0.5) % 1.0 - 0.5)
     inside = d < region_width / 2.0
-    ensemble.alive = ensemble.alive & ~inside
-    fraction = float(np.count_nonzero(ensemble.alive)) / ensemble.members
+    fraction = float(ensemble.members - np.count_nonzero(inside)) / ensemble.members
     times = np.asarray(times, dtype=float)
     return SurvivalCurve(t=times, survival=np.full(times.size, fraction))
 

@@ -52,9 +52,6 @@ class MaximaResult:
     failed_starts: int
     basis: ModeBasis
 
-    def __len__(self):
-        return len(self.maxima)
-
     @cached_property
     def argmax(self) -> tuple[Candidate, bool]:
         """Global maximum with lexicographic tie-breaking on (q, p), and the tie flag."""
@@ -129,14 +126,6 @@ class UrgencySchedule:
         if step > len(self.energies):
             raise ValueError(f"schedule has {len(self.energies)} entries, asked for {step}")
         return self.energies[step - 1]
-
-
-def next_event_time(t_i: float, e: float) -> float:
-    """t_{i+1} = t_i + 1/E for urgency energy E > 0 (hbar = 1)."""
-    e = float(e)
-    if not (e > 0 and np.isfinite(e)):
-        raise ValueError(f"urgency energy must be positive and finite, got {e}")
-    return float(t_i) + 1.0 / e
 
 
 def find_local_maxima(state: SuperposedState) -> MaximaResult:
@@ -276,7 +265,7 @@ def run_sequence(
     state = initial
     t = float(t0)
     for i in range(1, n_events + 1):
-        t_next = next_event_time(t, schedule.energy_for(i))
+        t_next = t + 1.0 / schedule.energy_for(i)
         state = evolve_free(state, t_next - t)
         if drift is not None:
             try:

@@ -138,11 +138,7 @@ class SuperposedState:
         self.p = np.stack([pt.p for pt in points])
         self.q.setflags(write=False)
         self.p.setflags(write=False)
-        if coeffs.size == 1:
-            # the kernel of a point with itself is exactly 1 + 0j
-            gram = np.ones((1, 1), complex)
-        else:
-            gram = _overlap_matrix(self.q, self.p, self.q, self.p, basis.weights)
+        gram = _overlap_matrix(self.q, self.p, self.q, self.p, basis.weights)
         norm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
         floor = NORM_RTOL * float(np.sum(coeffs.real**2 + coeffs.imag**2))
         if not np.isfinite(norm_sq) or norm_sq <= floor:

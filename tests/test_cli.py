@@ -380,18 +380,21 @@ def _assert_prints_one_error_line(tmp_path, config, code, tag):
     _assert_file_prints_one_line(tmp_path, json.dumps(config).encode(), code, f"error[{tag}]:")
 
 
+def _run_cli_process(args, **env):
+    """Run the CLI in a fresh interpreter, with ``env`` added to the environment."""
+    src = str(Path(coherentlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           **env}
+    return subprocess.run([sys.executable, "-m", "coherentlab", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 def _assert_file_prints_one_line(tmp_path, raw, code, prefix):
     # a separate process, so that numpy warnings and tracebacks reach stderr
     # as a user sees them
     cfg = tmp_path / "ring.json"
     cfg.write_bytes(raw)
-    src = str(Path(coherentlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "coherentlab", "ring", "--config", str(cfg), "--out",
-         str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _run_cli_process(["ring", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert proc.returncode == code
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
@@ -540,6 +543,39 @@ class TestCliCurrent:
         )
         out = tmp_path / "out"
         assert main(["current", "--config", cfg, "--out", str(out)]) == 0
+
+    def test_csv_trajectories_are_utf8_in_any_locale(self, tmp_path):
+        # a separate process per locale, since the locale's encoding is
+        # fixed when the interpreter starts
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text(
+            "particle,charge,t,x,y,z\n"
+            "\u00e9,1.0,0.0,0.0,0.0,0.0\n"
+            "\u00e9,1.0,1.0,0.5,0.0,0.0\n",
+            encoding="utf-8",
+        )
+        cfg = write_config(
+            tmp_path,
+            "current.json",
+            {
+                "experiment": "current",
+                "parameters": {
+                    "modes": [{"k": [0.5, 0.5, 0.0]}],
+                    "trajectories": {"csv": str(tracks)},
+                },
+            },
+        )
+        locales = {
+            "utf8": {"LC_ALL": "C.UTF-8"},
+            "ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        }
+        written = []
+        for name, env in locales.items():
+            out = tmp_path / name
+            proc = _run_cli_process(["current", "--config", cfg, "--out", str(out)], **env)
+            assert proc.returncode == 0, (name, proc.stderr)
+            written.append((out / "current.csv").read_bytes())
+        assert written[0] == written[1]
 
 
 class TestCliSpread:

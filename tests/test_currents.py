@@ -95,6 +95,13 @@ class TestCurrentJ:
         trajs = [random_trajectory(rng, charge=0.0) for _ in range(3)]
         j = current_j(trajs, on_shell([1.0, 0.0, 0.0]))
         assert np.allclose(j.components, 0.0)
+        # a neutral trajectory adds exact zeros, never a -0.0, to a stack;
+        # the static charge's spatial components are zeros themselves
+        static = Trajectory(charge=-0.4, times=np.array([0.0, 3.0]),
+                            positions=np.array([[0.1, 0.2, -0.3]] * 2))
+        charged = [random_trajectory(rng, charge=1.0), static]
+        ks = np.stack([on_shell(v) for v in ([1.0, 0.0, 0.0], [0.0, -0.7, 0.3], [0.2, 0.0, 0.0])])
+        assert current_j(charged + trajs, ks).tobytes() == current_j(charged, ks).tobytes()
 
     def test_static_charge_time_component_only(self):
         traj = Trajectory(charge=1.3, times=np.array([0.0, 2.0]),

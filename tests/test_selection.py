@@ -14,7 +14,6 @@ from coherentlab import (
     blocked_select,
     find_local_maxima,
     is_blocked,
-    next_event_time,
     offset_spawn,
     overlap,
     run_sequence,
@@ -52,17 +51,6 @@ def _two_component(c_a, c_b, sep=14.0):
 
 
 class TestEventTiming:
-    def test_unit_energy(self):
-        assert next_event_time(0.0, 1.0) == pytest.approx(1.0)
-
-    def test_arithmetic(self):
-        assert next_event_time(2.0, 4.0) == pytest.approx(2.25)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
-    def test_nonpositive_energy_rejected(self, bad):
-        with pytest.raises(ValueError):
-            next_event_time(0.0, bad)
-
     def test_schedule_list(self):
         sched = UrgencySchedule([1.0, 2.0, 4.0])
         assert sched.energy_for(2) == 2.0
@@ -74,9 +62,10 @@ class TestEventTiming:
         with pytest.raises(ValueError, match="n_events must be >= 1, got 0"):
             UrgencySchedule(energies).energy_for(0)
 
-    def test_schedule_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            UrgencySchedule([1.0, 0.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_schedule_rejects_nonpositive(self, bad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            UrgencySchedule([1.0, bad])
 
 
 class TestFindLocalMaxima:
@@ -84,14 +73,14 @@ class TestFindLocalMaxima:
         basis = single_mode()
         a = _pt(0.5, -1.5)
         result = find_local_maxima(SuperposedState.single(a, basis))
-        assert len(result) == 1
+        assert len(result.maxima) == 1
         assert result.maxima[0].v == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(result.maxima[0].point.as_vector(), a.as_vector(), atol=1e-9)
 
     def test_equal_superposition_two_maxima(self):
         state, a, b = _two_component(2 ** -0.5, 2 ** -0.5, sep=12.0)
         result = find_local_maxima(state)
-        assert len(result) == 2
+        assert len(result.maxima) == 2
         for cand, center in zip(result.maxima, [a, b] if result.maxima[0].point.q[0] < 6 else [b, a]):
             assert cand.v == pytest.approx(0.5, abs=1e-9)
         located = sorted(c.point.q[0] for c in result.maxima)
@@ -101,7 +90,7 @@ class TestFindLocalMaxima:
     def test_unequal_superposition_values_match_grid_oracle(self):
         state, a, b = _two_component(0.8, 0.6, sep=12.0)
         result = find_local_maxima(state)
-        assert len(result) == 2
+        assert len(result.maxima) == 2
         assert result.maxima[0].v == pytest.approx(0.64, abs=1e-9)
         assert result.maxima[1].v == pytest.approx(0.36, abs=1e-9)
         x_oracle, v_oracle = grid_argmax(state, zoom_levels=5)

@@ -255,6 +255,13 @@ class TestOneLandscapeEvaluator:
         got = overlap(a, a, basis)
         assert got == 1.0 + 0.0j and got.imag == 0.0
         assert overlap(a, CoherentPoint.from_vector(x.copy()), basis) == 1.0 + 0.0j
+        # a one-component state takes its Gram matrix from the same kernel
+        single = SuperposedState.single(a, basis)
+        assert np.array_equal(single.gram(), [[1.0]]) and single.norm_sq == 1.0
+        part = st.floats(-1e3, 1e3).filter(lambda v: abs(v) > 1e-3)
+        c = np.array([complex(data.draw(part), data.draw(part))])
+        unit_gram = float(np.real(np.conj(c) @ np.ones((1, 1), complex) @ c))
+        assert SuperposedState(c, [a], basis).norm_sq == unit_gram
 
 
 class TestFreeEvolution:
