@@ -79,10 +79,8 @@ def _run_select(config: dict, inputs: dict, outdir: Path, workers: int) -> None:
     p = config["parameters"]
     state = inputs["state"]
     records = run_sequence(state, inputs["schedule"], inputs["drift"], p["n_events"], p["t0"])
-    if len(records) < p["n_events"]:
-        raise ValueError(
-            f"drift hook failed: event {len(records) + 1} of {p['n_events']} did not run"
-        )
+    if records.abort is not None:
+        raise ValueError(records.abort)
     n = state.n_modes
     header = (
         ["index", "time (natural units)", "v (dimensionless)", "blocked (bool)"]

@@ -13,7 +13,6 @@ veto angle taken from it on first use.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -95,6 +94,12 @@ class EventRecord(NamedTuple):
     failed_starts: int
 
 
+class EventLog(list):
+    """Event records of one run; ``abort`` is None, or says why the run stopped early."""
+
+    abort: str | None = None
+
+
 class CollapseOutcome(NamedTuple):
     """State after one selection event, and the event's log entry."""
 
@@ -152,11 +157,6 @@ def find_local_maxima(state: SuperposedState) -> MaximaResult:
                 break
         else:
             found.append((x, v))
-    if failed:
-        warnings.warn(
-            f"{failed} ascent start(s) dropped (non-convergent or not at a maximum)",
-            RuntimeWarning,
-        )
     found.sort(key=lambda item: (-item[1], tuple(item[0])))
     maxima = [Candidate(point=CoherentPoint.from_vector(x), v=v) for x, v in found]
     result = MaximaResult(maxima, failed, state.basis)
@@ -251,17 +251,18 @@ def run_sequence(
     drift: DriftHook | None = None,
     n_events: int = 1,
     t0: float = 0.0,
-) -> list[EventRecord]:
+) -> EventLog:
     """Run a sequence of scheduled selection events.
 
     Each step evolves freely over 1/E, applies the drift hook if one is
     given (it regenerates alternatives between events), then selects and
-    collapses.  If the hook ever produces a state that cannot be
-    constructed (zero norm), the run aborts and the partial log is
-    returned.  The schedule must cover event ``n_events`` >= 1.
+    collapses.  If the hook raises ValueError (a zero-norm state), the log
+    of the events before it is returned with ``abort`` naming the event
+    and the hook's reason; otherwise ``abort`` is None.  The schedule must
+    cover event ``n_events`` >= 1.
     """
     schedule.energy_for(n_events)
-    records: list[EventRecord] = []
+    records = EventLog()
     state = initial
     t = float(t0)
     for i in range(1, n_events + 1):
@@ -271,7 +272,7 @@ def run_sequence(
             try:
                 state = drift(state, i)
             except ValueError as exc:
-                warnings.warn(f"drift hook failed at event {i} ({exc}); aborting", RuntimeWarning)
+                records.abort = f"drift hook failed at event {i} of {n_events}: {exc}"
                 return records
             if not isinstance(state, SuperposedState):
                 raise TypeError("drift hook must return a SuperposedState")

@@ -48,16 +48,14 @@ def _grid_eval(coeffs, q_centers, p_centers, weights, norm_sq, axes):
         dp = pg - p_centers[:, k][None, None, :]
         sq = qg + q_centers[:, k][None, None, :]
         factors.append(np.exp(-0.25 * weights[k] * (dq * dq + dp * dp + 2j * dp * sq)))
-    if n == 1:
-        amp = np.einsum("j,abj->ab", coeffs, factors[0], optimize=True)
-    elif n == 2:
-        amp = np.einsum("j,abj,cdj->abcd", coeffs, factors[0], factors[1], optimize=True)
-    elif n == 3:
-        amp = np.einsum(
-            "j,abj,cdj,efj->abcdef", coeffs, factors[0], factors[1], factors[2], optimize=True
-        )
-    else:
-        raise ValueError("grid oracle supports up to 3 modes")
+    # outer product of the leading modes' factors with the coefficients,
+    # then one matrix product against the last mode's factor sums over j
+    lead = coeffs
+    for f in factors[:-1]:
+        lead = lead[..., None, None, :] * f
+    last = factors[-1]
+    amp = lead.reshape(-1, len(coeffs)) @ last.reshape(-1, len(coeffs)).T
+    amp = amp.reshape(lead.shape[:-1] + last.shape[:2])
     return (amp.real**2 + amp.imag**2) / norm_sq
 
 

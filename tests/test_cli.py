@@ -200,8 +200,7 @@ class TestCliSelect:
             return np.asarray(start, dtype=float), 0.0, False
 
         monkeypatch.setattr(coherentlab.selection, "ascend", failing_ascend)
-        with pytest.warns(RuntimeWarning):
-            code = main(["select", "--config", self._config(tmp_path), "--out", str(tmp_path / "o")])
+        code = main(["select", "--config", self._config(tmp_path), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error[numeric]: no landscape maximum found")
@@ -248,15 +247,14 @@ _AT_ORIGIN = {"coeff": [1.0], "q": [0.0], "p": [0.0]}
 def _select_drift_fails_mid_run(tmp_path, monkeypatch):
     # event 1 collapses onto q = 20; at event 2 the hook cancels that state
     cfg = _cancelling_drift(tmp_path, [_AT_ORIGIN, {"coeff": [0.5], "q": [20.0], "p": [0.0]}])
-    return "select", cfg, "drift hook failed: event 2 of 3 did not run"
+    return "select", cfg, "drift hook failed at event 2 of 3: state has squared norm 0"
 
 
 def _select_drift_fails_first(tmp_path, monkeypatch):
     cfg = _cancelling_drift(tmp_path, [_AT_ORIGIN])
-    return "select", cfg, "drift hook failed: event 1 of 3 did not run"
+    return "select", cfg, "drift hook failed at event 1 of 3: state has squared norm 0"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "failing_run",
     [_spread_overflows, _select_without_maximum, _select_drift_fails_mid_run,
@@ -381,10 +379,13 @@ def _assert_prints_one_error_line(tmp_path, config, code, tag):
 
 
 def _run_cli_process(args, **env):
-    """Run the CLI in a fresh interpreter, with ``env`` added to the environment."""
+    """Run the CLI in a fresh interpreter, with ``env`` added to the environment.
+
+    A RuntimeWarning is an error there, as in the in-process tests.
+    """
     src = str(Path(coherentlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-           **env}
+           "PYTHONWARNINGS": "error::RuntimeWarning", **env}
     return subprocess.run([sys.executable, "-m", "coherentlab", *args],
                           capture_output=True, text=True, env=env, timeout=60)
 
@@ -429,6 +430,38 @@ def test_sample_ring_config_with_dt_above_the_bound_prints_only_the_config_error
 def test_grid_too_large_to_allocate_prints_one_memory_error(tmp_path):
     # 2**52 complex amplitudes are 64 PiB: the allocation fails on any machine
     _assert_prints_one_error_line(tmp_path, _with(_RING, n_grid=2**52), 3, "memory")
+
+
+_SADDLE_START = {
+    "experiment": "select",
+    "parameters": {
+        "basis": {"omegas": [1.0]},
+        "initial": {"components": [{"coeff": [1.0], "q": [0.0], "p": [0.0]},
+                                   {"coeff": [1.0], "q": [5.0], "p": [0.0]}]},
+        "n_events": 1,
+    },
+}
+
+
+def test_dropped_ascent_start_is_counted_not_printed(tmp_path):
+    # two equal bumps: the ascent start at their midpoint sits on a saddle
+    cfg = write_config(tmp_path, "saddle.json", _SADDLE_START)
+    out = tmp_path / "out"
+    proc = _run_cli_process(["select", "--config", cfg, "--out", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    (event,) = json.loads((out / "events.json").read_text())["events"]
+    assert event["failed_starts"] == 1
+
+
+def test_failed_drift_hook_is_one_line_with_its_reason(tmp_path):
+    _, cfg, _ = _select_drift_fails_mid_run(tmp_path, None)
+    out = tmp_path / "out"
+    proc = _run_cli_process(["select", "--config", cfg, "--out", str(out)])
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error[numeric]: drift hook failed at event 2 of 3:")
+    assert "squared norm 0" in line
+    assert not out.exists()
 
 
 def test_memory_error_during_the_run_is_one_line(tmp_path, monkeypatch, capsys):

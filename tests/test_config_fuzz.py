@@ -3,11 +3,11 @@
 Whatever the replacement, ``main`` must exit 0, 2 or 3 and never raise,
 and a run that fails leaves no output directory.  What a user sees on
 stderr is checked too: a failed run prints exactly one ``error[...]``
-line, a successful run prints nothing, and the only warnings come from
-the selection engine (a dropped ascent start or a failed drift hook).
-The pool holds no large
-sizes and ``--workers`` is never varied, so no example can allocate much
-memory or start many threads.
+line, a successful run prints nothing, and no run raises a warning: a
+dropped ascent start is counted in ``events.json``, and a failed drift
+hook is the run's error line.  The pool holds no large sizes and
+``--workers`` is never varied, so no example can allocate much memory or
+start many threads.
 """
 
 import contextlib
@@ -155,8 +155,7 @@ def _run(config, experiment):
         assert lines == []
     else:
         assert len(lines) == 1 and lines[0].startswith("error["), lines
-    for w in caught:
-        assert Path(w.filename).parts[-2:] == ("coherentlab", "selection.py"), str(w.message)
+    assert [str(w.message) for w in caught] == []
     return code, out_exists
 
 

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import ring_exact_survival
 
 from coherentlab import (
@@ -114,6 +116,28 @@ class TestStep:
             cur = state.norm()
             assert cur <= prev + 1e-14
             prev = cur
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(n_grid=st.sampled_from([64, 128, 256]), data=st.data())
+    def test_recorded_survival_never_rises(self, n_grid, data):
+        # N = 64 with record_every >= 2 over enough steps takes the stride path
+        strength = data.draw(st.floats(0.0, 5.0))
+        center = data.draw(st.floats(0.0, 0.999))
+        if data.draw(st.booleans()):
+            absorber = Absorber(kind="delta", center=center, strength=strength)
+        else:
+            absorber = Absorber(kind="plateau", center=center, strength=strength,
+                                width=data.draw(st.floats(0.01, 0.5)),
+                                sigma=data.draw(st.floats(0.005, 0.1)))
+        if data.draw(st.booleans()):
+            state = uniform_state(n_grid)
+        else:
+            state = von_mises_state(n_grid, data.draw(st.floats(0.0, 1.0)),
+                                    data.draw(st.floats(1.0, 40.0)), data.draw(st.integers(-3, 3)))
+        dt = data.draw(st.floats(0.01, 1.0)) * dt_bound(n_grid, state.mass)
+        curve = survival_curve(state, absorber, dt, data.draw(st.integers(1, 60)),
+                               data.draw(st.integers(1, 6)))
+        assert np.all(np.diff(curve.survival) <= 1e-14)
 
     def test_time_advances(self):
         state = uniform_state(64)

@@ -379,6 +379,7 @@ class TestRunSequence:
             n_events=3,
         )
         assert [r.time for r in records] == pytest.approx([1.0, 1.5, 1.75])
+        assert records.abort is None
 
     def test_failing_hook_aborts_with_partial_log(self):
         basis = single_mode(omega=0.0)
@@ -388,14 +389,15 @@ class TestRunSequence:
                 return SuperposedState([0.0], state.points()[:1], basis)
             return state
 
-        with pytest.warns(RuntimeWarning):
-            records = run_sequence(
-                SuperposedState.single(_pt(0.0, 0.0), basis),
-                UrgencySchedule(1.0),
-                bad_hook,
-                n_events=5,
-            )
+        records = run_sequence(
+            SuperposedState.single(_pt(0.0, 0.0), basis),
+            UrgencySchedule(1.0),
+            bad_hook,
+            n_events=5,
+        )
         assert len(records) == 2
+        assert records.abort.startswith("drift hook failed at event 3 of 5: ")
+        assert "squared norm 0" in records.abort
 
     def test_seeded_drift_deterministic(self):
         basis = single_mode(omega=0.3)

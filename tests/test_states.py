@@ -90,6 +90,21 @@ class TestGram:
             worst = min(worst, float(np.linalg.eigvalsh(state.gram()).min()))
         assert worst >= -1e-10
 
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 6), data=st.data())
+    def test_gram_is_a_bounded_hermitian_psd_matrix(self, n, m, data):
+        # coordinates up to 200 apart make far pairs underflow to exact 0
+        weights = np.array(data.draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n)))
+        coords = st.lists(st.floats(-200.0, 200.0), min_size=m * n, max_size=m * n)
+        q = np.array(data.draw(coords)).reshape(m, n)
+        p = np.array(data.draw(coords)).reshape(m, n)
+        g = _overlap_matrix(q, p, q, p, weights)
+        assert np.all(np.isfinite(g))
+        assert np.array_equal(g, g.conj().T)
+        assert np.all(np.abs(g) <= 1.0)
+        eig = np.linalg.eigvalsh(g)
+        assert eig.min() >= -m * 1e-15 * max(1.0, eig.max())
+
 
 class TestSuperposedState:
     def test_zero_coefficients_rejected(self):
