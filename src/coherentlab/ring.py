@@ -71,7 +71,8 @@ class RingState:
 
 
 def _norm(psi: np.ndarray) -> float:
-    return float(np.mean(np.abs(psi) ** 2))
+    # the pairwise sum and the division np.mean does, without its wrapper
+    return float(np.add.reduce(np.abs(psi) ** 2, axis=None)) / psi.size
 
 
 def _whole(name: str, value) -> int:
@@ -174,21 +175,31 @@ class Absorber:
 
 
 def _step_factors(state: RingState, absorber: Absorber, dt: float):
+    """The half-step decay and the kinetic phase exp(-i k^2 dt / 2m) / N.
+
+    The kinetic factor carries the inverse transform's 1/N, so ``_strang``
+    runs that transform unnormalised.  N is a power of two, so 1/N is
+    exact and scaling by it commutes with every rounding short of
+    subnormal values: the step gives the same bits as the textbook
+    ``ifft(kinetic * fft(...))``.
+    """
     w = absorber.weight(state.n_grid)
     # complex up front: the real x complex product casts to exactly these values
     decay_half = np.exp(-w * dt / 2.0).astype(complex)
     k = 2.0 * np.pi * np.fft.fftfreq(state.n_grid, d=1.0 / state.n_grid)
-    kinetic = np.exp(-1j * k * k * dt / (2.0 * state.mass))
+    kinetic = np.exp(-1j * k * k * dt / (2.0 * state.mass)) * (1.0 / state.n_grid)
     return decay_half, kinetic
 
 
 def _strang(psi: np.ndarray, work: np.ndarray, decay_half: np.ndarray, kinetic: np.ndarray):
     """One Strang split step in place on ``psi``: half decay, exact kinetic
-    step, half decay.  ``work`` (same shape and dtype) is overwritten."""
+    step, half decay.  ``work`` (same shape and dtype) is overwritten.
+    The inverse FFT is unnormalised: ``kinetic`` carries its exact 1/N
+    (see ``_step_factors``), which saves a pass over ``psi``, same bits."""
     np.multiply(decay_half, psi, out=work)
     np.fft.fft(work, out=psi)
     np.multiply(kinetic, psi, out=psi)
-    np.fft.ifft(psi, out=work)
+    np.fft.ifft(psi, out=work, norm="forward")
     np.multiply(decay_half, work, out=psi)
 
 
@@ -228,7 +239,7 @@ def _stride_is_cheaper(n_grid: int, record_every: int, strides: int) -> bool:
     """The cost model of ``survival_curve``: stride propagator or stepping."""
     if record_every < 2 or n_grid > 1024:
         return False
-    step_us = 12.0 + 0.035 * n_grid
+    step_us = 12.0 + 0.03 * n_grid
     build_us = record_every * 0.02 * n_grid**2
     matvec_us = 2.0 + 0.00075 * n_grid**2
     return build_us + strides * matvec_us < strides * record_every * step_us
@@ -253,9 +264,12 @@ def survival_curve(
     of the call's N, r and s = steps // r, in microseconds, measured with
     BLAS pinned to one thread (numpy 2.4, OpenBLAS 0.3, 2 vCPUs):
 
-        one step        12 + 0.035 N        measured 14-34 at N = 64...512
-        building A      r * 0.02 N^2        r stacked steps of N rows
-        one matvec      2 + 0.00075 N^2     measured 25 at N = 256, 190 at 512
+        one step        12 + 0.03 N         measured 14, 20, 27, 42 at N = 64,
+                                            256, 512, 1024
+        building A      r * 0.02 N^2        r stacked steps of N rows; measured
+                                            0.012-0.015 N^2 per stacked step at
+                                            N <= 512, 0.020 N^2 at 1024
+        one matvec      2 + 0.00075 N^2     measured 19 at N = 256, 186 at 512
 
     The stride path runs when r >= 2, N <= 1024 (A is at most 16 MiB)
     and building A plus s matvecs is predicted cheaper than s * r steps.

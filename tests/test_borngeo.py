@@ -252,6 +252,19 @@ class TestTransitionProbMc:
             [row] = sweep_transition_prob([0.7], n=100001, seed=9, workers=workers)
             assert row["p_hat"] == base["p_hat"]
 
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        thetas=st.lists(st.floats(0.0, np.pi / 2), min_size=1, max_size=4),
+        n=st.integers(1, 20000),
+        shards=st.integers(1, 20),
+        seed=st.integers(min_value=0),
+    )
+    def test_worker_count_never_changes_counts_property(self, thetas, n, shards, seed):
+        [base, *others] = (sweep_transition_prob(thetas, n, seed, shards=shards, workers=workers)
+                           for workers in (1, 2, 3))
+        for rows in others:
+            assert rows == base
+
     def test_law_match_sweep(self):
         thetas = [0.1 * i for i in range(1, 16)]
         rows = sweep_transition_prob(thetas, n=10**6, seed=11)

@@ -27,6 +27,17 @@ from coherentlab.config import resolve_config
 RING_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ring.json"
 
 
+def _drawn_absorber(data):
+    """A delta or plateau absorber of strength 0-5 anywhere on the ring."""
+    strength = data.draw(st.floats(0.0, 5.0))
+    center = data.draw(st.floats(0.0, 0.999))
+    if data.draw(st.booleans()):
+        return Absorber(kind="delta", center=center, strength=strength)
+    return Absorber(kind="plateau", center=center, strength=strength,
+                    width=data.draw(st.floats(0.01, 0.5)),
+                    sigma=data.draw(st.floats(0.005, 0.1)))
+
+
 class TestRingState:
     def test_norm_of_uniform(self):
         assert uniform_state(128).norm() == pytest.approx(1.0)
@@ -121,14 +132,7 @@ class TestStep:
     @given(n_grid=st.sampled_from([64, 128, 256]), data=st.data())
     def test_recorded_survival_never_rises(self, n_grid, data):
         # N = 64 with record_every >= 2 over enough steps takes the stride path
-        strength = data.draw(st.floats(0.0, 5.0))
-        center = data.draw(st.floats(0.0, 0.999))
-        if data.draw(st.booleans()):
-            absorber = Absorber(kind="delta", center=center, strength=strength)
-        else:
-            absorber = Absorber(kind="plateau", center=center, strength=strength,
-                                width=data.draw(st.floats(0.01, 0.5)),
-                                sigma=data.draw(st.floats(0.005, 0.1)))
+        absorber = _drawn_absorber(data)
         if data.draw(st.booleans()):
             state = uniform_state(n_grid)
         else:
@@ -296,6 +300,64 @@ class TestInPlaceStep:
         for _ in range(steps):
             state = step(state, absorber, dt)
         assert np.all(state.psi == psi)
+
+
+class TestTextbookBits:
+    @pytest.mark.parametrize("n_grid", [64, 128, 256, 512, 1024])
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_supported_n_gives_the_textbook_bits(self, n_grid, data):
+        # the stepper runs an unnormalised inverse FFT with 1/N folded into the
+        # kinetic factor; for every power-of-two N that must give the bits of
+        # the textbook formula with numpy's default normalisation, on both paths
+        absorber = _drawn_absorber(data)
+        mass = data.draw(st.floats(0.5, 2.0))
+        profile = data.draw(st.sampled_from(["uniform", "von_mises", "fourier_mode"]))
+        if profile == "uniform":
+            state = uniform_state(n_grid, mass)
+        elif profile == "von_mises":
+            state = von_mises_state(n_grid, data.draw(st.floats(0.0, 1.0)),
+                                    data.draw(st.floats(1.0, 60.0)),
+                                    data.draw(st.integers(-3, 3)), mass)
+        else:
+            state = fourier_mode_state(n_grid, data.draw(st.integers(-n_grid // 2, n_grid // 2)),
+                                       mass)
+        dt = data.draw(st.floats(0.01, 1.0)) * dt_bound(n_grid, mass)
+        steps = data.draw(st.integers(1, 30))
+        record_every = data.draw(st.integers(2, 6))
+        decay_half = np.exp(-absorber.weight(n_grid) * dt / 2.0)
+        k = 2.0 * np.pi * np.fft.fftfreq(n_grid, d=1.0 / n_grid)
+        kinetic = np.exp(-1j * k * k * dt / (2.0 * mass))
+
+        def textbook(psi):
+            return decay_half * np.fft.ifft(kinetic * np.fft.fft(decay_half * psi))
+
+        def norm(psi):
+            return np.mean(np.abs(psi) ** 2)
+
+        psi, norms, stepped = state.psi, [norm(state.psi)], state
+        for _ in range(steps):
+            psi = textbook(psi)
+            norms.append(norm(psi))
+            stepped = step(stepped, absorber, dt)
+        assert np.all(stepped.psi == psi)
+        assert np.all(survival_curve(state, absorber, dt, steps).survival == np.asarray(norms))
+
+        rows = np.eye(n_grid, dtype=complex)
+        for _ in range(record_every):
+            rows = textbook(rows)
+        strides, left = divmod(steps, record_every)
+        psi, norms = state.psi, [norm(state.psi)]
+        for _ in range(strides):
+            psi = psi @ rows
+            norms.append(norm(psi))
+        for _ in range(left):
+            psi = textbook(psi)
+        if left:
+            norms.append(norm(psi))
+        with pytest.MonkeyPatch.context() as mp:
+            strided = _forced(mp, "stride", state, absorber, dt, steps, record_every)
+        assert np.all(strided.survival == np.asarray(norms))
 
 
 def _forced(monkeypatch, path, *args):

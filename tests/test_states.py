@@ -19,7 +19,7 @@ from coherentlab import (
     v_value,
 )
 from coherentlab.landscape import v_at, v_value_grad_hess
-from coherentlab.states import _overlap_matrix
+from coherentlab.states import UNDERFLOW_EXPONENT, _overlap_matrix
 
 E_MINUS_1 = 0.36787944117144233  # exp(-(4+0+0)/4) for a 2-quadrature-unit offset
 
@@ -332,6 +332,37 @@ class TestFreeEvolution:
                 ea.points()[0], eb.points()[0], basis
             )
             assert abs(before - after) < 1e-12
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_coevolved_overlaps_invariant_property(self, data):
+        m = data.draw(st.integers(1, 3))
+        basis = ModeBasis(omegas=data.draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m)),
+                          weights=data.draw(st.lists(st.floats(0.1, 4.0), min_size=m, max_size=m)))
+        coords = st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m)
+        a, b = (CoherentPoint(q=data.draw(coords), p=data.draw(coords)) for _ in range(2))
+        ca, cb = (data.draw(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+                  for _ in range(2))
+        dt = data.draw(st.floats(-50.0, 50.0))
+        ea = evolve_free(SuperposedState([ca], [a], basis), dt)
+        eb = evolve_free(SuperposedState([cb], [b], basis), dt)
+        before = np.conj(ca) * cb * overlap(a, b, basis)
+        after = np.conj(ea.coeffs[0]) * eb.coeffs[0] * overlap(
+            ea.points()[0], eb.points()[0], basis
+        )
+        # The kernel's exponent and both phases are sums of w_k times products
+        # of two coordinates, each at most S = sum_k w_k (|qa|+|pa|+|qb|+|pb|)^2
+        # in size; the rotation gives every coordinate a relative error of a
+        # few eps and each product a few more roundings, so the exponent moves
+        # by a few eps (1 + S) and the value by that times its size.  The worst
+        # of 25000 random examples used 1.6 eps (1 + S).  A kernel sitting at
+        # the flush threshold may be flushed on one side only, which moves the
+        # value by at most |ca cb| exp(-UNDERFLOW_EXPONENT).
+        scale = float(np.sum(basis.weights * (np.abs(a.q) + np.abs(a.p)
+                                              + np.abs(b.q) + np.abs(b.p)) ** 2))
+        bound = (8 * np.finfo(float).eps * (1 + scale) * max(abs(before), abs(after))
+                 + abs(ca * cb) * math.exp(-UNDERFLOW_EXPONENT))
+        assert abs(before - after) <= bound
 
 
 class TestIdentityCheck:
