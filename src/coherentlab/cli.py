@@ -24,6 +24,7 @@ COHERENTLAB_OUT environment variable, else the config's "out" entry.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -215,6 +216,7 @@ def run(config: dict, inputs: dict, workers: int = 1) -> None:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coherentlab",

@@ -33,6 +33,11 @@ import numpy as np
 #: plateau absorber's error is 4e-7 at 0.10.
 DT_SAFETY_DEFAULT = 4000.0
 
+#: Rows of the stride propagator A = M^r stepped at a time: a stride run
+#: holds A and one block of this height, which tiles every power-of-two
+#: N >= 64.
+STRIDE_BLOCK_ROWS = 64
+
 #: CODATA value of the reduced Planck constant, J s.
 HBAR_SI = 1.054571817e-34
 
@@ -241,7 +246,8 @@ def _stride_is_cheaper(n_grid: int, record_every: int, strides: int) -> bool:
         return False
     step_us = 12.0 + 0.03 * n_grid
     build_us = record_every * 0.02 * n_grid**2
-    matvec_us = 2.0 + 0.00075 * n_grid**2
+    # A of at most 1 MiB stays in cache from one record to the next
+    matvec_us = 2.0 + (0.00035 if n_grid <= 256 else 0.00075) * n_grid**2
     return build_us + strides * matvec_us < strides * record_every * step_us
 
 
@@ -258,26 +264,31 @@ def survival_curve(
     and after the last step.  The Strang map M is linear and the same at
     every step, so the r steps between two records are one N x N matrix
     A = M^r.  It is built by stepping the identity's rows r times with the
-    stepper itself (row i is M^r e_i), and then each record costs one
-    matvec ``psi @ A`` instead of r FFT pairs; steps left over after the
-    last whole stride are stepped.  Which path runs follows a cost model
-    of the call's N, r and s = steps // r, in microseconds, measured with
+    stepper itself (row i is M^r e_i), ``STRIDE_BLOCK_ROWS`` rows at a
+    time in place, so a stride run holds A and one row block; the
+    N <= 1024 cap bounds A at 16 MiB.  Each record then costs one matvec
+    ``psi @ A`` instead of r FFT pairs; steps left over after the last
+    whole stride are stepped.  Which path runs follows a cost model of
+    the call's N, r and s = steps // r, in microseconds, measured with
     BLAS pinned to one thread (numpy 2.4, OpenBLAS 0.3, 2 vCPUs):
 
-        one step        12 + 0.03 N         measured 14, 20, 27, 42 at N = 64,
-                                            256, 512, 1024
+        one step        12 + 0.03 N         measured 16, 19, 22, 21-31, 42-47
+                                            at N = 64, 128, 256, 512, 1024
         building A      r * 0.02 N^2        r stacked steps of N rows; measured
-                                            0.012-0.015 N^2 per stacked step at
-                                            N <= 512, 0.020 N^2 at 1024
-        one matvec      2 + 0.00075 N^2     measured 19 at N = 256, 186 at 512
+                                            0.017-0.022 N^2 per stacked step
+        one matvec      2 + 0.00035 N^2     N <= 256 (A <= 1 MiB stays in
+                                            cache); measured 3, 7-9, 15-31
+                                            at N = 64, 128, 256
+                        2 + 0.00075 N^2     N >= 512; measured 167-216 at
+                                            512, 800-863 at 1024
 
-    The stride path runs when r >= 2, N <= 1024 (A is at most 16 MiB)
-    and building A plus s matvecs is predicted cheaper than s * r steps.
-    So N = 256, r = 5 over many strides uses A, while N = 512, r = 5
-    steps: a matvec costs more than five steps there.  With r = 1 every
-    step is recorded and the curve equals repeated ``step`` calls bit for
-    bit.  The two paths agree to roundoff; M is a contraction, so on
-    either path the norm never increases beyond roundoff.
+    The stride path runs when r >= 2, N <= 1024 and building A plus
+    s matvecs is predicted cheaper than s * r steps.  So N = 256, r = 5
+    over many strides uses A, while N = 512, r = 5 steps: a matvec costs
+    more than five steps there.  With r = 1 every step is recorded and
+    the curve equals repeated ``step`` calls bit for bit.  The two paths
+    agree to roundoff; M is a contraction, so on either path the norm
+    never increases beyond roundoff.
     """
     _check_run(initial, dt, steps, record_every)
     decay_half, kinetic = _step_factors(initial, absorber, dt)
@@ -288,9 +299,11 @@ def survival_curve(
     strides = steps // record_every
     if _stride_is_cheaper(psi.size, record_every, strides):
         rows = np.eye(psi.size, dtype=complex)
-        work = np.empty_like(rows)
-        for _ in range(record_every):
-            _strang(rows, work, decay_half, kinetic)
+        work = np.empty((STRIDE_BLOCK_ROWS, psi.size), dtype=complex)
+        # rows step independently, so each block is stepped in place
+        for block in np.split(rows, psi.size // STRIDE_BLOCK_ROWS):
+            for _ in range(record_every):
+                _strang(block, work, decay_half, kinetic)
         for _ in range(strides):
             psi = psi @ rows
             done += record_every

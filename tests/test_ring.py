@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,9 @@ def _strang_calls(monkeypatch):
 
 STRIDE_ABSORBERS = ABSORBERS + [Absorber(kind="delta", center=0.5, strength=0.0)]
 
+#: The ``_strang`` shapes of one of the r stacked steps of the N = 256 stride build.
+BLOCK_256 = [(ring.STRIDE_BLOCK_ROWS, 256)] * (256 // ring.STRIDE_BLOCK_ROWS)
+
 
 class TestStridePropagator:
     @pytest.mark.parametrize("n", [64, 256, 512])
@@ -389,14 +393,16 @@ class TestStridePropagator:
         state = von_mises_state(n, 0.3, 20.0, boost=2)
         decay_half, kinetic = ring._step_factors(state, absorber, 0.25 * dt_bound(n, 1.0))
         rng = np.random.default_rng(n)
-        stack = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
-        stack[0] = state.psi
-        rows = stack.copy()
-        ring._strang(rows, np.empty_like(rows), decay_half, kinetic)
-        for psi, row in zip(stack, rows):
-            psi = psi.copy()
-            ring._strang(psi, np.empty_like(psi), decay_half, kinetic)
-            assert np.all(row == psi)
+        # five rows, and one block of the stride build
+        for height in (5, ring.STRIDE_BLOCK_ROWS):
+            stack = rng.standard_normal((height, n)) + 1j * rng.standard_normal((height, n))
+            stack[0] = state.psi
+            rows = stack.copy()
+            ring._strang(rows, np.empty_like(rows), decay_half, kinetic)
+            for psi, row in zip(stack, rows):
+                psi = psi.copy()
+                ring._strang(psi, np.empty_like(psi), decay_half, kinetic)
+                assert np.all(row == psi)
 
     @pytest.mark.parametrize("n", [64, 128, 256])
     @pytest.mark.parametrize("record_every", [2, 5, 40])
@@ -418,16 +424,29 @@ class TestStridePropagator:
         shapes = _strang_calls(monkeypatch)
         curve = survival_curve(inputs["state"], inputs["absorber"], p["dt"], p["steps"],
                                p["record_every"])
-        assert shapes == [(256, 256)] * p["record_every"]
+        assert shapes == BLOCK_256 * p["record_every"]
         assert curve.survival.size == p["steps"] // p["record_every"] + 1
         assert np.all(np.diff(curve.survival) <= 1e-14)
         assert curve.survival[-1] == pytest.approx(3.5e-4, rel=0.05)
 
+    def test_stride_run_holds_a_and_one_block(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc; A alone is N^2 * 16 bytes
+        n = 512
+        args = (uniform_state(n), Absorber(kind="delta", strength=0.5),
+                0.25 * dt_bound(n, 1.0), 20, 5)
+        tracemalloc.start()
+        try:
+            _forced(monkeypatch, "stride", *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 16
+
     @pytest.mark.parametrize(
         "n, record_every, steps, calls",
         [
-            (256, 5, 4000, [(256, 256)] * 5),
-            (256, 5, 4003, [(256, 256)] * 5 + [(256,)] * 3),
+            (256, 5, 4000, BLOCK_256 * 5),
+            (256, 5, 4003, BLOCK_256 * 5 + [(256,)] * 3),
             (256, 5, 100, [(256,)] * 100),
             (512, 5, 4000, [(512,)] * 4000),
             (64, 1, 100, [(64,)] * 100),
