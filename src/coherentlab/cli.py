@@ -12,10 +12,13 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Every bad input exits 2 during resolution, before the run starts: a
 config file that cannot be read, is not UTF-8 or nests too deeply for
 the JSON parser, a file the config refers to, a ring time step above
-the accuracy bound.  Exit 3 is kept for failures inside the run: a
-selection ascent that finds no maximum, or a drift hook that fails
-before the last event.  An allocation that fails, during resolution or
-the run, also exits 3, with one ``error[memory]`` line.
+the accuracy bound, a schedule whose event times overflow or stop
+increasing.  Exit 3 is kept for failures inside the run: a selection
+ascent that finds no maximum, a drift hook that fails before the last
+event and a spread that JSON cannot hold, each with one
+``error[numeric]`` line, and a write that fails, with one ``error[io]``
+line.  An allocation that fails, during resolution or the run, also
+exits 3, with one ``error[memory]`` line.
 A failed run creates no output directory and writes nothing into an
 existing one.  The output directory resolves as: --out flag, else the
 COHERENTLAB_OUT environment variable, else the config's "out" entry.

@@ -259,7 +259,8 @@ def _select_inputs(config):
         basis,
     )
     schedule = UrgencySchedule(p["schedule"]["energy"])
-    schedule.energy_for(p["n_events"])  # n_events >= 1, and a list of energies covers it
+    # n_events >= 1, a list of energies covers it, and the times are finite and increasing
+    schedule.event_times(p["n_events"], p["t0"])
     d = p["drift"]
     if d["kind"] == "none":
         drift = None

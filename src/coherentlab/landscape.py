@@ -83,10 +83,9 @@ def ascend(state: SuperposedState, start: np.ndarray) -> tuple[np.ndarray, float
     within ASCENT_MAX_ITER steps, and a converged point only qualifies as
     a maximum if its Hessian is strictly negative definite.
 
-    The full step is tried with ``v_value_grad_hess``, so when it is
-    accepted its value, gradient and Hessian serve the next iteration;
-    shorter backtracking trials only need ``v_at``.  Both compute v with
-    the same arithmetic, so every Armijo decision is the same either way.
+    Every line-search trial, whatever its step length, is evaluated with
+    ``v_value_grad_hess``, and the accepted trial's value, gradient and
+    Hessian serve the next iteration, so no point is evaluated twice.
     """
     x = np.asarray(start, dtype=float).copy()
     v, grad, hess = v_value_grad_hess(state, x)
@@ -108,27 +107,19 @@ def ascend(state: SuperposedState, start: np.ndarray) -> tuple[np.ndarray, float
         slope = float(grad @ direction)
         alpha = 1.0
         ulp_gain = 8.0 * np.finfo(float).eps * max(v, 1e-300)
-        full = None
         for _ in range(60):
+            trial = x + alpha * direction
+            evaluation = v_value_grad_hess(state, trial)
             # near the summit the predicted gain drops below the float
             # resolution of v itself; accept the nudge untested there so the
             # final Newton refinement is not blocked by a flat line search
-            if alpha * slope <= ulp_gain:
+            if alpha * slope <= ulp_gain or evaluation[0] > v + 1e-4 * alpha * slope:
                 break
-            trial = x + alpha * direction
-            if alpha == 1.0:
-                full = v_value_grad_hess(state, trial)
-                v_trial = full[0]
-            else:
-                v_trial = v_at(state, trial)
-            if v_trial > v + 1e-4 * alpha * slope:
-                break
-            full = None
             alpha *= 0.5
         else:
             break  # no ascent step along the direction: not converged
-        x = x + alpha * direction
-        v, grad, hess = full if full is not None else v_value_grad_hess(state, x)
+        x = trial
+        v, grad, hess = evaluation
     # a stationary point only counts as a maximum if the curvature is
     # strictly negative; flat saddles between far bumps also pass the
     # gradient test and must be dropped

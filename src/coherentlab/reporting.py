@@ -45,24 +45,25 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def _widened(lo: float, hi: float) -> float:
+    """``hi``, or for an empty range ``lo`` plus a width that survives rounding at ``lo``."""
+    return hi if hi > lo else lo + max(1.0, math.ulp(lo))
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     if not math.isfinite(lo) or not math.isfinite(hi):
         return [0.0, 1.0]
-    if hi <= lo:
-        hi = lo + 1.0
+    hi = _widened(lo, hi)
     raw = (hi - lo) / 5  # aim at five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
-    while v <= hi + 1e-9 * step:
-        ticks.append(round(v, 12))
-        v += step
-    return ticks or [lo, hi]
+    # integer tick indices: a running sum v += step stalls once step is
+    # below half an ulp of v
+    first, last = math.ceil(lo / step), math.floor(hi / step + 1e-9)
+    return [round(i * step, 12) for i in range(first, last + 1)] or [lo, hi]
 
 
 _PALETTE = ["#1f6fb2", "#d1495b", "#3a7d44", "#8661c1", "#c77d2f", "#3b3b3b"]
@@ -90,10 +91,7 @@ def svg_line_plot(
         raise ValueError("cannot plot empty series")
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    if x1 <= x0:
-        x1 = x0 + 1.0
-    if y1 <= y0:
-        y1 = y0 + 1.0
+    x1, y1 = _widened(x0, x1), _widened(y0, y1)
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 

@@ -176,7 +176,9 @@ class Absorber:
 
     def weight(self, n_grid: int) -> np.ndarray:
         """Decay rate profile W(x) = strength * profile."""
-        return self.strength * self.profile(n_grid)
+        # a delta depth past the float range saturates to inf: exp(-inf) is the right limit 0
+        with np.errstate(over="ignore"):
+            return self.strength * self.profile(n_grid)
 
 
 def _step_factors(state: RingState, absorber: Absorber, dt: float):

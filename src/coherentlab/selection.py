@@ -76,7 +76,7 @@ class MaximaResult:
         """Transition angle of the collapse.
 
         <x|x> = 1 for the argmax x, so cos^2(theta) = |P Psi|^2 / |Psi|^2
-        = |<x|Psi>|^2 / |Psi|^2 is the landscape value the ascent returned.
+        = |<x|Psi>|^2 / |Psi|^2 is the argmax's landscape value.
         """
         return theta_from_norms(1.0, self.argmax[0].v)
 
@@ -132,6 +132,21 @@ class UrgencySchedule:
             raise ValueError(f"schedule has {len(self.energies)} entries, asked for {step}")
         return self.energies[step - 1]
 
+    def event_times(self, n_events: int, t0: float = 0.0) -> list[float]:
+        """Times of events 1..n_events, t_i = t_{i-1} + 1/E_i from t_0 = t0.
+
+        Raises ValueError unless the schedule covers event ``n_events`` >= 1
+        and every time is finite and later than the one before it.
+        """
+        self.energy_for(n_events)
+        times = [float(t0)]
+        for i in range(1, n_events + 1):
+            times.append(times[-1] + 1.0 / self.energy_for(i))
+            if not times[-2] < times[-1] < np.inf:
+                raise ValueError(f"event {i} falls at t = {times[-1]!r}, "
+                                 f"which is not a finite time after {times[-2]!r}")
+        return times[1:]
+
 
 def find_local_maxima(state: SuperposedState) -> MaximaResult:
     """Locate local maxima of the landscape by multi-start ascent.
@@ -158,7 +173,9 @@ def find_local_maxima(state: SuperposedState) -> MaximaResult:
         else:
             found.append((x, v))
     found.sort(key=lambda item: (-item[1], tuple(item[0])))
-    maxima = [Candidate(point=CoherentPoint.from_vector(x), v=v) for x, v in found]
+    # |<x|Psi>|^2 <= <Psi|Psi>, so a value above 1 is the roundoff of a norm
+    # far below sum |c_j|^2; it is reported, and vetoed, as the bound 1
+    maxima = [Candidate(point=CoherentPoint.from_vector(x), v=min(v, 1.0)) for x, v in found]
     result = MaximaResult(maxima, failed, state.basis)
     state.__dict__["_maxima"] = result
     return result
@@ -258,16 +275,14 @@ def run_sequence(
     given (it regenerates alternatives between events), then selects and
     collapses.  If the hook raises ValueError (a zero-norm state), the log
     of the events before it is returned with ``abort`` naming the event
-    and the hook's reason; otherwise ``abort`` is None.  The schedule must
-    cover event ``n_events`` >= 1.
+    and the hook's reason; otherwise ``abort`` is None.  The event times
+    are ``schedule.event_times(n_events, t0)``.
     """
-    schedule.energy_for(n_events)
     records = EventLog()
     state = initial
-    t = float(t0)
+    times = [float(t0), *schedule.event_times(n_events, t0)]
     for i in range(1, n_events + 1):
-        t_next = t + 1.0 / schedule.energy_for(i)
-        state = evolve_free(state, t_next - t)
+        state = evolve_free(state, times[i] - times[i - 1])
         if drift is not None:
             try:
                 state = drift(state, i)
@@ -276,32 +291,17 @@ def run_sequence(
                 return records
             if not isinstance(state, SuperposedState):
                 raise TypeError("drift hook must return a SuperposedState")
-        outcome = select_and_collapse(state, t_next, index=i)
+        outcome = select_and_collapse(state, times[i], index=i)
         records.append(outcome.record)
         state = outcome.state_next
-        t = t_next
     return records
 
 
 def record_as_dict(record: EventRecord) -> dict:
-    """JSON-ready mirror of an EventRecord."""
-    return {
-        "index": record.index,
-        "time": record.time,
-        "v_at_choice": record.v_at_choice,
-        "blocked": record.blocked,
-        "tie": record.tie,
-        "failed_starts": record.failed_starts,
-        "chosen": {
-            "q": [float(v) for v in record.chosen.q],
-            "p": [float(v) for v in record.chosen.p],
-        },
-        "candidates": [
-            {
-                "v": c.v,
-                "q": [float(v) for v in c.point.q],
-                "p": [float(v) for v in c.point.p],
-            }
-            for c in record.candidates
-        ],
-    }
+    """JSON-ready mirror of an EventRecord, points as q/p lists."""
+    out = record._asdict()
+    out["chosen"] = {"q": record.chosen.q.tolist(), "p": record.chosen.p.tolist()}
+    out["candidates"] = [
+        {"v": c.v, "q": c.point.q.tolist(), "p": c.point.p.tolist()} for c in record.candidates
+    ]
+    return out

@@ -337,6 +337,9 @@ BAD_INPUTS = {
         _CURRENT,
         trajectories=_track([0, 0, 0, 0], [1, 0.5, 0, 0]) + _track([0, 1, 0, 0], [2, 1, 0, 0])),
     "schedule_shorter_than_events": _with(_SELECT, n_events=3, schedule={"energy": [1.0, 2.0]}),
+    "schedule_interval_overflows": _with(_SELECT, n_events=2, schedule={"energy": 1e-310}),
+    "schedule_event_time_overflows": _with(_SELECT, n_events=3, schedule={"energy": 1e-308}),
+    "schedule_interval_below_the_t0_ulp": _with(_SELECT, t0=1e16),
     "ring_zero_dt": _with(_RING, dt=0.0),
     "ring_zero_steps": _with(_RING, steps=0),
     "ring_zero_record_every": _with(_RING, record_every=0),
@@ -462,6 +465,38 @@ def test_failed_drift_hook_is_one_line_with_its_reason(tmp_path):
     assert line.startswith("error[numeric]: drift hook failed at event 2 of 3:")
     assert "squared norm 0" in line
     assert not out.exists()
+
+
+_TWO_BUMPS = _with(_SELECT, initial={"components": [
+    {"coeff": [1.0], "q": [0.0], "p": [0.0]}, {"coeff": [0.5], "q": [3.0], "p": [0.0]}]})
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"n_events": 3, "t0": 1e16, "schedule": {"energy": 0.5}},
+     {"n_events": 1, "t0": 1e17, "schedule": {"energy": 0.0625}}],
+    ids=["ticks_below_half_an_ulp", "one_event_above_two_to_the_53"],
+)
+def test_event_times_of_large_magnitude_are_plotted(tmp_path, params):
+    # a tick step of half an ulp of t, or a one-event time axis whose unit
+    # widening rounds away, must still give a finite set of ticks
+    cfg = write_config(tmp_path, "late.json", _with(_TWO_BUMPS, **params))
+    out = tmp_path / "out"
+    proc = _run_cli_process(["select", "--config", cfg, "--out", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert "<svg" in (out / "events.svg").read_text()
+
+
+def test_delta_absorber_too_deep_for_a_float_saturates_silently(tmp_path):
+    written = []
+    for strength in (1e300, 1e308):
+        config = _with(_RING, absorber={"kind": "delta", "strength": strength})
+        cfg = write_config(tmp_path, f"deep{strength:g}.json", config)
+        out = tmp_path / f"out{strength:g}"
+        proc = _run_cli_process(["ring", "--config", cfg, "--out", str(out)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        written.append([(out / name).read_bytes() for name in ("survival.csv", "survival.svg")])
+    assert written[0] == written[1]
 
 
 def test_memory_error_during_the_run_is_one_line(tmp_path, monkeypatch, capsys):

@@ -1,14 +1,18 @@
 import hashlib
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coherentlab import (
     BlockingVector,
     CoherentPoint,
     ModeBasis,
     SuperposedState,
+    TransitionGeometry,
     UrgencySchedule,
     amplitude,
     blocked_select,
@@ -205,7 +209,7 @@ class TestAscentStarts:
 
 
 class TestAscentReuse:
-    """The accepted full step's evaluation is reused, with the same result."""
+    """The accepted trial's evaluation is reused, with the same result."""
 
     def test_same_results_as_reevaluating_every_point(self, monkeypatch):
         rng = np.random.default_rng(32)
@@ -228,15 +232,17 @@ class TestAscentReuse:
         assert counts["failed"] >= 1
 
     def test_no_point_is_evaluated_twice_in_a_row(self, monkeypatch):
-        # a shortened step is still tried with v_at and then evaluated in
-        # full, so this start is one whose line searches never backtrack
+        # every line-search trial is a full evaluation that the accepted step
+        # reuses: the first start never backtracks, the second backtracks
+        # twice, and a shortened step is not evaluated again either
         state = _overlapping_state(np.random.default_rng(36), n_comp=4)
-        start = ascent_starts(state)[0] + 0.7
-        counts = {}
-        ascend_reevaluating(state, start, counts=counts)
-        assert counts == {"backtracks": 0, "gradient_steps": 1, "failed": 0}
+        starts = ascent_starts(state)
+        cases = [
+            (starts[0] + 0.7, {"backtracks": 0, "gradient_steps": 1, "failed": 0}),
+            (starts[1], {"backtracks": 2, "gradient_steps": 0, "failed": 0}),
+        ]
 
-        def evaluated_points(run):
+        def evaluated_points(run, start):
             points = []
             component_terms = coherentlab.states._component_terms
 
@@ -250,12 +256,16 @@ class TestAscentReuse:
                 result = run(state, start)
             return points, result
 
-        points, result = evaluated_points(ascend)
-        ref_points, ref_result = evaluated_points(ascend_reevaluating)
-        assert result[0].tobytes() == ref_result[0].tobytes()
-        assert len(points) < len(ref_points)
-        assert any(a == b for a, b in zip(ref_points, ref_points[1:]))
-        assert all(a != b for a, b in zip(points, points[1:]))
+        for start, expected in cases:
+            counts = {}
+            ascend_reevaluating(state, start, counts=counts)
+            assert counts == expected
+            points, result = evaluated_points(ascend, start)
+            ref_points, ref_result = evaluated_points(ascend_reevaluating, start)
+            assert result[0].tobytes() == ref_result[0].tobytes()
+            assert len(points) < len(ref_points)
+            assert any(a == b for a, b in zip(ref_points, ref_points[1:]))
+            assert all(a != b for a, b in zip(points, points[1:]))
 
 
 class TestLandscapeUnderflow:
@@ -462,6 +472,24 @@ class TestBlockedSelect:
         assert blocked.record.blocked is True
         assert accepted.record.blocked is False
 
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(eps=st.floats(0.0, 1e-3), phase=st.floats(0.0, 2.0 * math.pi),
+           dq=st.floats(-20.0, 20.0), dp=st.floats(-20.0, 20.0), alpha=st.floats(0.0, math.pi))
+    def test_veto_as_theta_goes_to_zero_property(self, eps, phase, dq, dp, alpha):
+        # one bump plus an admixture of weight eps: 1 - v <= eps^2 (1 + 3 eps)
+        # at the argmax, so sin(theta) <= ~eps, and theta is exactly 0 at eps = 0
+        state = SuperposedState([1.0, eps * np.exp(1j * phase)], [_pt(0.0, 0.0), _pt(dq, dp)],
+                                single_mode())
+        phi = BlockingVector(alpha=alpha, chi=0.0)
+        out = blocked_select(state, 0.0, phi)
+        theta = theta_from_norms(1.0, out.record.v_at_choice).theta
+        assert 0.0 <= theta <= 1.01 * eps + 1e-7
+        assert out.record.blocked is is_blocked(TransitionGeometry(theta), phi)
+        assert out.record.blocked is (theta > 0.0 and alpha / 2.0 <= theta)
+        assert (out.state_next is state) is out.record.blocked
+        if eps == 0.0:
+            assert theta == 0.0 and not out.record.blocked
+
     def test_v_at_choice_matches_landscape(self):
         rng = np.random.default_rng(25)
         state = random_separated_state(rng, 1, 3, CoherentPoint, SuperposedState, ModeBasis)
@@ -469,6 +497,40 @@ class TestBlockedSelect:
         assert out.record.v_at_choice == pytest.approx(
             v_value(state, out.record.chosen), abs=1e-12
         )
+
+
+class TestNearCancellingSuperposition:
+    """c (|x> - (1 - eta) e^{i psi} |x + delta>), with the phase of <x|x + delta>
+    undone: the norm is orders of magnitude below sum |c_j|^2, and the event
+    still selects a landscape value in (0, 1] that the veto takes an angle from."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(n=st.integers(1, 2), data=st.data())
+    def test_selects_a_value_in_the_unit_interval_property(self, n, data):
+        vec = st.lists(st.floats(-4.0, 4.0), min_size=2 * n, max_size=2 * n).map(np.array)
+        basis = ModeBasis(omegas=[1.0] * n,
+                          weights=data.draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n)))
+        x = data.draw(vec)
+        y = x.copy()
+        y[data.draw(st.integers(0, 2 * n - 1))] += data.draw(st.floats(1e-6, 0.1))
+        c = data.draw(st.floats(0.2, 2.0)) * np.exp(1j * data.draw(st.floats(0.0, 2.0 * math.pi)))
+        eta = data.draw(st.floats(0.0, 1e-3))
+        psi = data.draw(st.floats(-1e-3, 1e-3))
+        points = [CoherentPoint.from_vector(x), CoherentPoint.from_vector(y)]
+        # the second coefficient also undoes the phase of <x|x + delta>
+        k = overlap(*points, basis)
+        coeffs = [c, -c * (1.0 - eta) * np.exp(1j * psi) * np.conj(k) / abs(k)]
+        try:
+            state = SuperposedState(coeffs, points, basis)
+        except ValueError:  # at or below the roundoff floor
+            assume(False)
+        assert state.norm_sq < 0.1 * (abs(coeffs[0]) ** 2 + abs(coeffs[1]) ** 2)
+        out = blocked_select(state, 0.0, BlockingVector(alpha=math.pi, chi=0.0))
+        v = out.record.v_at_choice
+        assert 0.0 < v <= 1.0
+        assert not out.record.blocked
+        for centre in (x, y, 0.5 * (x + y)):
+            assert v >= v_value(state, CoherentPoint.from_vector(centre)) - 1e-12
 
 
 # (modes, components) of the states the veto regression runs on
