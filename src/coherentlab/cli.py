@@ -92,9 +92,9 @@ def _run_select(config: dict, inputs: dict, outdir: Path, workers: int) -> None:
         + [f"p{k} (quadrature units)" for k in range(n)]
     )
     rows = [
-        [r.index, r.time, r.v_at_choice, r.blocked]
-        + [float(v) for v in r.chosen.q]
-        + [float(v) for v in r.chosen.p]
+        [r.index, r.time, r.v_at_choice, json.dumps(r.blocked)]
+        + r.chosen.q.tolist()
+        + r.chosen.p.tolist()
         for r in records
     ]
     write_csv(outdir / "events.csv", header, rows)
@@ -168,10 +168,7 @@ def _run_current(config: dict, inputs: dict, outdir: Path, workers: int) -> None
             "vacuum_persistence": persistence,
             "n_modes": len(modes),
             "n_trajectories": len(trajectories),
-            "displacement": {
-                "q": [float(v) for v in point.q],
-                "p": [float(v) for v in point.p],
-            },
+            "displacement": {"q": point.q.tolist(), "p": point.p.tolist()},
         },
     )
 

@@ -85,10 +85,14 @@ class Trajectory:
             raise ValueError("positions must have shape (n_breakpoints, 3)")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(positions))):
             raise ValueError("breakpoints must be finite")
-        dt = np.diff(times)
-        if np.any(dt <= 0):
-            raise ValueError("breakpoint times must strictly increase")
-        speeds = np.linalg.norm(np.diff(positions, axis=0), axis=1) / dt
+        # a difference of two finite breakpoints may overflow to inf: an
+        # infinite interval is refused, an infinite step or velocity is superluminal
+        with np.errstate(over="ignore"):
+            dt = np.diff(times)
+            if not (dt.min() > 0 and dt.max() < np.inf):
+                raise ValueError("breakpoint times must strictly increase by finite intervals")
+            # |v| from the velocity: |step|^2 overflows for a slow step past 1e154
+            speeds = np.linalg.norm(np.diff(positions, axis=0) / dt[:, None], axis=1)
         if np.any(speeds >= 1.0):
             raise ValueError(f"superluminal segment (max |v| = {speeds.max():g})")
         if not np.isfinite(self.charge):

@@ -1,10 +1,12 @@
 """Deterministic CSV, JSON, and SVG artifact writers.
 
-Floats are rendered with repr (shortest round-trip form), JSON keys are
-sorted, a non-finite float in JSON raises ``ValueError`` (it has no JSON
-form), and the SVG writer emits a self-contained document with no
-timestamps or external references, so identical inputs always produce
-byte-identical files.
+CSV cells are written as the csv module writes them: an int as ``str``,
+a float as its shortest round-trip repr, and a string as given, so a
+runner spells a boolean cell itself, as JSON does (``true``/``false``).
+JSON keys are sorted, a non-finite float in JSON raises ``ValueError``
+(it has no JSON form), and the SVG writer emits a self-contained
+document with no timestamps or external references, so identical
+inputs always produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,26 +17,13 @@ import math
 from pathlib import Path
 
 
-def fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))
-    if isinstance(value, (int,)):
-        return str(value)
-    if hasattr(value, "item"):  # numpy scalar
-        return fmt_value(value.item())
-    return str(value)
-
-
 def write_csv(path, header, rows) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt_value(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_json(path, obj) -> None:
@@ -50,11 +39,15 @@ def _widened(lo: float, hi: float) -> float:
     return hi if hi > lo else lo + max(1.0, math.ulp(lo))
 
 
+def _scale(lo: float, hi: float) -> float:
+    """1, or 0.5 where hi - lo overflows: such ends halve exactly, to a finite width."""
+    return 1.0 if hi - lo < math.inf else 0.5
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        return [0.0, 1.0]
-    hi = _widened(lo, hi)
-    raw = (hi - lo) / 5  # aim at five ticks
+    """Round-valued ticks inside [lo, hi], for finite lo < hi."""
+    s = _scale(lo, hi)
+    raw = (hi * s - lo * s) / (5 * s)  # aim at five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -63,7 +56,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     # integer tick indices: a running sum v += step stalls once step is
     # below half an ulp of v
     first, last = math.ceil(lo / step), math.floor(hi / step + 1e-9)
-    return [round(i * step, 12) for i in range(first, last + 1)] or [lo, hi]
+    ticks = [round(i * step, 12) for i in range(first, last + 1)]
+    return [t for t in ticks if lo <= t <= hi] if ticks else [lo, hi]
 
 
 _PALETTE = ["#1f6fb2", "#d1495b", "#3a7d44", "#8661c1", "#c77d2f", "#3b3b3b"]
@@ -89,17 +83,23 @@ def svg_line_plot(
     ys = [float(v) for _, y, _ in series for v in y]
     if not xs or not ys:
         raise ValueError("cannot plot empty series")
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("cannot plot non-finite values")
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     x1, y1 = _widened(x0, x1), _widened(y0, y1)
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 
+    sx, sy = _scale(x0, x1), _scale(y0, y1)
+    ax, wx = x0 * sx, x1 * sx - x0 * sx
+    ay, wy = y0 * sy, y1 * sy - y0 * sy
+
     def px(x: float) -> float:
-        return ml + (x - x0) / (x1 - x0) * pw
+        return ml + (x * sx - ax) / wx * pw
 
     def py(y: float) -> float:
-        return mt + ph - (y - y0) / (y1 - y0) * ph
+        return mt + ph - (y * sy - ay) / wy * ph
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -113,8 +113,6 @@ def svg_line_plot(
         f'font-family="sans-serif" font-size="15">{title}</text>'
     )
     for tx in _nice_ticks(x0, x1):
-        if tx < x0 or tx > x1:
-            continue
         parts.append(
             f'<line x1="{px(tx):.2f}" y1="{mt + ph}" x2="{px(tx):.2f}" '
             f'y2="{mt + ph + 5}" stroke="#444444"/>'
@@ -124,8 +122,6 @@ def svg_line_plot(
             f'font-family="sans-serif" font-size="11">{tx:g}</text>'
         )
     for ty in _nice_ticks(y0, y1):
-        if ty < y0 or ty > y1:
-            continue
         parts.append(
             f'<line x1="{ml - 5}" y1="{py(ty):.2f}" x2="{ml}" '
             f'y2="{py(ty):.2f}" stroke="#444444"/>'

@@ -331,6 +331,10 @@ BAD_INPUTS = {
     "wave_vector_length_overflows": _with(_CURRENT, modes=[{"k": [1e300, 1e300, 0.0]}]),
     "decreasing_breakpoint_times": _with(
         _CURRENT, trajectories=_track([1, 0, 0, 0], [0, 0.1, 0, 0])),
+    "breakpoint_interval_overflows": _with(
+        _CURRENT, trajectories=_track([-1e308, 0, 0, 0], [1e308, 0, 0, 0])),
+    "breakpoint_step_overflows": _with(
+        _CURRENT, trajectories=_track([0, -1e308, 0, 0], [1, 1e308, 0, 0])),
     "missing_trajectory_csv": _with(_CURRENT, trajectories={"csv": "missing.csv"}),
     "trajectory_csv_without_rows": _with(_CURRENT, trajectories={"csv": "header_only.csv"}),
     "trajectories_over_different_spans": _with(
@@ -474,17 +478,21 @@ _TWO_BUMPS = _with(_SELECT, initial={"components": [
 @pytest.mark.parametrize(
     "params",
     [{"n_events": 3, "t0": 1e16, "schedule": {"energy": 0.5}},
-     {"n_events": 1, "t0": 1e17, "schedule": {"energy": 0.0625}}],
-    ids=["ticks_below_half_an_ulp", "one_event_above_two_to_the_53"],
+     {"n_events": 1, "t0": 1e17, "schedule": {"energy": 0.0625}},
+     {"n_events": 3, "t0": -1.5e308, "schedule": {"energy": 1e-308}}],
+    ids=["ticks_below_half_an_ulp", "one_event_above_two_to_the_53",
+         "axis_wider_than_the_float_range"],
 )
 def test_event_times_of_large_magnitude_are_plotted(tmp_path, params):
-    # a tick step of half an ulp of t, or a one-event time axis whose unit
-    # widening rounds away, must still give a finite set of ticks
+    # a tick step of half an ulp of t, a one-event time axis whose unit
+    # widening rounds away, or an axis from -5e307 to 1.5e308 whose width
+    # overflows must still give a finite set of ticks at finite positions
     cfg = write_config(tmp_path, "late.json", _with(_TWO_BUMPS, **params))
     out = tmp_path / "out"
     proc = _run_cli_process(["select", "--config", cfg, "--out", str(out)])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
-    assert "<svg" in (out / "events.svg").read_text()
+    svg = (out / "events.svg").read_text()
+    assert "<svg" in svg and "nan" not in svg
 
 
 def test_delta_absorber_too_deep_for_a_float_saturates_silently(tmp_path):

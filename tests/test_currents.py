@@ -88,6 +88,11 @@ class TestTrajectory:
         traj = Trajectory.from_breakpoints(1.0, [(0.0, 0.0, 0.0, 0.0), (1.0, 0.5, 0.0, 0.0)])
         assert traj.span == (0.0, 1.0)
 
+    def test_long_slow_segment_is_subluminal(self):
+        # |step|^2 = 1e400 overflows; the speed 0.1 does not
+        traj = Trajectory.from_breakpoints(1.0, [(0.0, 0.0, 0.0, 0.0), (1e201, 1e200, 0.0, 0.0)])
+        assert traj.span == (0.0, 1e201)
+
 
 class TestCurrentJ:
     def test_zero_charges_give_zero(self):

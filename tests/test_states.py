@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,9 +74,50 @@ class TestOverlap:
             a, b = _random_point(rng, 2, scale=8.0), _random_point(rng, 2, scale=8.0)
             assert abs(overlap(a, b, basis)) <= 1.0 + 1e-15
 
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_hermitian_with_magnitude_at_most_one_property(self, data):
+        # pairs up to 400 apart: near ones overlap, far ones flush to 0
+        n = data.draw(st.integers(1, 3))
+        basis = ModeBasis(omegas=data.draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)),
+                          weights=data.draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n)))
+        coords = st.lists(st.floats(-200.0, 200.0), min_size=n, max_size=n)
+        a, b = (CoherentPoint(q=data.draw(coords), p=data.draw(coords)) for _ in range(2))
+        ab = overlap(a, b, basis)
+        assert ab == np.conj(overlap(b, a, basis))
+        assert abs(ab) <= 1.0
+
     def test_far_separated_flushed_to_zero(self):
         basis = single_mode()
         assert overlap(_pt(0.0, 0.0), _pt(1e6, 0.0), basis) == 0.0
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_components_past_the_flush_threshold_are_orthonormal_property(self, data):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 5))
+        weights = data.draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n))
+        basis = ModeBasis(omegas=np.ones(n), weights=weights)
+        q = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=m * n,
+                                        max_size=m * n))).reshape(m, n)
+        p = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=m * n,
+                                        max_size=m * n))).reshape(m, n)
+        # consecutive components at least 1.01 reach apart along one coordinate,
+        # so every pair's exponent is below -1.02 UNDERFLOW_EXPONENT
+        k = data.draw(st.integers(0, n - 1))
+        reach = math.sqrt(4.0 * UNDERFLOW_EXPONENT / weights[k])
+        gaps = data.draw(st.lists(st.floats(1.01, 100.0), min_size=m - 1, max_size=m - 1))
+        axis = q if data.draw(st.booleans()) else p
+        axis[:, k] = data.draw(st.floats(-1e3, 1e3)) + reach * np.concatenate([[0.0],
+                                                                              np.cumsum(gaps)])
+        coeffs = [data.draw(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+                  for _ in range(m)]
+        points = [CoherentPoint(q=q[j], p=p[j]) for j in range(m)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = SuperposedState(coeffs, points, basis)
+            assert all(overlap(a, b, basis) == 0.0 for a in points for b in points if a is not b)
+        assert np.array_equal(state.gram(), np.eye(m))
+        assert state.norm_sq == pytest.approx(sum(abs(c) ** 2 for c in coeffs), rel=1e-15)
 
 
 class TestGram:

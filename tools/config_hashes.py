@@ -1,11 +1,13 @@
-"""Hash every artifact that the sample configs produce.
+"""Hash every artifact that the sample configs and the artifact demos produce.
 
 Runs each ``configs/*.json`` through ``coherentlab.cli.main``, once with
 ``--workers 1`` and once with ``--workers 2``, and prints one
 ``config workers file sha256`` line per artifact, ``config_resolved.json``
-included.  Each run works in a fresh temporary directory with the
-relative ``--out out``, so the output directory the config echo records
-does not depend on where the temporary directory is.
+included.  Then runs each demo in ``DEMOS`` with its stdout captured and
+prints one ``demo - file sha256`` line per file it writes.  Each run
+works in a fresh temporary directory, the CLI with the relative
+``--out out``, so the output directory the config echo records does not
+depend on where the temporary directory is.
 
 A refactor keeps the artifacts byte-identical when the output of this
 script is the same before and after it:
@@ -22,10 +24,14 @@ lines that differ (``-`` saved, ``+`` now) and exits 1 on any difference,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
+import functools
 import hashlib
+import io
 import json
 import os
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -37,26 +43,40 @@ from coherentlab.cli import main as cli_main  # noqa: E402
 
 WORKERS = (1, 2)
 OUT = "out"
+DEMOS = ("born_statistics.py", "ring_survival.py", "selection_events.py")
+
+
+def _hashes(run) -> list[str]:
+    """``file sha256`` of every file that ``run()`` writes, with a fresh temporary cwd."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            run()
+        finally:
+            os.chdir(cwd)
+        return [f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+                for path in sorted(Path(tmp).rglob("*")) if path.is_file()]
+
+
+def _run_cli(args) -> None:
+    code = cli_main(args)
+    if code != 0:
+        raise SystemExit(f"{' '.join(args)} exited {code}")
 
 
 def config_hashes() -> list[str]:
     lines = []
-    cwd = os.getcwd()
     for config in sorted((ROOT / "configs").glob("*.json")):
         experiment = json.loads(config.read_text())["experiment"]
         for workers in WORKERS:
-            with tempfile.TemporaryDirectory() as tmp:
-                os.chdir(tmp)
-                try:
-                    code = cli_main([experiment, "--config", str(config), "--out", OUT,
-                                     "--workers", str(workers)])
-                finally:
-                    os.chdir(cwd)
-                if code != 0:
-                    raise SystemExit(f"{config.name} --workers {workers} exited {code}")
-                for path in sorted((Path(tmp) / OUT).iterdir()):
-                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                    lines.append(f"{config.name} {workers} {path.name} {digest}")
+            args = [experiment, "--config", str(config), "--out", OUT, "--workers", str(workers)]
+            lines += [f"{config.name} {workers} {entry}"
+                      for entry in _hashes(functools.partial(_run_cli, args))]
+    for demo in DEMOS:
+        run = functools.partial(runpy.run_path, str(ROOT / "demos" / demo), run_name="__main__")
+        with contextlib.redirect_stdout(io.StringIO()):
+            lines += [f"{demo} - {entry}" for entry in _hashes(run)]
     return lines
 
 
@@ -79,7 +99,8 @@ def listing_main(description: str, listing, argv=None) -> int:
 
 
 def main(argv=None) -> int:
-    return listing_main("Hash the artifacts of every sample config.", config_hashes, argv)
+    return listing_main("Hash the artifacts of every sample config and artifact demo.",
+                        config_hashes, argv)
 
 
 if __name__ == "__main__":
