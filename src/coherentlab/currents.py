@@ -329,9 +329,10 @@ def trajectories_from_csv(path) -> list[Trajectory]:
         if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
             raise ValueError(f"trajectory CSV needs columns {sorted(required)}")
         for row in reader:
-            pid = row["particle"]
-            entry = groups.setdefault(pid, {"charge": float(row["charge"]), "rows": []})
-            if entry["charge"] != float(row["charge"]):
+            pid, charge = row["particle"], float(row["charge"])
+            entry = groups.setdefault(pid, {"charge": charge, "rows": []})
+            # NaN equals nothing, itself included; Trajectory rejects it as not finite
+            if entry["charge"] != charge and not np.isnan([entry["charge"], charge]).all():
                 raise ValueError(f"particle {pid} has inconsistent charges")
             entry["rows"].append(
                 (float(row["t"]), float(row["x"]), float(row["y"]), float(row["z"]))

@@ -7,7 +7,8 @@ fallback and Armijo backtracking, started from every component center
 plus midpoints of nearby pairs.
 
 Values come from the one landscape evaluator in ``states``; the
-derivative rows are built from the differences it returns.
+derivative rows are built from the differences it returns.  Every
+evaluator here takes points of shape (..., 2n), one point or a stack.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ ASCENT_TOL = 1e-10
 ASCENT_MAX_ITER = 200
 
 
-def v_at(state: SuperposedState, x: np.ndarray) -> float:
-    """Landscape value at a flattened phase-space vector [q..., p...]."""
-    return float(_landscape_value(_component_terms(state, x)[0].sum(), state.norm_sq))
+def v_at(state: SuperposedState, x: np.ndarray) -> float | np.ndarray:
+    """Landscape value at phase-space points x = [q..., p...] of shape (..., 2n)."""
+    return _landscape_value(_component_terms(state, x)[0].sum(axis=-1), state.norm_sq)
 
 
 def v_gradient(state: SuperposedState, x: np.ndarray) -> np.ndarray:
@@ -59,19 +60,25 @@ def _curvature(basis) -> np.ndarray:
 
 
 def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
-    """Landscape value, gradient, and Hessian in one pass."""
+    """Landscape value, gradient, and Hessian in one pass.
+
+    At points x of shape (..., 2n) they have shapes (...), (..., 2n) and
+    (..., 2n, 2n), and each row of a stack has the bits of its one-point call.
+    """
     terms, dq, dp, sq = _component_terms(state, x)
     # log-derivative rows of every term with respect to [q..., p...]
     half_w = -0.5 * state.basis.weights
-    d = np.concatenate([half_w * (dq + 1j * dp), half_w * (dp + 1j * sq)], axis=1)
-    a = terms.sum()
-    da = terms @ d
+    d = np.concatenate([half_w * (dq + 1j * dp), half_w * (dp + 1j * sq)], axis=-1)
+    a = terms.sum(axis=-1)
+    ca = np.conj(a)[..., None]
+    # each row keeps the bits of terms @ d and "j,ja,jb->ab"; an einsum for da is 1e-14 off
+    da = np.matmul(terms[..., None, :], d)[..., 0, :]
     # Hessian of the amplitude: sum_j t_j (d_j d_j^T + const curvature blocks).
-    ha = np.einsum("j,ja,jb->ab", terms, d, d) + a * _curvature(state.basis)
-    v = float(_landscape_value(a, state.norm_sq))
-    grad = 2.0 * np.real(np.conj(a) * da) / state.norm_sq
-    hess = 2.0 * np.real(np.conj(da)[:, None] * da + np.conj(a) * ha) / state.norm_sq
-    return v, grad, hess
+    ha = np.einsum("...j,...ja,...jb->...ab", terms, d, d)
+    ha += a[..., None, None] * _curvature(state.basis)
+    grad = 2.0 * np.real(ca * da) / state.norm_sq
+    hess = 2.0 * np.real(np.conj(da)[..., :, None] * da[..., None, :] + ca[..., None] * ha)
+    return _landscape_value(a, state.norm_sq), grad, hess / state.norm_sq
 
 
 def ascend(state: SuperposedState, start: np.ndarray) -> tuple[np.ndarray, float, bool]:

@@ -45,19 +45,20 @@ def _scale(lo: float, hi: float) -> float:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """Round-valued ticks inside [lo, hi], for finite lo < hi."""
+    """Strictly increasing round-valued ticks inside [lo, hi], or [lo, hi], for finite lo < hi."""
     s = _scale(lo, hi)
     raw = (hi * s - lo * s) / (5 * s)  # aim at five ticks
-    mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    # integer tick indices: a running sum v += step stalls once step is
-    # below half an ulp of v
-    first, last = math.ceil(lo / step), math.floor(hi / step + 1e-9)
-    ticks = [round(i * step, 12) for i in range(first, last + 1)]
-    return [t for t in ticks if lo <= t <= hi] if ticks else [lo, hi]
+    # 10 ** e underflows or loses digits below the normal range, where no step may fit
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0 else 0.0
+    for step in (m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if 0 < raw <= m * mag):
+        # integer tick indices: a running sum v += step stalls below half an ulp of v
+        span = range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)
+        # rounding to 12 places clears noise such as 3 * 0.1, but merges steps below 1e-11
+        for ticks in ([round(i * step, 12) for i in span], [i * step for i in span]):
+            ticks = [t for t in ticks if lo <= t <= hi]
+            if ticks and all(a < b for a, b in zip(ticks, ticks[1:])):
+                return ticks
+    return [lo, hi]
 
 
 _PALETTE = ["#1f6fb2", "#d1495b", "#3a7d44", "#8661c1", "#c77d2f", "#3b3b3b"]

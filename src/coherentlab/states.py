@@ -11,10 +11,13 @@ exp(i sum_k w_k (q'_k p'_k - q_k p_k) / 2), so every Gram matrix built
 from it is positive semidefinite and |overlap| <= 1 with equality only
 at coincident points.
 
-The landscape |<x|Psi>|^2 / <Psi|Psi> has one evaluator, owned here:
-``_component_terms`` forms the terms c_j <x|x_j>, ``_landscape_value``
-takes the landscape from their sum, and ``amplitude``, ``v_value`` and
-the ascent in ``landscape`` are all built on these two.
+The kernel is implemented once, in ``_kernel_rows``, which takes points
+of shape (..., 2n) against component rows; the Gram matrix, ``overlap``
+and the identity quadrature call it.  The landscape
+|<x|Psi>|^2 / <Psi|Psi> has one evaluator, owned here:
+``_component_terms`` forms the terms c_j <x|x_j> at any stack of points,
+``_landscape_value`` takes the landscape from their sum, and ``amplitude``,
+``v_value`` and the ascent in ``landscape`` are all built on these two.
 """
 
 from __future__ import annotations
@@ -85,20 +88,19 @@ def _check_point(point: CoherentPoint, basis: ModeBasis):
         )
 
 
-def _kernel(dq, dp, sq, weights):
-    """The one kernel implementation: differences dq, dp and sums sq, modes last.
+def _kernel_rows(x, q, p, weights):
+    """The one kernel implementation: points x = [q..., p...] against component rows.
 
-    Underflowing and non-finite values are flushed to exact zero.
+    x has shape (..., 2n) and the rows q, p have shape (M, n).  Returns the
+    (..., M) kernel <x|q_j, p_j>, with underflowing and non-finite values
+    flushed to exact zero, and the (..., M, n) dq, dp and sq it came from.
     """
+    n = q.shape[-1]
+    xq, xp = x[..., None, :n], x[..., None, n:]
+    dq, dp, sq = xq - q, xp - p, xq + q
     expo = -0.25 * np.sum(weights * (dq * dq + dp * dp + 2j * dp * sq), axis=-1)
     out = np.exp(np.where(expo.real < -UNDERFLOW_EXPONENT, -np.inf, expo))
-    return np.where(np.isfinite(out), out, 0.0)
-
-
-def _overlap_matrix(qa, pa, qb, pb, weights):
-    """Pairwise kernel between rows of (qa, pa) and rows of (qb, pb)."""
-    qa, pa = qa[:, None, :], pa[:, None, :]
-    return _kernel(qa - qb[None], pa - pb[None], qa + qb[None], weights)
+    return np.where(np.isfinite(out), out, 0.0), dq, dp, sq
 
 
 def overlap(a: CoherentPoint, b: CoherentPoint, basis: ModeBasis) -> complex:
@@ -109,7 +111,7 @@ def overlap(a: CoherentPoint, b: CoherentPoint, basis: ModeBasis) -> complex:
     """
     _check_point(a, basis)
     _check_point(b, basis)
-    return complex(_kernel(a.q - b.q, a.p - b.p, a.q + b.q, basis.weights))
+    return complex(_kernel_rows(a.as_vector(), b.q[None], b.p[None], basis.weights)[0][0])
 
 
 class SuperposedState:
@@ -138,7 +140,7 @@ class SuperposedState:
         self.p = np.stack([pt.p for pt in points])
         self.q.setflags(write=False)
         self.p.setflags(write=False)
-        gram = _overlap_matrix(self.q, self.p, self.q, self.p, basis.weights)
+        gram = _kernel_rows(np.concatenate((self.q, self.p), 1), self.q, self.p, basis.weights)[0]
         norm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
         floor = NORM_RTOL * float(np.sum(coeffs.real**2 + coeffs.imag**2))
         if not np.isfinite(norm_sq) or norm_sq <= floor:
@@ -187,13 +189,9 @@ class SuperposedState:
 
 
 def _component_terms(state: SuperposedState, x):
-    """The terms c_j <x|x_j> at x = [q..., p...], and the dq, dp, sq they came from."""
-    x = np.asarray(x, dtype=float)
-    n = state.n_modes
-    dq = x[:n] - state.q
-    dp = x[n:] - state.p
-    sq = x[:n] + state.q
-    return state.coeffs * _kernel(dq, dp, sq, state.basis.weights), dq, dp, sq
+    """The terms c_j <x|x_j> at points x of shape (..., 2n), and the dq, dp, sq they came from."""
+    kernel, dq, dp, sq = _kernel_rows(np.asarray(x, float), state.q, state.p, state.basis.weights)
+    return state.coeffs * kernel, dq, dp, sq
 
 
 def _landscape_value(a, norm_sq):
@@ -266,12 +264,6 @@ def _axis(lo: float, hi: float, h: float) -> np.ndarray:
     return lo + np.arange(n + 1) * h
 
 
-def _trap_weights(m: int) -> np.ndarray:
-    w = np.ones(m)
-    w[0] = w[-1] = 0.5
-    return w
-
-
 # identity_check rejects a grid whose boundary carries a landscape value above this.
 BOUNDARY_TOL = 1e-12
 
@@ -289,21 +281,19 @@ def identity_check(state: SuperposedState, grid: QuadratureGrid = QuadratureGrid
     if n not in (1, 2):
         raise ValueError("identity_check supports 1- or 2-mode states only")
     h = grid.spacing
-    axes = []
-    for k in range(n):
-        axes.append(_axis(state.q[:, k].min() - grid.margin, state.q[:, k].max() + grid.margin, h))
-        axes.append(_axis(state.p[:, k].min() - grid.margin, state.p[:, k].max() + grid.margin, h))
+    # the q axis and the p axis of each mode in turn
+    axes = [_axis(c.min() - grid.margin, c.max() + grid.margin, h)
+            for k in range(n) for c in (state.q[:, k], state.p[:, k])]
 
     w = state.basis.weights
     # Per-mode separable factors: factors[k] has shape (len(q-axis), len(p-axis), M).
     factors = []
     for k in range(n):
-        qg = axes[2 * k][:, None, None, None]
-        pg = axes[2 * k + 1][None, :, None, None]
-        qk, pk = state.q[:, k:k + 1], state.p[:, k:k + 1]
-        factors.append(_kernel(qg - qk, pg - pk, qg + qk, w[k:k + 1]))
+        plane = np.stack(np.meshgrid(axes[2 * k], axes[2 * k + 1], indexing="ij"), axis=-1)
+        factors.append(_kernel_rows(plane, state.q[:, k:k + 1], state.p[:, k:k + 1], w[k:k + 1])[0])
 
-    trap = [_trap_weights(len(ax)) for ax in axes]
+    # trapezoid weights: 1/2 at both ends of each axis
+    trap = [np.pad(np.ones(len(ax) - 2), 1, constant_values=0.5) for ax in axes]
     # One slice of the first q axis at a time bounds memory at O(grid^(2n-1)).
     spec = "j,bj->b" if n == 1 else "j,bj,cdj->bcd"
     tw_rest = reduce(np.multiply.outer, trap[1:])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,7 +117,9 @@ class TestCliRing:
         assert rows[0] == "t (natural units),norm (dimensionless)"
         norms = [float(r.split(",")[1]) for r in rows[1:]]
         assert max(abs(n - 1.0) for n in norms) <= 1e-10
-        assert (out / "survival.svg").exists()
+        # the norm spans a few ulps of 1, and its y ticks stand at distinct heights
+        heights = re.findall(r'<line x1="65" y1="([^"]+)"', (out / "survival.svg").read_text())
+        assert len(heights) >= 2 and len(set(heights)) == len(heights)
         resolved = json.loads((out / "config_resolved.json").read_text())
         assert resolved["version"] == "0.1.0"
         assert resolved["parameters"]["absorber"]["kind"] == "delta"
@@ -516,6 +519,20 @@ def test_memory_error_during_the_run_is_one_line(tmp_path, monkeypatch, capsys):
     assert main(["ring", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.splitlines() == ["error[memory]: out of memory"]
     assert not (tmp_path / "out").exists()
+
+
+def test_thetas_a_few_subnormal_units_apart_are_plotted(tmp_path):
+    cfg = write_config(tmp_path, "born.json", _with(_BORN, thetas=[0.0, 5e-323]))
+    assert main(["born", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "born.svg").exists()
+
+
+def test_nan_charge_in_a_trajectory_csv_is_not_finite(tmp_path):
+    # NaN != NaN, which once read as two different charges of one particle
+    tracks = tmp_path / "tracks.csv"
+    tracks.write_text("particle,charge,t,x,y,z\na,nan,0.0,0.0,0.0,0.0\na,nan,1.0,0.5,0.0,0.0\n")
+    with pytest.raises(ConfigError, match="charge must be finite"):
+        resolve_config(_with(_CURRENT, trajectories={"csv": str(tracks)}))
 
 
 class TestCliBorn:

@@ -268,6 +268,46 @@ class TestAscentReuse:
             assert all(a != b for a, b in zip(points, points[1:]))
 
 
+class TestExhaustedLineSearch:
+    """A direction along which no trial step gains ends the ascent as not converged."""
+
+    @staticmethod
+    def _summits_at(monkeypatch, starts):
+        # the real gradient and Hessian, but v = -(distance to the nearest
+        # start): each start is a summit, and every Armijo trial falls below it
+        evaluate = coherentlab.landscape.v_value_grad_hess
+        calls = []
+
+        def lowered(state, x):
+            calls.append(np.array(x))
+            _, grad, hess = evaluate(state, x)
+            return -min(float(np.linalg.norm(x - s)) for s in starts), grad, hess
+
+        monkeypatch.setattr(coherentlab.landscape, "v_value_grad_hess", lowered)
+        return calls
+
+    def _state(self):
+        # unequal overlapping bumps: no start is a stationary point
+        return SuperposedState([0.8, 0.6], [_pt(0.0, 0.0), _pt(1.5, 0.5)], single_mode())
+
+    def test_ascend_returns_the_start_after_sixty_halvings(self, monkeypatch):
+        state = self._state()
+        start = ascent_starts(state)[0]
+        calls = self._summits_at(monkeypatch, [start])
+        x, v, ok = ascend(state, start)
+        assert x.tobytes() == start.tobytes() and v == 0.0 and ok is False
+        assert len(calls) == 1 + 60
+        assert all(np.any(c != start) for c in calls[1:])
+
+    def test_find_local_maxima_counts_every_such_start_as_failed(self, monkeypatch):
+        state = self._state()
+        starts = ascent_starts(state)
+        self._summits_at(monkeypatch, starts)
+        result = find_local_maxima(state)
+        assert len(starts) == 3
+        assert result.failed_starts == len(starts) and result.maxima == []
+
+
 class TestLandscapeUnderflow:
     """The landscape flushes far components to zero exactly as ``overlap`` does."""
 

@@ -20,7 +20,7 @@ from coherentlab import (
     v_value,
 )
 from coherentlab.landscape import v_at, v_value_grad_hess
-from coherentlab.states import UNDERFLOW_EXPONENT, _overlap_matrix
+from coherentlab.states import UNDERFLOW_EXPONENT, _component_terms, _kernel_rows
 
 E_MINUS_1 = 0.36787944117144233  # exp(-(4+0+0)/4) for a 2-quadrature-unit offset
 
@@ -140,7 +140,7 @@ class TestGram:
         coords = st.lists(st.floats(-200.0, 200.0), min_size=m * n, max_size=m * n)
         q = np.array(data.draw(coords)).reshape(m, n)
         p = np.array(data.draw(coords)).reshape(m, n)
-        g = _overlap_matrix(q, p, q, p, weights)
+        g = _kernel_rows(np.concatenate([q, p], axis=1), q, p, weights)[0]
         assert np.all(np.isfinite(g))
         assert np.array_equal(g, g.conj().T)
         assert np.all(np.abs(g) <= 1.0)
@@ -250,8 +250,8 @@ _COORD = st.floats(-6.0, 6.0)
 
 
 @st.composite
-def _states_with_probes(draw):
-    """1-3 modes, 1-6 components, and probe points near and far from them.
+def _states_with_probes(draw, max_components=6):
+    """1-3 modes, 1 to ``max_components`` components, and probe points near and far from them.
 
     Optionally the last component sits 1e3 away in q_1, so its kernel
     underflows to zero at every other component, and the first two form a
@@ -259,7 +259,7 @@ def _states_with_probes(draw):
     is orders of magnitude below sum |c_j|^2 yet above the roundoff floor.
     """
     n = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 6))
+    m = draw(st.integers(1, max_components))
     vec = st.lists(_COORD, min_size=2 * n, max_size=2 * n).map(np.array)
     basis = ModeBasis(omegas=draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)),
                       weights=draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n)))
@@ -319,6 +319,44 @@ class TestOneLandscapeEvaluator:
         c = np.array([complex(data.draw(part), data.draw(part))])
         unit_gram = float(np.real(np.conj(c) @ np.ones((1, 1), complex) @ c))
         assert SuperposedState(c, [a], basis).norm_sq == unit_gram
+
+
+class TestBatchedEvaluator:
+    """A stack of points evaluates each row with the bits of its one-point call."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(case=_states_with_probes(max_components=8))
+    def test_stacked_rows_equal_one_point_calls(self, case):
+        state, probes = case
+        stack = np.array(probes)
+        terms = _component_terms(state, stack)[0]
+        values = v_at(state, stack)
+        v, grad, hess = v_value_grad_hess(state, stack)
+        # a stack of stacks takes the same path through the ... axes
+        v3, grad3, hess3 = v_value_grad_hess(state, stack[None])
+        assert terms.shape == (len(probes), state.n_components) and hess.shape[1:] == (
+            2 * state.n_modes, 2 * state.n_modes)
+        for i, x in enumerate(probes):
+            assert terms[i].tobytes() == _component_terms(state, x)[0].tobytes()
+            assert values[i] == v_at(state, x)
+            one = v_value_grad_hess(state, x)
+            assert v[i] == one[0] and v3[0, i] == one[0]
+            assert grad[i].tobytes() == one[1].tobytes() == grad3[0, i].tobytes()
+            assert hess[i].tobytes() == one[2].tobytes() == hess3[0, i].tobytes()
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(case=_states_with_probes(max_components=8))
+    def test_gram_equals_the_pairwise_kernel(self, case):
+        state, _ = case
+        # reference: the kernel of every row pair, broadcast pairwise by hand
+        q, p = state.q[:, None, :], state.p[:, None, :]
+        dq, dp, sq = q - state.q[None], p - state.p[None], q + state.q[None]
+        expo = -0.25 * np.sum(state.basis.weights * (dq * dq + dp * dp + 2j * dp * sq), axis=-1)
+        out = np.exp(np.where(expo.real < -UNDERFLOW_EXPONENT, -np.inf, expo))
+        pairwise = np.where(np.isfinite(out), out, 0.0)
+        assert state.gram().tobytes() == pairwise.tobytes()
+        c = state.coeffs
+        assert state.norm_sq == float(np.real(np.conj(c) @ pairwise @ c))
 
 
 class TestFreeEvolution:
@@ -494,7 +532,8 @@ class TestSingleComponentGram:
             )
             coeff = complex(rng.normal(), rng.normal())
             state = SuperposedState([coeff], [point], basis)
-            kernel = _overlap_matrix(state.q, state.p, state.q, state.p, basis.weights)
+            centres = np.concatenate([state.q, state.p], axis=1)
+            kernel = _kernel_rows(centres, state.q, state.p, basis.weights)[0]
             assert state.gram().tobytes() == kernel.tobytes()
             c = state.coeffs
             assert state.norm_sq == float(np.real(np.conj(c) @ kernel @ c))

@@ -1,10 +1,12 @@
-"""Hash every artifact that the sample configs and the artifact demos produce.
+"""Hash every artifact that the sample configs and the demos produce.
 
 Runs each ``configs/*.json`` through ``coherentlab.cli.main``, once with
 ``--workers 1`` and once with ``--workers 2``, and prints one
 ``config workers file sha256`` line per artifact, ``config_resolved.json``
 included.  Then runs each demo in ``DEMOS`` with its stdout captured and
-prints one ``demo - file sha256`` line per file it writes.  Each run
+prints one ``demo - file sha256`` line per file it writes and one
+``demo - stdout sha256`` line for what it prints, so that the print-only
+demos are covered too.  Each run
 works in a fresh temporary directory, the CLI with the relative
 ``--out out``, so the output directory the config echo records does not
 depend on where the temporary directory is.
@@ -43,7 +45,7 @@ from coherentlab.cli import main as cli_main  # noqa: E402
 
 WORKERS = (1, 2)
 OUT = "out"
-DEMOS = ("born_statistics.py", "ring_survival.py", "selection_events.py")
+DEMOS = tuple(sorted(path.name for path in (ROOT / "demos").glob("*.py")))
 
 
 def _hashes(run) -> list[str]:
@@ -75,8 +77,11 @@ def config_hashes() -> list[str]:
                       for entry in _hashes(functools.partial(_run_cli, args))]
     for demo in DEMOS:
         run = functools.partial(runpy.run_path, str(ROOT / "demos" / demo), run_name="__main__")
-        with contextlib.redirect_stdout(io.StringIO()):
-            lines += [f"{demo} - {entry}" for entry in _hashes(run)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            files = _hashes(run)
+        files.append(f"stdout {hashlib.sha256(stdout.getvalue().encode()).hexdigest()}")
+        lines += [f"{demo} - {entry}" for entry in files]
     return lines
 
 
