@@ -5,18 +5,14 @@ accepted or vetoed by a blocking vector Phi drawn uniformly from a
 2-sphere surface: the veto fires exactly when Phi's polar angle alpha
 satisfies alpha/2 <= theta.  Nothing else is random.  Averaging the
 deterministic veto over the uniform measure reproduces the cos^2(theta)
-acceptance law, cell by cell.
+acceptance law, cell by cell.  The sweep is that of configs/born.json,
+whose artifacts `coherentlab born --config configs/born.json` writes.
 """
 
-import pathlib
-
 from coherentlab import sweep_transition_prob
-from coherentlab.reporting import svg_line_plot, write_csv
 
-OUT = pathlib.Path("demo_output/born_statistics")
-
-thetas = [0.1 * i for i in range(1, 16)]
-rows = sweep_transition_prob(thetas, n=10**6, seed=2718)
+thetas = [round(0.1 * i, 10) for i in range(1, 16)]
+rows = sweep_transition_prob(thetas, n=10**6, seed=42)
 
 print(f"{'theta':>6} {'p_hat':>9} {'cos^2':>9} {'z':>6}")
 for r in rows:
@@ -24,16 +20,3 @@ for r in rows:
 
 within = sum(abs(r["z_score"]) < 4 for r in rows)
 print(f"\n{within}/15 cells within 4 standard errors of cos^2(theta)")
-
-write_csv(OUT / "sweep.csv",
-          ["theta (rad)", "p_hat", "stderr", "cos2theta", "z_score"],
-          [[r["theta"], r["p_hat"], r["stderr"], r["cos2theta"], r["z_score"]] for r in rows])
-svg_line_plot(
-    OUT / "sweep.svg",
-    [(thetas, [r["p_hat"] for r in rows], "measured"),
-     (thetas, [r["cos2theta"] for r in rows], "cos^2 theta")],
-    title="Acceptance frequency vs transition angle",
-    xlabel="theta (rad)",
-    ylabel="acceptance",
-)
-print(f"wrote {OUT}/sweep.csv and sweep.svg")

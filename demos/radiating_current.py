@@ -8,8 +8,6 @@ selection engine pick the argmax bump, and check that the geometric
 veto accepts it at the frequency the landscape value predicts.
 """
 
-import pathlib
-
 import numpy as np
 
 from coherentlab import (
@@ -26,9 +24,6 @@ from coherentlab import (
     vacuum_persistence,
 )
 from coherentlab.states import CoherentPoint
-
-OUT = pathlib.Path("demo_output/radiating_current")
-OUT.mkdir(parents=True, exist_ok=True)
 
 # one unit charge making two sharp turns; three modes, both polarizations
 trajectory = Trajectory.from_breakpoints(

@@ -7,11 +7,9 @@ stationary classical ensemble on the same circle behaves like marbles
 sitting in the trough: the ones over the drain fall out at t = 0 and
 everyone else survives forever.
 
-This script runs both, prints the crossing time at which the quantum
-norm falls below 1%, and writes the paired survival curves to an SVG.
+This script runs both and prints when the quantum norm falls below 1%;
+`coherentlab ring --config configs/ring.json` writes both survival curves.
 """
-
-import pathlib
 
 import numpy as np
 
@@ -23,9 +21,6 @@ from coherentlab import (
     uniform_ensemble,
     uniform_state,
 )
-from coherentlab.reporting import svg_line_plot, write_csv
-
-OUT = pathlib.Path("demo_output/ring_survival")
 
 # The drain: a single-cell well of integrated strength b at x = 0.
 absorber = Absorber(kind="delta", center=0.0, strength=0.5)
@@ -43,15 +38,3 @@ ensemble = uniform_ensemble(members=100000, seed=1)
 classical = classical_survival(ensemble, region_center=0.0, region_width=0.05,
                                times=curve.t)
 print(f"classical ensemble settles at {classical.survival[0]:.4f} and stays there")
-
-write_csv(OUT / "survival.csv",
-          ["t (natural units)", "quantum norm", "classical survival"],
-          zip(curve.t.tolist(), curve.survival.tolist(), classical.survival.tolist()))
-svg_line_plot(
-    OUT / "survival.svg",
-    [(curve.t, curve.survival, "quantum"), (classical.t, classical.survival, "classical")],
-    title="Drained ring: quantum flow vs stationary ensemble",
-    xlabel="t (natural units)",
-    ylabel="survival",
-)
-print(f"wrote {OUT}/survival.csv and survival.svg")

@@ -9,9 +9,8 @@ alternatives around the survivor.
 
 Here the hook spawns two random side-bumps per step, so each event is a
 real decision; the log shows which point won and how dominant it was.
+`coherentlab select --config configs/select.json` writes the same run.
 """
-
-import pathlib
 
 from coherentlab import (
     CoherentPoint,
@@ -22,9 +21,6 @@ from coherentlab import (
     run_sequence,
     single_mode,
 )
-from coherentlab.reporting import svg_line_plot, write_csv
-
-OUT = pathlib.Path("demo_output/selection_events")
 
 basis = single_mode(omega=1.0)
 initial = SuperposedState(
@@ -51,16 +47,3 @@ for r in records:
     print(f"  #{r.index:2d} t = {r.time:5.2f}  v = {r.v_at_choice:.4f}  "
           f"chose q = {r.chosen.q[0]:+7.3f}, p = {r.chosen.p[0]:+7.3f}  "
           f"({len(r.candidates)} candidates)")
-
-write_csv(OUT / "events.csv",
-          ["index", "time (natural units)", "v (dimensionless)", "q0", "p0"],
-          [[r.index, r.time, r.v_at_choice, float(r.chosen.q[0]), float(r.chosen.p[0])]
-           for r in records])
-svg_line_plot(
-    OUT / "events.svg",
-    [([r.time for r in records], [r.v_at_choice for r in records], "v at choice")],
-    title="Dominance of the selected bump per event",
-    xlabel="t (natural units)",
-    ylabel="v",
-)
-print(f"\nwrote {OUT}/events.csv and events.svg")

@@ -35,12 +35,16 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .borngeo import sweep_transition_prob
 from .config import EXPERIMENTS, ConfigError, resolve_config
-from .currents import current_j, displacement_from_current, lorentz_dot, vacuum_persistence
+from .currents import (
+    _wave_vectors,
+    current_j,
+    displacement_from_current,
+    lorentz_dot,
+    vacuum_persistence,
+)
 from .reporting import svg_line_plot, write_csv, write_json
 from .ring import classical_survival, survival_curve
 from .selection import record_as_dict, run_sequence
@@ -150,7 +154,7 @@ def _run_current(config: dict, inputs: dict, outdir: Path, workers: int) -> None
         "k_dot_j_re", "k_dot_j_im",
         "q (quadrature units)", "p (quadrature units)",
     ]
-    k = np.array([mode.k4 for mode in modes])
+    k = _wave_vectors(modes)
     j = current_j(trajectories, k)
     div = lorentz_dot(k, j)
     rows = [

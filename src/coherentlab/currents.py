@@ -320,7 +320,8 @@ def trajectories_from_csv(path) -> list[Trajectory]:
     """Load trajectories from CSV columns: particle, charge, t, x, y, z.
 
     Rows are grouped by particle id; each particle's charge must be
-    consistent across its rows; rows may appear in any order.
+    consistent across its rows; rows may appear in any order.  A row
+    with more or fewer fields than the header raises ``ValueError``.
     """
     groups: dict[str, dict] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -329,6 +330,10 @@ def trajectories_from_csv(path) -> list[Trajectory]:
         if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
             raise ValueError(f"trajectory CSV needs columns {sorted(required)}")
         for row in reader:
+            # DictReader fills a short row with None and keys a long row's rest by None
+            if None in row or None in row.values():
+                raise ValueError(f"trajectory CSV line {reader.line_num} does not have "
+                                 f"the header's {len(reader.fieldnames)} fields")
             pid, charge = row["particle"], float(row["charge"])
             entry = groups.setdefault(pid, {"charge": charge, "rows": []})
             # NaN equals nothing, itself included; Trajectory rejects it as not finite

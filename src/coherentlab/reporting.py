@@ -6,7 +6,8 @@ runner spells a boolean cell itself, as JSON does (``true``/``false``).
 JSON keys are sorted, a non-finite float in JSON raises ``ValueError``
 (it has no JSON form), and the SVG writer emits a self-contained
 document with no timestamps or external references, so identical
-inputs always produce byte-identical files.
+inputs always produce byte-identical files.  Each writer writes into
+an existing directory and creates none.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from pathlib import Path
 
 
 def write_csv(path, header, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -27,8 +26,6 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, obj) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -59,6 +56,15 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
             if ticks and all(a < b for a, b in zip(ticks, ticks[1:])):
                 return ticks
     return [lo, hi]
+
+
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """``{t:g}`` labels, or the fewest significant digits up to 17 that tell the ticks apart."""
+    for digits in range(6, 18):
+        labels = [f"{t:.{digits}g}" for t in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 _PALETTE = ["#1f6fb2", "#d1495b", "#3a7d44", "#8661c1", "#c77d2f", "#3b3b3b"]
@@ -113,23 +119,25 @@ def svg_line_plot(
         f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{title}</text>'
     )
-    for tx in _nice_ticks(x0, x1):
+    xticks = _nice_ticks(x0, x1)
+    for tx, label in zip(xticks, _tick_labels(xticks)):
         parts.append(
             f'<line x1="{px(tx):.2f}" y1="{mt + ph}" x2="{px(tx):.2f}" '
             f'y2="{mt + ph + 5}" stroke="#444444"/>'
         )
         parts.append(
             f'<text x="{px(tx):.2f}" y="{mt + ph + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tx:g}</text>'
+            f'font-family="sans-serif" font-size="11">{label}</text>'
         )
-    for ty in _nice_ticks(y0, y1):
+    yticks = _nice_ticks(y0, y1)
+    for ty, label in zip(yticks, _tick_labels(yticks)):
         parts.append(
             f'<line x1="{ml - 5}" y1="{py(ty):.2f}" x2="{ml}" '
             f'y2="{py(ty):.2f}" stroke="#444444"/>'
         )
         parts.append(
             f'<text x="{ml - 8}" y="{py(ty) + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{ty:g}</text>'
+            f'font-family="sans-serif" font-size="11">{label}</text>'
         )
     parts.append(
         f'<text x="{ml + pw / 2:.1f}" y="{height - 14}" text-anchor="middle" '
@@ -156,6 +164,4 @@ def svg_line_plot(
             f'font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n")

@@ -118,8 +118,12 @@ class TestCliRing:
         norms = [float(r.split(",")[1]) for r in rows[1:]]
         assert max(abs(n - 1.0) for n in norms) <= 1e-10
         # the norm spans a few ulps of 1, and its y ticks stand at distinct heights
-        heights = re.findall(r'<line x1="65" y1="([^"]+)"', (out / "survival.svg").read_text())
+        svg = (out / "survival.svg").read_text()
+        heights = re.findall(r'<line x1="65" y1="([^"]+)"', svg)
         assert len(heights) >= 2 and len(set(heights)) == len(heights)
+        # and their labels tell them apart
+        labels = re.findall(r'text-anchor="end" [^>]*>([^<]+)</text>', svg)
+        assert len(labels) == len(heights) and len(set(labels)) == len(labels), labels
         resolved = json.loads((out / "config_resolved.json").read_text())
         assert resolved["version"] == "0.1.0"
         assert resolved["parameters"]["absorber"]["kind"] == "delta"
@@ -340,6 +344,8 @@ BAD_INPUTS = {
         _CURRENT, trajectories=_track([0, -1e308, 0, 0], [1, 1e308, 0, 0])),
     "missing_trajectory_csv": _with(_CURRENT, trajectories={"csv": "missing.csv"}),
     "trajectory_csv_without_rows": _with(_CURRENT, trajectories={"csv": "header_only.csv"}),
+    "trajectory_csv_short_row": _with(_CURRENT, trajectories={"csv": "short_row.csv"}),
+    "trajectory_csv_long_row": _with(_CURRENT, trajectories={"csv": "long_row.csv"}),
     "trajectories_over_different_spans": _with(
         _CURRENT,
         trajectories=_track([0, 0, 0, 0], [1, 0.5, 0, 0]) + _track([0, 1, 0, 0], [2, 1, 0, 0])),
@@ -368,13 +374,18 @@ BAD_INPUTS = {
 KEY_IN_MESSAGE = {
     "born_zero_samples": "samples must be >= 1, got 0",
     "spread_zero_mass": "mass_kg must be positive and finite, got 0.0",
+    "trajectory_csv_short_row": "line 3 does not have the header's 6 fields",
+    "trajectory_csv_long_row": "line 3 does not have the header's 6 fields",
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_is_config_error(tmp_path, monkeypatch, capsys, name):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "header_only.csv").write_text("particle,charge,t,x,y,z\n")
+    header = "particle,charge,t,x,y,z\n"
+    (tmp_path / "header_only.csv").write_text(header)
+    (tmp_path / "short_row.csv").write_text(header + "a,1,0,0,0,0\na,1,1,0.5,0\n")
+    (tmp_path / "long_row.csv").write_text(header + "a,1,0,0,0,0\na,1,1,0.5,0,0,7\n")
     config = BAD_INPUTS[name]
     cfg = write_config(tmp_path, "bad.json", config)
     assert main([config["experiment"], "--config", cfg, "--out", "out"]) == 2

@@ -1,15 +1,14 @@
-"""Hash every artifact that the sample configs and the demos produce.
+"""Hash every artifact of the sample configs and what every demo prints.
 
 Runs each ``configs/*.json`` through ``coherentlab.cli.main``, once with
 ``--workers 1`` and once with ``--workers 2``, and prints one
 ``config workers file sha256`` line per artifact, ``config_resolved.json``
 included.  Then runs each demo in ``DEMOS`` with its stdout captured and
-prints one ``demo - file sha256`` line per file it writes and one
-``demo - stdout sha256`` line for what it prints, so that the print-only
-demos are covered too.  Each run
-works in a fresh temporary directory, the CLI with the relative
-``--out out``, so the output directory the config echo records does not
-depend on where the temporary directory is.
+prints one ``demo - stdout sha256`` line for what it prints.  The demos
+write no files; one that did would get a ``demo - file sha256`` line per
+file.  Each run works in a fresh temporary directory, the CLI with the
+relative ``--out out``, so the output directory the config echo records
+does not depend on where the temporary directory is.
 
 A refactor keeps the artifacts byte-identical when the output of this
 script is the same before and after it:
@@ -104,7 +103,7 @@ def listing_main(description: str, listing, argv=None) -> int:
 
 
 def main(argv=None) -> int:
-    return listing_main("Hash the artifacts of every sample config and artifact demo.",
+    return listing_main("Hash the artifacts of every sample config and each demo's stdout.",
                         config_hashes, argv)
 
 
