@@ -12,6 +12,7 @@ measure reproduces acceptance probability cos^2(theta).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -158,13 +159,14 @@ def _accepted_counts(cells: list[tuple[int, tuple]], n: int, shards: int, worker
     """Accepted counts of n samples for each (lattice threshold, seed prefix) cell.
 
     Each cell is split into ``shards`` substreams keyed by (*prefix,
-    shard); all shards of all cells share one thread pool, and the counts
-    never depend on ``workers``.
+    shard); all shards of all cells share one pool of at most ``workers``
+    threads, and of no more than jobs or CPUs; the counts never depend on it.
     """
     sizes = _shard_sizes(n, shards)
     jobs = [(k, m, (*prefix, i)) for k, prefix in cells for i, m in enumerate(sizes)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(jobs), os.cpu_count() or 1)
+    if pool_size > 1:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
             counts = list(pool.map(lambda job: _accepted_count(*job), jobs))
     else:
         counts = [_accepted_count(*job) for job in jobs]

@@ -27,6 +27,7 @@ COHERENTLAB_OUT environment variable, else the config's "out" entry.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -213,8 +214,13 @@ def run(config: dict, inputs: dict, workers: int = 1) -> None:
         echoed = {**config, "version": __version__, "out": str(outdir)}
         write_json(workdir / "config_resolved.json", echoed)
         _RUNNERS[config["experiment"]](config, inputs, workdir, workers)
+        artifacts = sorted(workdir.iterdir())
+        # a directory in an artifact's place would fail its move after earlier moves
+        for target in (outdir / path.name for path in artifacts):
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         outdir.mkdir(parents=True, exist_ok=True)
-        for path in sorted(workdir.iterdir()):
+        for path in artifacts:
             path.replace(outdir / path.name)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -8,8 +8,9 @@ k.x = k0 t - k_vec . x_vec), the current
 
 which is closed-form per linear segment: a segment entered at event
 x(t_a) with constant 4-velocity v = (1, v_vec) over duration dt
-contributes -i e * v_mu * exp(i k.x(t_a)) * (exp(i phi dt) - 1)/(i phi)
-with phi = k.v (the phi -> 0 limit is dt).
+contributes -i e * v_mu * exp(i k.x(t_a)) * dt exp(i phi dt/2) sinc(phi dt/2)
+with phi = k.v and sinc(x) = sin(x)/x: (exp(i phi dt) - 1)/(i phi) without
+its cancellation, exact to rounding at every phase, so no small-phase branch.
 
 Every function that works per mode evaluates all modes in one stacked
 current_j call over a (K, 4) array of wave vectors.  The Lorentz
@@ -150,26 +151,17 @@ def current_j(trajectories, k):
     ks = _check_on_shell(k)
     _check_common_span(trajectories)
     total = np.zeros((ks.shape[0], 4), dtype=complex)
+    # the lowered k contracts with events and 4-velocities, one vector-matrix
+    # product per row of k, so a row is the same whatever else the stack holds
+    k_low = (ks * _METRIC_SIGNS)[:, None, :]
     for traj in trajectories:
+        events = np.column_stack([traj.times, traj.positions])
         dts = np.diff(traj.times)
-        vel = np.diff(traj.positions, axis=0) / dts[:, None]
-        # k.x at segment entry events and phi = k.v, shape (K, S); every
-        # product below is one vector-matrix product per row of k, so a
-        # row is the same whatever else the stack holds
-        k_row = ks[:, None, 1:]
-        kx_a = ks[:, :1] * traj.times[:-1] - (k_row @ traj.positions[:-1].T)[:, 0]
-        phi = ks[:, :1] - (k_row @ vel.T)[:, 0]
-        dt = np.broadcast_to(dts, phi.shape)
-        seg = np.empty(phi.shape, dtype=complex)
-        small = np.abs(phi * dt) < 1e-8
-        big = ~small
-        ph = phi[big]
-        seg[big] = (np.exp(1j * ph * dt[big]) - 1.0) / (1j * ph)
-        # series (e^{i phi dt} - 1)/(i phi) = dt (1 + i phi dt/2 - (phi dt)^2/6)
-        sm = phi[small] * dt[small]
-        seg[small] = dt[small] * (1.0 + 0.5j * sm - sm * sm / 6.0)
-        seg = seg * np.exp(1j * kx_a)
-        v4 = np.concatenate([np.ones((dts.size, 1)), vel], axis=1)
+        v4 = np.diff(events, axis=0) / dts[:, None]  # time component dt / dt = 1 exactly
+        # k.x at entry events and phase phi dt, shape (K, S); np.sinc(x) is sin(pi x)/(pi x)
+        kx_a = (k_low @ events[:-1].T)[:, 0]
+        phase = (k_low @ v4.T)[:, 0] * dts
+        seg = dts * np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi)) * np.exp(1j * kx_a)
         total += -1j * traj.charge * (seg[:, None, :] @ v4)[:, 0]
     return FourVector(components=total[0]) if np.ndim(k) == 1 else total
 

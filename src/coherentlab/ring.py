@@ -268,11 +268,12 @@ def survival_curve(
     A = M^r.  It is built by stepping the identity's rows r times with the
     stepper itself (row i is M^r e_i), ``STRIDE_BLOCK_ROWS`` rows at a
     time in place, so a stride run holds A and one row block; the
-    N <= 1024 cap bounds A at 16 MiB.  Each record then costs one matvec
-    ``psi @ A`` instead of r FFT pairs; steps left over after the last
-    whole stride are stepped.  Which path runs follows a cost model of
-    the call's N, r and s = steps // r, in microseconds, measured with
-    BLAS pinned to one thread (numpy 2.4, OpenBLAS 0.3, 2 vCPUs):
+    N <= 1024 cap bounds A at 16 MiB.  Records fall after steps 0, r, 2r,
+    ..., steps; each gap between two records is one matvec ``psi @ A``
+    where A exists and the gap is a whole stride, else a run of split
+    steps.  Which path runs follows a cost model of the call's N, r and
+    s = steps // r, in microseconds, measured with BLAS pinned to one
+    thread (numpy 2.4, OpenBLAS 0.3, 2 vCPUs):
 
         one step        12 + 0.03 N         measured 16, 19, 22, 21-31, 42-47
                                             at N = 64, 128, 256, 512, 1024
@@ -295,28 +296,25 @@ def survival_curve(
     _check_run(initial, dt, steps, record_every)
     decay_half, kinetic = _step_factors(initial, absorber, dt)
     psi = initial.psi.copy()
-    times = [initial.time]
-    norms = [_norm(psi)]
-    done = 0
-    strides = steps // record_every
-    if _stride_is_cheaper(psi.size, record_every, strides):
-        rows = np.eye(psi.size, dtype=complex)
-        work = np.empty((STRIDE_BLOCK_ROWS, psi.size), dtype=complex)
-        # rows step independently, so each block is stepped in place
-        for block in np.split(rows, psi.size // STRIDE_BLOCK_ROWS):
-            for _ in range(record_every):
-                _strang(block, work, decay_half, kinetic)
-        for _ in range(strides):
-            psi = psi @ rows
-            done += record_every
-            times.append(initial.time + done * dt)
-            norms.append(_norm(psi))
     work = np.empty_like(psi)
-    for i in range(done + 1, steps + 1):
-        _strang(psi, work, decay_half, kinetic)
-        if i % record_every == 0 or i == steps:
-            times.append(initial.time + i * dt)
-            norms.append(_norm(psi))
+    marks = [*range(0, steps, record_every), steps]
+    stride = None
+    if _stride_is_cheaper(psi.size, record_every, steps // record_every):
+        stride = np.eye(psi.size, dtype=complex)
+        block_work = np.empty((STRIDE_BLOCK_ROWS, psi.size), dtype=complex)
+        # rows step independently, so each block is stepped in place
+        for block in np.split(stride, psi.size // STRIDE_BLOCK_ROWS):
+            for _ in range(record_every):
+                _strang(block, block_work, decay_half, kinetic)
+    norms = [_norm(psi)]
+    for start, end in zip(marks, marks[1:]):
+        if stride is not None and end - start == record_every:
+            psi = psi @ stride
+        else:
+            for _ in range(start, end):
+                _strang(psi, work, decay_half, kinetic)
+        norms.append(_norm(psi))
+    times = [initial.time, *(initial.time + mark * dt for mark in marks[1:])]
     return SurvivalCurve(t=np.asarray(times), survival=np.asarray(norms))
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import pickle
 import tracemalloc
 from fractions import Fraction
@@ -251,6 +252,30 @@ class TestTransitionProbMc:
         for workers in (2, 8):
             [row] = sweep_transition_prob([0.7], n=100001, seed=9, workers=workers)
             assert row["p_hat"] == base["p_hat"]
+
+    def test_pool_has_no_more_threads_than_jobs_or_cpus(self, monkeypatch):
+        # a stand-in pool records its size and maps serially, so no thread starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("coherentlab.borngeo.ThreadPoolExecutor", RecordingPool)
+        thetas, shards = [0.3, 0.7, 1.1], 4
+        rows = sweep_transition_prob(thetas, n=1000, seed=5, shards=shards, workers=10**6)
+        bound = min(len(thetas) * shards, os.cpu_count() or 1)
+        assert sizes == ([bound] if bound > 1 else [])
+        assert rows == sweep_transition_prob(thetas, n=1000, seed=5, shards=shards, workers=1)
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(

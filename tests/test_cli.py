@@ -319,17 +319,22 @@ def _track(*points):
 # no grid point of n_grid 64 lies where exp(kappa (cos - 1)) is nonzero
 _UNDERFLOWING_VON_MISES = {"profile": "von_mises", "center": 0.501, "concentration": 1e10}
 
-# Each input passes the schema and is rejected while resolution builds the domain objects.
+# Each input is rejected during resolution: by the schema, or while resolution builds
+# the domain objects.
 BAD_INPUTS = {
     "n_grid_not_a_power_of_two": _with(_RING, n_grid=100),
     "von_mises_packet_underflows": _with(_RING, initial=_UNDERFLOWING_VON_MISES),
     "von_mises_exponent_overflows": _with(
         _RING, initial={**_UNDERFLOWING_VON_MISES, "concentration": 1e308}),
+    "delta_absorber_negative_strength": _with(
+        _RING, absorber={"kind": "delta", "strength": -1.0}),
     "delta_absorber_negative_width": _with(
         _RING, absorber={"kind": "delta", "strength": 0.1, "width": -1.0}),
     "offset_spawn_longer_than_basis": _with(
         _SELECT, drift={"kind": "offset_spawn", "dq": [1.0, 2.0], "dp": [0.0, 0.0]}),
     "negative_omega": _with(_SELECT, basis={"omegas": [-1.0]}),
+    "coeff_of_three_numbers": _with(_SELECT, initial={"components": [
+        {"coeff": [1.0, 0.0, 0.0], "q": [0.0], "p": [0.0]}]}),
     "zero_basis_weight": _with(_SELECT, basis={"omegas": [1.0], "weights": [0.0]}),
     "zero_norm_state": _with(_SELECT, initial={"components": [
         {"coeff": [1.0], "q": [0.0], "p": [0.0]}, {"coeff": [-1.0], "q": [0.0], "p": [0.0]}]}),
@@ -372,6 +377,8 @@ BAD_INPUTS = {
 
 # The error line of these inputs names the config key and the value given.
 KEY_IN_MESSAGE = {
+    "delta_absorber_negative_strength": "absorber strength must be >= 0",
+    "coeff_of_three_numbers": "must be [re] or [re, im]",
     "born_zero_samples": "samples must be >= 1, got 0",
     "spread_zero_mass": "mass_kg must be positive and finite, got 0.0",
     "trajectory_csv_short_row": "line 3 does not have the header's 6 fields",
@@ -430,6 +437,27 @@ def _assert_file_prints_one_line(tmp_path, raw, code, prefix):
 )
 def test_unreadable_config_file_prints_one_config_error(tmp_path, raw):
     _assert_file_prints_one_line(tmp_path, raw, 2, "error[config]: cannot read config:")
+
+
+def test_config_that_is_not_an_object_prints_one_config_error(tmp_path):
+    _assert_file_prints_one_line(tmp_path, b"[]", 2, "error[config]: config must be a JSON object")
+
+
+@pytest.mark.parametrize(
+    "args, code, prefix",
+    [(["--workers", "0"], 2, "error[config]: workers must be >= 1"),
+     (["--out", "a_file/out"], 3, "error[io]: [Errno 20] Not a directory")],
+    ids=["zero_workers", "out_below_a_file"],
+)
+def test_bad_argument_prints_one_line_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, args, code, prefix):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("kept")
+    cfg = write_config(tmp_path, "ring.json", _RING)
+    assert main(["ring", "--config", cfg, "--out", "out", *args]) == code
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(prefix)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "ring.json"]
 
 
 def test_empty_von_mises_grid_prints_only_the_config_error(tmp_path):
@@ -530,6 +558,18 @@ def test_memory_error_during_the_run_is_one_line(tmp_path, monkeypatch, capsys):
     assert main(["ring", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.splitlines() == ["error[memory]: out of memory"]
     assert not (tmp_path / "out").exists()
+
+
+def test_directory_in_an_artifact_place_fails_before_any_move(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "survival.csv").mkdir(parents=True)
+    # classical.csv and config_resolved.json sort before the blocked survival.csv
+    cfg = write_config(tmp_path, "ring.json", _with(_RING, classical={"region_width": 0.1}))
+    assert main(["ring", "--config", cfg, "--out", str(out)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error[io]: [Errno 21] Is a directory")
+    assert [p.name for p in out.iterdir()] == ["survival.csv"]
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["out"]
 
 
 def test_thetas_a_few_subnormal_units_apart_are_plotted(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -133,6 +135,15 @@ class TestCurrentJ:
             want = quad_current(traj, k)
             assert np.max(np.abs(got - want)) < 1e-8
 
+    @pytest.mark.parametrize("dt", [2e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+    def test_short_segment_is_exact_to_rounding(self, dt):
+        # a charge at rest with k = (1, 1, 0, 0) has phi = 1, so its one
+        # segment gives J0 = -i e dt sum_n (i dt)^n / (n + 1)!
+        traj = Trajectory(charge=1.0, times=np.array([0.0, dt]), positions=np.zeros((2, 3)))
+        got = current_j([traj], np.array([1.0, 1.0, 0.0, 0.0])).components[0]
+        want = -1j * dt * sum((1j * dt) ** n / math.factorial(n + 1) for n in range(8))
+        assert abs(got - want) <= 1e-15 * abs(want)
+
     def test_additive_over_trajectories(self):
         rng = np.random.default_rng(53)
         t1 = random_trajectory(rng, n_segments=3)
@@ -193,7 +204,7 @@ class TestStackedCurrent:
             for row, kk in zip(stacked, k):
                 assert np.array_equal(row, current_j(trajs, kk).components)
 
-    def test_series_branch_row_mixes_with_closed_form_rows(self):
+    def test_vanishing_k_row_mixes_with_other_rows(self):
         rng = np.random.default_rng(71)
         traj = random_trajectory(rng, n_segments=3)
         k = np.array([on_shell([0.3, -0.5, 0.9]), on_shell([1e-10, 0.0, 0.0]),

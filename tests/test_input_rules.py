@@ -1,7 +1,8 @@
 """One case per input rule of the domain objects that no config or CLI test reaches in process.
 
 Without a case, such a rule could be deleted and no test would notice.
-Each case builds one bad input and expects the rule's own message.
+Each case builds one bad input and expects the rule's own message, in a
+ValueError unless the case names another exception type.
 """
 
 import numpy as np
@@ -16,8 +17,10 @@ from coherentlab import (
     RingState,
     SuperposedState,
     Trajectory,
+    UrgencySchedule,
     current_j,
     evolve_free,
+    run_sequence,
     single_mode,
 )
 from coherentlab.reporting import svg_line_plot
@@ -71,6 +74,10 @@ RULES = {
     "current_of_no_trajectory": (
         lambda tmp: current_j([], [1.0, 1.0, 0.0, 0.0]),
         "need at least one trajectory"),
+    "drift_hook_returns_no_state": (
+        lambda tmp: run_sequence(SuperposedState.single(_ORIGIN, single_mode()),
+                                 UrgencySchedule(1.0), lambda state, i: None, n_events=1),
+        "drift hook must return a SuperposedState", TypeError),
     "plot_of_empty_series": (
         lambda tmp: svg_line_plot(tmp / "empty.svg", [([], [], "s")], "T", "x", "y"),
         "cannot plot empty series"),
@@ -79,6 +86,6 @@ RULES = {
 
 @pytest.mark.parametrize("name", sorted(RULES))
 def test_bad_input_raises_its_rule(tmp_path, name):
-    build, message = RULES[name]
-    with pytest.raises(ValueError, match=message):
+    build, message, *error = RULES[name]
+    with pytest.raises(error[0] if error else ValueError, match=message):
         build(tmp_path)
