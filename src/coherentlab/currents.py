@@ -254,33 +254,33 @@ def polarization_vectors(k_vec) -> tuple[np.ndarray, np.ndarray]:
     return e1, _cross(k_hat, e1)
 
 
+def _transverse_amplitudes(trajectories, modes) -> np.ndarray:
+    """(e1 . J_vec(k), e2 . J_vec(k)) for each field mode, shape (K, 2)."""
+    k = _wave_vectors(modes)
+    j = current_j(trajectories, k)[:, 1:]
+    return np.sum(np.stack(polarization_vectors(k[:, 1:]), axis=1) * j[:, None, :], axis=2)
+
+
 def mode_amplitudes(trajectories, modes) -> np.ndarray:
     """Transverse amplitude eps_lambda . J_vec(k) for each field mode."""
     modes = list(modes)
-    k = _wave_vectors(modes)
-    j = current_j(trajectories, k)[:, 1:]
-    e1, e2 = polarization_vectors(k[:, 1:])
-    polarization = np.array([m.polarization for m in modes])
-    eps = np.where(polarization[:, None] == 0, e1, e2)
-    return np.sum(eps * j, axis=1)
+    polarization = [m.polarization for m in modes]
+    return _transverse_amplitudes(trajectories, modes)[np.arange(len(modes)), polarization]
 
 
 def radiated_quanta(trajectories, modes) -> float:
     """Expected number of emitted quanta over the listed k-quadrature.
 
-    Per mode this is the squared transverse current content summed over
-    both polarizations, weight_k * (|J_vec|^2 - |k_hat . J_vec|^2); the
-    timelike and longitudinal pieces source no physical quanta, so the
-    result is non-negative for every current (a static charge radiates
-    nothing) and quadratic in every charge.
+    Per mode this is the transverse current content summed over both
+    polarizations, weight_k * (|e1 . J_vec|^2 + |e2 . J_vec|^2), over the
+    (e1, e2) of the displacement; the timelike and longitudinal pieces
+    source no physical quanta.  The sum of squares is non-negative for
+    every current (a static charge radiates nothing) and quadratic in
+    every charge.
     """
     modes = list(modes)
-    k = _wave_vectors(modes)
-    j = current_j(trajectories, k)[:, 1:]
-    k_hat = k[:, 1:] / k[:, :1]
-    transverse_sq = np.sum(np.abs(j) ** 2, axis=1) - np.abs(np.sum(k_hat * j, axis=1)) ** 2
-    weights = np.array([m.weight for m in modes])
-    return float(np.sum(weights * np.maximum(transverse_sq, 0.0)))
+    content = np.sum(np.abs(_transverse_amplitudes(trajectories, modes)) ** 2, axis=1)
+    return float(np.sum(np.array([m.weight for m in modes]) * content))
 
 
 def vacuum_persistence(trajectories, modes) -> float:

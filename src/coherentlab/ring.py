@@ -102,12 +102,15 @@ def von_mises_state(
     """Periodic analog of a Gaussian packet, optionally momentum-boosted.
 
     amplitude ~ exp(kappa (cos(2 pi (x - center)) - 1)) * exp(2 pi i boost x),
-    normalized to unit squared norm.  ``concentration`` must be positive,
-    and ``boost`` an integer to keep the state periodic.
+    normalized to unit squared norm.  ``center`` is taken mod 1, exactly,
+    so a centre far from [0, 1) is the same point of the circle.
+    ``concentration`` must be positive, and ``boost`` an integer to keep
+    the state periodic.
     """
     boost = _whole("boost", boost)
     if not concentration > 0:
         raise ValueError(f"concentration must be > 0, got {concentration}")
+    center = float(center) % 1.0
     x = np.arange(n_grid) / n_grid
     # kappa (cos - 1) may overflow to -inf, whose exp is the right limit 0
     with np.errstate(over="ignore"):
@@ -167,12 +170,11 @@ class Absorber:
             return f
         x = np.arange(n_grid) / n_grid
         d = np.abs((x - self.center + 0.5) % 1.0 - 0.5)
-        out = np.where(
-            d < self.width / 2.0,
-            1.0,
-            np.exp(-((d - self.width / 2.0) ** 2) / (2.0 * self.sigma**2)),
-        )
-        return out
+        # a numpy sigma^2 overflows to inf (a flat plateau) where Python's raises, or
+        # underflows to 0 (a hard wall); the centre, d = width/2 included, is 1
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            tail = np.exp(-((d - self.width / 2.0) ** 2) / (2.0 * np.float64(self.sigma) ** 2))
+        return np.where(d <= self.width / 2.0, 1.0, tail)
 
     def weight(self, n_grid: int) -> np.ndarray:
         """Decay rate profile W(x) = strength * profile."""
@@ -371,9 +373,10 @@ def classical_survival(
     Members inside the section die at t = 0; everyone else persists, so
     the curve is exactly constant at the surviving fraction.  The
     ensemble is not changed, so repeated calls give the same curve.
+    ``region_center`` is taken mod 1, exactly.
     """
     _check_region(region_width)
-    d = np.abs((ensemble.angles - region_center + 0.5) % 1.0 - 0.5)
+    d = np.abs((ensemble.angles - float(region_center) % 1.0 + 0.5) % 1.0 - 0.5)
     inside = d < region_width / 2.0
     fraction = float(ensemble.members - np.count_nonzero(inside)) / ensemble.members
     times = np.asarray(times, dtype=float)

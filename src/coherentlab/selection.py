@@ -58,13 +58,8 @@ class MaximaResult:
             raise ValueError(
                 f"no landscape maximum found: all {self.failed_starts} ascent start(s) failed"
             )
-        top = self.maxima[0]
-        tied = [c for c in self.maxima if abs(c.v - top.v) < TIE_TOLERANCE]
-        tie = len(tied) > 1
-        if tie:
-            tied.sort(key=lambda c: tuple(c.point.as_vector()))
-            top = tied[0]
-        return top, tie
+        tied = [c for c in self.maxima if abs(c.v - self.maxima[0].v) < TIE_TOLERANCE]
+        return min(tied, key=lambda c: tuple(c.point.as_vector())), len(tied) > 1
 
     @cached_property
     def collapsed(self) -> SuperposedState:
@@ -122,26 +117,22 @@ class UrgencySchedule:
             if not (e > 0 and np.isfinite(e)):
                 raise ValueError(f"urgency energy must be positive and finite, got {e}")
 
-    def energy_for(self, step: int) -> float:
-        """Energy for event number ``step`` (1-based); a scalar schedule repeats."""
-        if step < 1:
-            raise ValueError(f"events are numbered from 1, so n_events must be >= 1, got {step}")
-        if len(self.energies) == 1:
-            return self.energies[0]
-        if step > len(self.energies):
-            raise ValueError(f"schedule has {len(self.energies)} entries, asked for {step}")
-        return self.energies[step - 1]
-
     def event_times(self, n_events: int, t0: float = 0.0) -> list[float]:
         """Times of events 1..n_events, t_i = t_{i-1} + 1/E_i from t_0 = t0.
 
+        Event i takes the schedule's entry i; a scalar schedule repeats.
         Raises ValueError unless the schedule covers event ``n_events`` >= 1
         and every time is finite and later than the one before it.
         """
-        self.energy_for(n_events)
+        if n_events < 1:
+            raise ValueError(f"events are numbered from 1, so n_events must be >= 1, got {n_events}")
+        size = len(self.energies)
+        if 1 < size < n_events:
+            raise ValueError(f"schedule has {size} entries, asked for {n_events}")
         times = [float(t0)]
         for i in range(1, n_events + 1):
-            times.append(times[-1] + 1.0 / self.energy_for(i))
+            # a list covers event i, so only a scalar schedule wraps round
+            times.append(times[-1] + 1.0 / self.energies[(i - 1) % size])
             if not times[-2] < times[-1] < np.inf:
                 raise ValueError(f"event {i} falls at t = {times[-1]!r}, "
                                  f"which is not a finite time after {times[-2]!r}")
@@ -223,24 +214,27 @@ def blocked_select(
 DriftHook = Callable[[SuperposedState, int], SuperposedState]
 
 
+def _spawn(state: SuperposedState, spawns) -> SuperposedState:
+    """Append one component per (dq, dp, coeff), offset from the leading component."""
+    lead = int(np.argmax(np.abs(state.coeffs)))
+    q, p = state.q[lead], state.p[lead]
+    for dq, dp, coeff in spawns:
+        state = state.with_component(coeff, CoherentPoint(q=q + dq, p=p + dp))
+    return state
+
+
 def offset_spawn(coeff: complex, dq: Sequence[float], dp: Sequence[float]) -> DriftHook:
     """Hook that appends one component at a fixed offset from the leading one."""
-    dq = np.asarray(dq, dtype=float)
-    dp = np.asarray(dp, dtype=float)
-
-    def hook(state: SuperposedState, step: int) -> SuperposedState:
-        lead = int(np.argmax(np.abs(state.coeffs)))
-        point = CoherentPoint(q=state.q[lead] + dq, p=state.p[lead] + dp)
-        return state.with_component(coeff, point)
-
-    return hook
+    spawns = [(np.asarray(dq, dtype=float), np.asarray(dp, dtype=float), coeff)]
+    return lambda state, step: _spawn(state, spawns)
 
 
 def seeded_spawn(seed: int, count: int = 1, spread: float = 8.0, coeff: float = 0.3) -> DriftHook:
     """Hook that appends ``count`` randomly offset components each step.
 
     Deterministic: the generator is keyed by (seed, step), so a rerun with
-    the same seed reproduces the sequence exactly.
+    the same seed reproduces the sequence exactly.  Each component draws
+    its q offsets, then its p offsets, then its weight.
     """
     if count < 1:
         raise ValueError(f"seeded_spawn count must be >= 1, got {count}")
@@ -249,15 +243,9 @@ def seeded_spawn(seed: int, count: int = 1, spread: float = 8.0, coeff: float = 
 
     def hook(state: SuperposedState, step: int) -> SuperposedState:
         rng = np.random.default_rng([seed, step])
-        lead = int(np.argmax(np.abs(state.coeffs)))
-        out = state
-        for _ in range(count):
-            point = CoherentPoint(
-                q=state.q[lead] + rng.normal(0.0, spread, size=state.n_modes),
-                p=state.p[lead] + rng.normal(0.0, spread, size=state.n_modes),
-            )
-            out = out.with_component(coeff * rng.uniform(0.5, 1.0), point)
-        return out
+        n = state.n_modes
+        return _spawn(state, [(rng.normal(0.0, spread, size=n), rng.normal(0.0, spread, size=n),
+                               coeff * rng.uniform(0.5, 1.0)) for _ in range(count)])
 
     return hook
 

@@ -150,6 +150,11 @@ class TestCliRing:
         values = {float(r.split(",")[1]) for r in rows[1:]}
         assert len(values) == 1  # exactly constant
 
+    def test_plateau_sigma_past_the_square_range_runs(self, tmp_path):
+        absorber = {"kind": "plateau", "strength": 0.5, "width": 0.1, "sigma": 1e308}
+        cfg = write_config(tmp_path, "ring.json", _with(_RING, absorber=absorber))
+        assert main(["ring", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # the step accuracy bound is known from the config, so resolution rejects dt
         cfg = write_config(

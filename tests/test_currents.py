@@ -308,6 +308,18 @@ class TestVacuumPersistence:
             explicit += mode.weight * (abs(np.sum(e1 * j)) ** 2 + abs(np.sum(e2 * j)) ** 2)
         assert radiated_quanta([traj], modes) == pytest.approx(explicit, rel=1e-12)
 
+    def test_charge_moving_along_k_radiates_nothing(self):
+        # J_vec is parallel to k, so it has no transverse content to rounding
+        rng = np.random.default_rng(68)
+        for _ in range(200):
+            k_hat = rng.normal(size=3)
+            k_hat /= np.linalg.norm(k_hat)
+            traj = Trajectory(charge=1.0, times=np.array([0.0, 2.0]),
+                              positions=np.array([[0.0] * 3, 1.2 * k_hat]))
+            mode = FieldMode(k_vec=rng.uniform(0.5, 2.0) * k_hat)
+            j_sq = np.sum(np.abs(current_j([traj], mode.k4).components[1:]) ** 2)
+            assert radiated_quanta([traj], [mode]) < 1e-30 * j_sq
+
     def test_charge_doubling_quadruples_exponent(self):
         rng = np.random.default_rng(60)
         traj = random_trajectory(rng, charge=1.0)

@@ -68,6 +68,16 @@ class TestRingState:
         with pytest.raises(ValueError, match="concentration must be > 0"):
             von_mises_state(64, concentration=value)
 
+    @pytest.mark.parametrize("center", [0.0, 0.25, 0.5])
+    def test_packet_center_is_taken_mod_1(self, center):
+        packet = von_mises_state(64, center).psi.tobytes()
+        for k in (1, -1, 7, -2**20, 2**40):
+            assert von_mises_state(64, center + k).psi.tobytes() == packet
+
+    @pytest.mark.parametrize("center", [1e16, -1e16, 1e308, -1e308])
+    def test_packet_far_from_the_circle_equals_the_packet_at_0(self, center):
+        assert von_mises_state(64, center).psi.tobytes() == von_mises_state(64, 0.0).psi.tobytes()
+
     def test_integral_float_boost_or_mode_accepted(self):
         assert np.all(von_mises_state(64, boost=2.0).psi == von_mises_state(64, boost=2).psi)
         assert np.all(fourier_mode_state(64, -3.0).psi == fourier_mode_state(64, -3).psi)
@@ -90,6 +100,14 @@ class TestAbsorber:
         x = np.arange(512) / 512
         inside = np.abs(x - 0.5) < 0.05
         assert np.all(f[inside] == 1.0)
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-308, 1e-170, 2e154, 1e308])
+    def test_plateau_sigma_at_either_extreme(self, sigma):
+        # a huge sigma flattens the tail to 1, a tiny one makes a hard wall; no warning
+        absorber = Absorber(kind="plateau", center=0.0, strength=1.0, width=0.125, sigma=sigma)
+        f = absorber.profile(64)
+        assert np.all((0.0 <= f) & (f <= 1.0))
+        assert f[4] == 1.0  # d = width / 2 exactly
 
     def test_plateau_requires_width_and_sigma(self):
         with pytest.raises(ValueError):
@@ -523,6 +541,12 @@ class TestClassicalEnsemble:
         sigma = np.sqrt(0.1 * 0.9 / members)
         assert curve.survival[0] == pytest.approx(0.9, abs=4 * sigma)
         assert np.all(curve.survival == curve.survival[0])
+
+    def test_region_center_is_taken_mod_1(self):
+        ens = uniform_ensemble(100000, seed=1)
+        at_zero = classical_survival(ens, 0.0, 0.05, times=[0.0]).survival[0]
+        for center in (1e15, 1e16):
+            assert classical_survival(ens, center, 0.05, times=[0.0]).survival[0] == at_zero
 
     def test_survival_leaves_ensemble_unchanged(self):
         ens = uniform_ensemble(1000, seed=5)

@@ -57,14 +57,15 @@ def _two_component(c_a, c_b, sep=14.0):
 class TestEventTiming:
     def test_schedule_list(self):
         sched = UrgencySchedule([1.0, 2.0, 4.0])
-        assert sched.energy_for(2) == 2.0
+        # event 2 is 1/E_2 = 1/2 after event 1
+        assert sched.event_times(2) == [1.0, 1.5]
         with pytest.raises(ValueError):
-            sched.energy_for(4)
+            sched.event_times(4)
 
     @pytest.mark.parametrize("energies", [1.0, [1.0, 2.0]])
     def test_events_are_numbered_from_one(self, energies):
         with pytest.raises(ValueError, match="n_events must be >= 1, got 0"):
-            UrgencySchedule(energies).energy_for(0)
+            UrgencySchedule(energies).event_times(0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     def test_schedule_rejects_nonpositive(self, bad):
@@ -457,6 +458,19 @@ class TestRunSequence:
         for a, b in zip(r1, r2):
             assert np.array_equal(a.chosen.as_vector(), b.chosen.as_vector())
             assert a.v_at_choice == b.v_at_choice
+
+    def test_seeded_spawn_draws_q_then_p_then_weight(self):
+        basis = ModeBasis(omegas=np.array([1.0, 2.0]), weights=np.ones(2))
+        lead = CoherentPoint(q=np.array([1.0, -2.0]), p=np.array([0.5, 3.0]))
+        origin = CoherentPoint(q=np.zeros(2), p=np.zeros(2))
+        state = SuperposedState([0.2, 0.9], [origin, lead], basis)
+        grown = seeded_spawn(7, count=2, spread=3.0, coeff=0.4)(state, 5)
+        rng = np.random.default_rng([7, 5])
+        for j in (2, 3):
+            dq, dp = rng.normal(0.0, 3.0, size=2), rng.normal(0.0, 3.0, size=2)
+            assert grown.q[j].tobytes() == (lead.q + dq).tobytes()
+            assert grown.p[j].tobytes() == (lead.p + dp).tobytes()
+            assert grown.coeffs[j] == 0.4 * rng.uniform(0.5, 1.0)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"count": 0}, "count must be >= 1, got 0"),

@@ -56,3 +56,10 @@ def test_exit_codes_check_exits_1_on_a_tampered_listing_and_0_on_a_matching_one(
     base, path, value, code = lines[3].split()
     forged = f"{base} {path} {value} {3 if code == '2' else 2}"
     _assert_check_exits(tool, "exit_codes", lines, 3, forged, tmp_path, monkeypatch, capsys)
+
+
+def test_every_exit_code_matches_the_committed_listing(capsys):
+    # a change that moves an exit code updates tests/data/exit_codes.txt with it
+    saved = Path(__file__).resolve().parent / "data" / "exit_codes.txt"
+    code = _load_tool("exit_codes").main(["--check", str(saved)])
+    assert code == 0, "exit codes differ from the listing:\n" + capsys.readouterr().out
