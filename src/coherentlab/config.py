@@ -81,6 +81,12 @@ def _str_choice(choices):
     return cast
 
 
+def _str(value, where):
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string")
+    return value
+
+
 def _float_list(value, where):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a non-empty list of numbers")
@@ -219,7 +225,7 @@ _TRAJECTORY = {"charge": (_REQUIRED, _float), "points": (_REQUIRED, _points)}
 
 def _trajectories(value, where):
     if isinstance(value, dict):
-        return _strict(value, {"csv": (_REQUIRED, lambda v, w: str(v))}, where)
+        return _strict(value, {"csv": (_REQUIRED, _str)}, where)
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a non-empty list or {{'csv': path}}")
     return _objects(_TRAJECTORY)(value, where)
@@ -320,7 +326,7 @@ def resolve_config(raw: dict) -> tuple[dict, dict]:
         {
             "experiment": (_REQUIRED, _str_choice(EXPERIMENTS)),
             "seed": (0, lambda v, w: _int(v, w, minimum=0)),
-            "out": (None, lambda v, w: str(v)),
+            "out": (None, _str),
             "parameters": ({}, lambda v, w: v),
         },
         "config",

@@ -23,8 +23,7 @@ use current_divergence to inspect it.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,6 +180,7 @@ class FieldMode:
     k_vec: np.ndarray
     weight: float = 1.0
     polarization: int = 0
+    k4: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.asarray(self.k_vec, dtype=float)
@@ -196,16 +196,13 @@ class FieldMode:
             raise ValueError("polarization index must be 0 or 1")
         k.setflags(write=False)
         object.__setattr__(self, "k_vec", k)
+        k4 = np.concatenate([[length], k])
+        k4.setflags(write=False)
+        object.__setattr__(self, "k4", k4)
 
     @property
     def omega(self) -> float:
-        return float(np.linalg.norm(self.k_vec))
-
-    @cached_property
-    def k4(self) -> np.ndarray:
-        k4 = np.concatenate([[self.omega], self.k_vec])
-        k4.setflags(write=False)
-        return k4
+        return float(self.k4[0])
 
 
 def mode_basis_for(modes) -> ModeBasis:
@@ -261,13 +258,6 @@ def _transverse_amplitudes(trajectories, modes) -> np.ndarray:
     return np.sum(np.stack(polarization_vectors(k[:, 1:]), axis=1) * j[:, None, :], axis=2)
 
 
-def mode_amplitudes(trajectories, modes) -> np.ndarray:
-    """Transverse amplitude eps_lambda . J_vec(k) for each field mode."""
-    modes = list(modes)
-    polarization = [m.polarization for m in modes]
-    return _transverse_amplitudes(trajectories, modes)[np.arange(len(modes)), polarization]
-
-
 def radiated_quanta(trajectories, modes) -> float:
     """Expected number of emitted quanta over the listed k-quadrature.
 
@@ -279,7 +269,9 @@ def radiated_quanta(trajectories, modes) -> float:
     every charge.
     """
     modes = list(modes)
-    content = np.sum(np.abs(_transverse_amplitudes(trajectories, modes)) ** 2, axis=1)
+    # a huge charge overflows the square to inf, whose persistence is exactly 0
+    with np.errstate(over="ignore"):
+        content = np.sum(np.abs(_transverse_amplitudes(trajectories, modes)) ** 2, axis=1)
     return float(np.sum(np.array([m.weight for m in modes]) * content))
 
 
@@ -304,7 +296,9 @@ def displacement_from_current(trajectories, modes) -> CoherentPoint:
     alpha_k the transverse amplitude of the mode's polarization; timelike
     and longitudinal pieces are excluded.
     """
-    amps = mode_amplitudes(trajectories, modes)
+    modes = list(modes)
+    polarization = [m.polarization for m in modes]
+    amps = _transverse_amplitudes(trajectories, modes)[np.arange(len(modes)), polarization]
     return CoherentPoint(q=np.sqrt(2.0) * amps.real, p=np.sqrt(2.0) * amps.imag)
 
 

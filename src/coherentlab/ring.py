@@ -376,7 +376,10 @@ def classical_survival(
     ``region_center`` is taken mod 1, exactly.
     """
     _check_region(region_width)
-    d = np.abs((ensemble.angles - float(region_center) % 1.0 + 0.5) % 1.0 - 0.5)
+    center = float(region_center) % 1.0
+    if not np.isfinite(center):
+        raise ValueError(f"region_center must be finite, got {region_center}")
+    d = np.abs((ensemble.angles - center + 0.5) % 1.0 - 0.5)
     inside = d < region_width / 2.0
     fraction = float(ensemble.members - np.count_nonzero(inside)) / ensemble.members
     times = np.asarray(times, dtype=float)

@@ -141,8 +141,10 @@ class SuperposedState:
         self.q.setflags(write=False)
         self.p.setflags(write=False)
         gram = _kernel_rows(np.concatenate((self.q, self.p), 1), self.q, self.p, basis.weights)[0]
-        norm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
-        floor = NORM_RTOL * float(np.sum(coeffs.real**2 + coeffs.imag**2))
+        # huge coefficients overflow here; the rule below rejects the inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
+            floor = NORM_RTOL * float(np.sum(coeffs.real**2 + coeffs.imag**2))
         if not np.isfinite(norm_sq) or norm_sq <= floor:
             raise ValueError(
                 f"state has squared norm {norm_sq:g}, not above the roundoff floor {floor:g}"

@@ -311,6 +311,8 @@ _CURRENT = {
     "parameters": {"modes": [{"k": [1.0, 0.0, 0.0]}],
                    "trajectories": [{"charge": 1.0, "points": [[0, 0, 0, 0], [1, 0.5, 0, 0]]}]},
 }
+_SPREAD = {"experiment": "spread",
+           "parameters": {"t_seconds": 1.0, "x_meters": 1e-9, "mass_kg": 1e-26}}
 
 
 def _with(base, **params):
@@ -376,8 +378,10 @@ BAD_INPUTS = {
         _RING, initial={"profile": "von_mises", "concentration": 0.0}),
     "classical_zero_members": _with(_RING, classical={"members": 0, "region_width": 0.1}),
     "classical_region_wider_than_the_ring": _with(_RING, classical={"region_width": 1.5}),
-    "spread_zero_mass": {"experiment": "spread", "parameters": {
-        "t_seconds": 1.0, "x_meters": 1e-9, "mass_kg": 0.0}},
+    "spread_zero_mass": _with(_SPREAD, mass_kg=0.0),
+    "out_null": {**_SPREAD, "out": None},
+    "out_list": {**_SPREAD, "out": ["a"]},
+    "trajectory_csv_number": _with(_CURRENT, trajectories={"csv": 5}),
 }
 
 # The error line of these inputs names the config key and the value given.
@@ -388,6 +392,9 @@ KEY_IN_MESSAGE = {
     "spread_zero_mass": "mass_kg must be positive and finite, got 0.0",
     "trajectory_csv_short_row": "line 3 does not have the header's 6 fields",
     "trajectory_csv_long_row": "line 3 does not have the header's 6 fields",
+    "out_null": "config.out must be a string",
+    "out_list": "config.out must be a string",
+    "trajectory_csv_number": "config.parameters(current).trajectories.csv must be a string",
 }
 
 
@@ -552,6 +559,36 @@ def test_delta_absorber_too_deep_for_a_float_saturates_silently(tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
         written.append([(out / name).read_bytes() for name in ("survival.csv", "survival.svg")])
     assert written[0] == written[1]
+
+
+_HUGE_COEFF = {"coeff": [1e300], "q": [0.0], "p": [0.0]}
+_HUGE_SPAWN = {"kind": "offset_spawn", "coeff": 1e300, "dq": [3.0], "dp": [0.0]}
+
+
+@pytest.mark.parametrize(
+    "config, code, prefix",
+    [(_with(_SELECT, initial={"components": [_HUGE_COEFF]}), 2,
+      "error[config]: config.parameters(select): state has squared norm inf"),
+     (_with(_SELECT, drift=_HUGE_SPAWN), 3,
+      "error[numeric]: drift hook failed at event 1 of 3: state has squared norm inf")],
+    ids=["initial_coeff", "drift_coeff"],
+)
+def test_overflowing_coefficient_prints_only_the_norm_rule(tmp_path, config, code, prefix):
+    cfg = write_config(tmp_path, "huge.json", config)
+    proc = _run_cli_process(["select", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert (proc.returncode, proc.stdout) == (code, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(prefix), line
+    assert not (tmp_path / "out").exists()
+
+
+def test_charge_whose_content_overflows_persists_with_probability_0(tmp_path):
+    cfg = write_config(tmp_path, "huge.json", _with(_CURRENT, trajectories=[
+        {"charge": 1e200, "points": [[0, 0, 0, 0], [1, 0, 0.5, 0]]}]))
+    out = tmp_path / "out"
+    proc = _run_cli_process(["current", "--config", cfg, "--out", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert json.loads((out / "current.json").read_text())["vacuum_persistence"] == 0.0
 
 
 def test_memory_error_during_the_run_is_one_line(tmp_path, monkeypatch, capsys):

@@ -524,6 +524,11 @@ class TestClassicalEnsemble:
         with pytest.raises(ValueError, match="region_width"):
             classical_survival(uniform_ensemble(10, seed=1), 0.0, width, times=[0.0])
 
+    @pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf])
+    def test_region_center_must_be_finite(self, center):
+        with pytest.raises(ValueError, match="region_center must be finite"):
+            classical_survival(uniform_ensemble(10, seed=1), center, 0.1, times=[0.0])
+
     def test_zero_region_survives_forever(self):
         ens = uniform_ensemble(1000, seed=2)
         curve = classical_survival(ens, 0.0, 0.0, times=np.linspace(0, 10, 11))

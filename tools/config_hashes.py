@@ -84,13 +84,13 @@ def config_hashes() -> list[str]:
     return lines
 
 
-def listing_main(description: str, listing, argv=None) -> int:
-    """Print ``listing()``, or with ``--check FILE`` print only its differences from FILE."""
-    parser = argparse.ArgumentParser(description=description)
+def main(argv=None) -> int:
+    """Print the listing, or with ``--check FILE`` print only its differences from FILE."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", metavar="FILE",
                         help="compare with a saved listing; exit 1 if any line differs")
     args = parser.parse_args(argv)
-    lines = listing()
+    lines = config_hashes()
     if args.check is None:
         print("\n".join(lines))
         return 0
@@ -100,11 +100,6 @@ def listing_main(description: str, listing, argv=None) -> int:
     if diff:
         print("\n".join(diff))
     return 1 if diff else 0
-
-
-def main(argv=None) -> int:
-    return listing_main("Hash the artifacts of every sample config and each demo's stdout.",
-                        config_hashes, argv)
 
 
 if __name__ == "__main__":
