@@ -151,18 +151,20 @@ def find_local_maxima(state: SuperposedState) -> MaximaResult:
         return cached
     found: list[tuple[np.ndarray, float]] = []
     failed = 0
-    for start in ascent_starts(state):
-        x, v, ok = ascend(state, start)
-        if not ok:
-            failed += 1
-            continue
-        for k, (xk, vk) in enumerate(found):
-            if np.linalg.norm(x - xk) < DEDUP_RADIUS:
-                if v > vk:
-                    found[k] = (x, v)
-                break
-        else:
-            found.append((x, v))
+    # far-apart centres overflow: the kernel flushes to 0, an inf start distance is not near
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in ascent_starts(state):
+            x, v, ok = ascend(state, start)
+            if not ok:
+                failed += 1
+                continue
+            for k, (xk, vk) in enumerate(found):
+                if np.linalg.norm(x - xk) < DEDUP_RADIUS:
+                    if v > vk:
+                        found[k] = (x, v)
+                    break
+            else:
+                found.append((x, v))
     found.sort(key=lambda item: (-item[1], tuple(item[0])))
     # |<x|Psi>|^2 <= <Psi|Psi>, so a value above 1 is the roundoff of a norm
     # far below sum |c_j|^2; it is reported, and vetoed, as the bound 1

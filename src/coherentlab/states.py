@@ -140,9 +140,11 @@ class SuperposedState:
         self.p = np.stack([pt.p for pt in points])
         self.q.setflags(write=False)
         self.p.setflags(write=False)
-        gram = _kernel_rows(np.concatenate((self.q, self.p), 1), self.q, self.p, basis.weights)[0]
-        # huge coefficients overflow here; the rule below rejects the inf or nan
+        # far-apart centres overflow the kernel exponent, which flushes to 0, and
+        # huge coefficients overflow the norm; the rule below rejects an inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
+            gram = _kernel_rows(np.concatenate((self.q, self.p), 1), self.q, self.p,
+                                basis.weights)[0]
             norm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
             floor = NORM_RTOL * float(np.sum(coeffs.real**2 + coeffs.imag**2))
         if not np.isfinite(norm_sq) or norm_sq <= floor:

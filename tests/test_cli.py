@@ -591,6 +591,16 @@ def test_charge_whose_content_overflows_persists_with_probability_0(tmp_path):
     assert json.loads((out / "current.json").read_text())["vacuum_persistence"] == 0.0
 
 
+def test_component_too_far_for_a_float_exponent_runs_silently(tmp_path):
+    # at q = p = 1e154 the kernel exponent and the start distance overflow: the
+    # overlap with the far component flushes to 0, and the two are not near
+    far = {"coeff": [0.5], "q": [1e154], "p": [1e154]}
+    cfg = write_config(tmp_path, "far.json", _with(_SELECT, initial={"components": [
+        *_SELECT["parameters"]["initial"]["components"], far]}))
+    proc = _run_cli_process(["select", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 def test_memory_error_during_the_run_is_one_line(tmp_path, monkeypatch, capsys):
     def exhausted(*args):
         raise MemoryError

@@ -1,9 +1,9 @@
 """The package's public surface, and every use of it outside the package.
 
-The demos, the benchmark and the tools import coherentlab names that no
-package test runs.  They are read here with ``ast``, not run, so deleting
-or renaming a name fails this test instead of silently breaking a demo
-or the benchmark tracer's ``TRACED`` list.
+The demos and the benchmark import coherentlab names that no package
+test runs.  They are read here with ``ast``, not run, so deleting or
+renaming a name fails this test instead of silently breaking a demo or
+the benchmark tracer's ``TRACED`` list.
 """
 
 import ast
@@ -15,7 +15,7 @@ import pytest
 import coherentlab
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = sorted(p for d in ("demos", "perfbench", "tools") for p in (ROOT / d).glob("*.py"))
+SCRIPTS = sorted(p for d in ("demos", "perfbench") for p in (ROOT / d).glob("*.py"))
 
 
 def _resolves(dotted: str) -> bool:
