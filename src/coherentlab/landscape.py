@@ -28,6 +28,9 @@ ASCENT_TOL = 1e-10
 #: A start that has not converged after this many ascent steps fails.
 ASCENT_MAX_ITER = 200
 
+#: Eight units of roundoff: a predicted gain below this times v is below v's resolution.
+_ULP_GAIN = 8.0 * float(np.finfo(float).eps)
+
 
 def v_at(state: SuperposedState, x: np.ndarray) -> float | np.ndarray:
     """Landscape value at phase-space points x = [q..., p...] of shape (..., 2n)."""
@@ -59,6 +62,16 @@ def _curvature(basis) -> np.ndarray:
     return c
 
 
+def _half_weights(basis) -> np.ndarray:
+    """-w/2 per mode, cached on the basis beside ``_curvature``."""
+    h = basis.__dict__.get("_half_weights")
+    if h is None:
+        h = -0.5 * basis.weights
+        h.setflags(write=False)
+        basis.__dict__["_half_weights"] = h
+    return h
+
+
 def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     """Landscape value, gradient, and Hessian in one pass.
 
@@ -66,9 +79,18 @@ def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     (..., 2n, 2n), and each row of a stack has the bits of its one-point call.
     """
     terms, dq, dp, sq = _component_terms(state, x)
-    # log-derivative rows of every term with respect to [q..., p...]
-    half_w = -0.5 * state.basis.weights
-    d = np.concatenate([half_w * (dq + 1j * dp), half_w * (dp + 1j * sq)], axis=-1)
+    # log-derivative rows of every term with respect to [q..., p...]:
+    # -w/2 (dq + i dp) in the q columns, -w/2 (dp + i sq) in the p columns; a zero
+    # part may carry the other sign than complex arithmetic gives, and the value,
+    # gradient and Hessian keep their bytes (tests/test_selection.py::TestHessian)
+    n = dq.shape[-1]
+    half_w = _half_weights(state.basis)
+    d = np.empty(dq.shape[:-1] + (2 * n,), complex)
+    re, im = d.real, d.imag
+    np.multiply(half_w, dq, out=re[..., :n])
+    np.multiply(half_w, dp, out=im[..., :n])
+    np.multiply(half_w, dp, out=re[..., n:])
+    np.multiply(half_w, sq, out=im[..., n:])
     a = terms.sum(axis=-1)
     ca = np.conj(a)[..., None]
     # each row keeps the bits of terms @ d and "j,ja,jb->ab"; an einsum for da is 1e-14 off
@@ -76,9 +98,11 @@ def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     # Hessian of the amplitude: sum_j t_j (d_j d_j^T + const curvature blocks).
     ha = np.einsum("...j,...ja,...jb->...ab", terms, d, d)
     ha += a[..., None, None] * _curvature(state.basis)
-    grad = 2.0 * np.real(ca * da) / state.norm_sq
-    hess = 2.0 * np.real(np.conj(da)[..., :, None] * da[..., None, :] + ca[..., None] * ha)
-    return _landscape_value(a, state.norm_sq), grad, hess / state.norm_sq
+    grad = 2.0 * (ca * da).real
+    grad /= state.norm_sq
+    hess = 2.0 * (np.conj(da)[..., :, None] * da[..., None, :] + ca[..., None] * ha).real
+    hess /= state.norm_sq
+    return _landscape_value(a, state.norm_sq), grad, hess
 
 
 def ascend(state: SuperposedState, start: np.ndarray) -> tuple[np.ndarray, float, bool]:
@@ -96,6 +120,7 @@ def ascend(state: SuperposedState, start: np.ndarray) -> tuple[np.ndarray, float
     """
     x = np.asarray(start, dtype=float).copy()
     v, grad, hess = v_value_grad_hess(state, x)
+    v = float(v)
     for it in range(ASCENT_MAX_ITER + 1):
         gnorm = math.sqrt(grad @ grad)
         converged = gnorm < ASCENT_TOL * max(1.0, v)
@@ -105,15 +130,16 @@ def ascend(state: SuperposedState, start: np.ndarray) -> tuple[np.ndarray, float
         try:
             if np.linalg.eigvalsh(hess).max() < 0.0:
                 cand = np.linalg.solve(hess, -grad)
-                if float(cand @ grad) > 0.0:
+                slope = float(cand @ grad)
+                if slope > 0.0:
                     direction = cand
         except np.linalg.LinAlgError:
             direction = None
         if direction is None:
             direction = grad / max(gnorm, 1e-300)
-        slope = float(grad @ direction)
+            slope = float(grad @ direction)
         alpha = 1.0
-        ulp_gain = 8.0 * np.finfo(float).eps * max(v, 1e-300)
+        ulp_gain = _ULP_GAIN * max(v, 1e-300)
         for _ in range(60):
             trial = x + alpha * direction
             evaluation = v_value_grad_hess(state, trial)
@@ -127,6 +153,7 @@ def ascend(state: SuperposedState, start: np.ndarray) -> tuple[np.ndarray, float
             break  # no ascent step along the direction: not converged
         x = trial
         v, grad, hess = evaluation
+        v = float(v)
     # a stationary point only counts as a maximum if the curvature is
     # strictly negative; flat saddles between far bumps also pass the
     # gradient test and must be dropped

@@ -13,6 +13,7 @@ veto angle taken from it on first use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -159,7 +160,8 @@ def find_local_maxima(state: SuperposedState) -> MaximaResult:
                 failed += 1
                 continue
             for k, (xk, vk) in enumerate(found):
-                if np.linalg.norm(x - xk) < DEDUP_RADIUS:
+                d = x - xk
+                if math.sqrt(d.dot(d)) < DEDUP_RADIUS:
                     if v > vk:
                         found[k] = (x, v)
                     break

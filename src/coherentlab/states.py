@@ -98,9 +98,21 @@ def _kernel_rows(x, q, p, weights):
     n = q.shape[-1]
     xq, xp = x[..., None, :n], x[..., None, n:]
     dq, dp, sq = xq - q, xp - p, xq + q
-    expo = -0.25 * np.sum(weights * (dq * dq + dp * dp + 2j * dp * sq), axis=-1)
-    out = np.exp(np.where(expo.real < -UNDERFLOW_EXPONENT, -np.inf, expo))
-    return np.where(np.isfinite(out), out, 0.0), dq, dp, sq
+    # the per-mode terms w (dq^2 + dp^2) + i w 2 dp sq, filled part by part; the
+    # complex sum and the complex scaling keep the bits of the one-expression form
+    per_mode = np.empty(dq.shape, complex)
+    re, im = per_mode.real, per_mode.imag
+    np.multiply(dq, dq, out=re)
+    re += dp * dp
+    re *= weights
+    np.add(dp, dp, out=im)
+    im *= sq
+    im *= weights
+    expo = per_mode.sum(-1)
+    expo *= -0.25
+    out = np.exp(expo)
+    out[~((expo.real >= -UNDERFLOW_EXPONENT) & np.isfinite(out))] = 0.0
+    return out, dq, dp, sq
 
 
 def overlap(a: CoherentPoint, b: CoherentPoint, basis: ModeBasis) -> complex:
@@ -131,20 +143,31 @@ class SuperposedState:
             raise ValueError("coefficient and point counts differ")
         for pt in points:
             _check_point(pt, basis)
+        self._build(coeffs, np.stack([pt.q for pt in points]), np.stack([pt.p for pt in points]),
+                    basis)
+
+    @classmethod
+    def _from_rows(cls, coeffs, q, p, basis: ModeBasis) -> "SuperposedState":
+        """A state from component rows q, p of shape (M, n), with no per-point objects."""
+        if not (np.isfinite(q).all() and np.isfinite(p).all()):
+            raise ValueError("coherent-point coordinates must be finite")
+        state = cls.__new__(cls)
+        state._build(coeffs, q, p, basis)
+        return state
+
+    def _build(self, coeffs, q, p, basis: ModeBasis):
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         self.basis = basis
         self.coeffs = coeffs
-        self.coeffs.setflags(write=False)
-        self.q = np.stack([pt.q for pt in points])
-        self.p = np.stack([pt.p for pt in points])
-        self.q.setflags(write=False)
-        self.p.setflags(write=False)
+        self.q = q
+        self.p = p
+        for rows in (coeffs, q, p):
+            rows.setflags(write=False)
         # far-apart centres overflow the kernel exponent, which flushes to 0, and
         # huge coefficients overflow the norm; the rule below rejects an inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = _kernel_rows(np.concatenate((self.q, self.p), 1), self.q, self.p,
-                                basis.weights)[0]
+            gram = _kernel_rows(np.concatenate((q, p), 1), q, p, basis.weights)[0]
             norm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
             floor = NORM_RTOL * float(np.sum(coeffs.real**2 + coeffs.imag**2))
         if not np.isfinite(norm_sq) or norm_sq <= floor:
@@ -182,12 +205,14 @@ class SuperposedState:
         """Same ray, all coefficients multiplied by a nonzero scalar."""
         if factor == 0:
             raise ValueError("scaling factor must be nonzero")
-        return SuperposedState(self.coeffs * factor, self.points(), self.basis)
+        return SuperposedState._from_rows(self.coeffs * factor, self.q, self.p, self.basis)
 
     def with_component(self, coeff: complex, point: CoherentPoint) -> "SuperposedState":
-        return SuperposedState(
-            np.concatenate([self.coeffs, [coeff]]),
-            self.points() + [point],
+        _check_point(point, self.basis)
+        return SuperposedState._from_rows(
+            np.append(self.coeffs, complex(coeff)),
+            np.vstack((self.q, point.q)),
+            np.vstack((self.p, point.p)),
             self.basis,
         )
 
@@ -240,8 +265,7 @@ def evolve_free(state: SuperposedState, dt: float) -> SuperposedState:
         state.basis.weights * (state.q * state.p - q_new * p_new), axis=1
     )
     coeffs = state.coeffs * np.exp(1j * phases)
-    points = [CoherentPoint(q=q_new[j], p=p_new[j]) for j in range(state.n_components)]
-    return SuperposedState(coeffs, points, state.basis)
+    return SuperposedState._from_rows(coeffs, q_new, p_new, state.basis)
 
 
 @dataclass(frozen=True)

@@ -177,9 +177,9 @@ class TestHessian:
                 assert hess.tobytes() == hess_ref.tobytes()
 
 
-def _overlapping_state(rng, n_comp=None):
-    """1-3 modes, 1-8 components close enough for their bumps to interact."""
-    n = int(rng.integers(1, 4))
+def _overlapping_state(rng, n_comp=None, max_modes=10):
+    """1 to ``max_modes`` modes, 1-8 components close enough for their bumps to interact."""
+    n = int(rng.integers(1, max_modes + 1))
     m = int(rng.integers(1, 9)) if n_comp is None else n_comp
     basis = ModeBasis(omegas=rng.uniform(0.0, 2.0, n), weights=rng.uniform(0.3, 3.0, n))
     points = [_pt(rng.normal(0.0, 2.5, n), rng.normal(0.0, 2.5, n)) for _ in range(m)]
@@ -236,7 +236,7 @@ class TestAscentReuse:
         # every line-search trial is a full evaluation that the accepted step
         # reuses: the first start never backtracks, the second backtracks
         # twice, and a shortened step is not evaluated again either
-        state = _overlapping_state(np.random.default_rng(36), n_comp=4)
+        state = _overlapping_state(np.random.default_rng(36), n_comp=4, max_modes=3)
         starts = ascent_starts(state)
         cases = [
             (starts[0] + 0.7, {"backtracks": 0, "gradient_steps": 1, "failed": 0}),

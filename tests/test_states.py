@@ -91,6 +91,20 @@ class TestOverlap:
         basis = single_mode()
         assert overlap(_pt(0.0, 0.0), _pt(1e6, 0.0), basis) == 0.0
 
+    def test_flush_threshold_nan_and_overflow(self):
+        # dq = 1 and dp = 0 against the weight w give the exponent -w/4 exactly:
+        # -690 itself is kept, one ulp below it flushes
+        x, rows, w = np.array([1.0, 0.0]), np.zeros((1, 1)), 4.0 * UNDERFLOW_EXPONENT
+        kept = _kernel_rows(x, rows, rows, np.array([w]))[0]
+        flushed = _kernel_rows(x, rows, rows, np.array([np.nextafter(w, np.inf)]))[0]
+        assert kept[0] == np.exp(complex(-UNDERFLOW_EXPONENT, 0.0)) and kept.real[0] > 0.0
+        zero = np.zeros(1, complex).tobytes()
+        assert flushed.tobytes() == zero
+        # a NaN point, and points so far off that dq^2 and dp * sq overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in ([np.nan, 0.0], [0.0, 1e200], [1e200, 1e200]):
+                assert _kernel_rows(np.array(x), rows, rows, np.ones(1))[0].tobytes() == zero
+
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
     def test_components_past_the_flush_threshold_are_orthonormal_property(self, data):
@@ -183,6 +197,27 @@ class TestSuperposedState:
         assert state.coeffs[0] == 0.5j
         assert np.array_equal(state.points()[1].q, [-3.0])
 
+    def test_derived_states_equal_the_same_state_built_from_points(self):
+        rng = np.random.default_rng(8)
+        basis = ModeBasis(omegas=[1.0, 0.5, 2.0], weights=[1.0, 0.7, 1.6])
+        state = SuperposedState(rng.normal(size=4) + 1j * rng.normal(size=4),
+                                [_random_point(rng, 3, scale=1.5) for _ in range(4)], basis)
+        derived = [evolve_free(state, 0.7), state.scaled(-2.0j),
+                   state.with_component(0.3, _random_point(rng, 3, scale=1.5))]
+        for out in derived:
+            ref = SuperposedState(out.coeffs, out.points(), basis)
+            for got, want in ((out.coeffs, ref.coeffs), (out.q, ref.q), (out.p, ref.p)):
+                assert got.tobytes() == want.tobytes() and not got.flags.writeable
+            assert out.gram().tobytes() == ref.gram().tobytes()
+            assert out.norm_sq == ref.norm_sq
+
+    def test_rows_that_overflow_in_free_evolution_are_rejected(self):
+        # a centre 1.88e308 from the origin; the turn by 1.1 points it along q
+        state = SuperposedState([1.0], [_pt(8e307, 1.7e308)], single_mode())
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="coherent-point coordinates must be finite"):
+            evolve_free(state, 1.1)
+
 
 class TestAmplitude:
     def test_single_component_at_center(self):
@@ -251,14 +286,14 @@ _COORD = st.floats(-6.0, 6.0)
 
 @st.composite
 def _states_with_probes(draw, max_components=6):
-    """1-3 modes, 1 to ``max_components`` components, and probe points near and far from them.
+    """1-10 modes, 1 to ``max_components`` components, and probe points near and far from them.
 
     Optionally the last component sits 1e3 away in q_1, so its kernel
     underflows to zero at every other component, and the first two form a
     near-cancelling pair c (|x> - (1 - eps) |x + delta>) whose squared norm
     is orders of magnitude below sum |c_j|^2 yet above the roundoff floor.
     """
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 10))
     m = draw(st.integers(1, max_components))
     vec = st.lists(_COORD, min_size=2 * n, max_size=2 * n).map(np.array)
     basis = ModeBasis(omegas=draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)),
