@@ -156,8 +156,11 @@ def ascend(state: SuperposedState, start: np.ndarray) -> tuple[np.ndarray, float
         v = float(v)
     # a stationary point only counts as a maximum if the curvature is
     # strictly negative; flat saddles between far bumps also pass the
-    # gradient test and must be dropped
-    return x, v, converged and bool(np.linalg.eigvalsh(hess).max() < 0.0)
+    # gradient test and must be dropped, as must a Hessian eigvalsh cannot read
+    try:
+        return x, v, converged and bool(np.linalg.eigvalsh(hess).max() < 0.0)
+    except np.linalg.LinAlgError:
+        return x, v, False
 
 
 def ascent_starts(state: SuperposedState) -> list[np.ndarray]:

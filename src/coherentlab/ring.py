@@ -244,15 +244,55 @@ class SurvivalCurve:
     survival: np.ndarray
 
 
-def _stride_is_cheaper(n_grid: int, record_every: int, strides: int) -> bool:
-    """The cost model of ``survival_curve``: stride propagator or stepping."""
-    if record_every < 2 or n_grid > 1024:
-        return False
-    step_us = 12.0 + 0.03 * n_grid
-    build_us = record_every * 0.02 * n_grid**2
-    # A of at most 1 MiB stays in cache from one record to the next
-    matvec_us = 2.0 + (0.00035 if n_grid <= 256 else 0.00075) * n_grid**2
-    return build_us + strides * matvec_us < strides * record_every * step_us
+def _cheapest_path(n_grid: int, record_every: int, strides: int, one_cell: bool) -> str:
+    """The cost model of ``survival_curve``: "step", "stride" or "fourier"."""
+    if record_every < 2:
+        return "step"
+    steps = strides * record_every
+    costs = {"step": steps * (12.0 + 0.03 * n_grid)}
+    if n_grid <= 1024:
+        # A of at most 1 MiB stays in cache from one record to the next
+        matvec_us = 2.0 + (0.00035 if n_grid <= 256 else 0.00075) * n_grid**2
+        costs["stride"] = record_every * 0.02 * n_grid**2 + strides * matvec_us
+    if one_cell:
+        costs["fourier"] = steps * (3.0 + 0.002 * n_grid) + strides * (4.0 + 0.002 * n_grid)
+    return min(costs, key=costs.get)
+
+
+def _fourier_norms(psi: np.ndarray, decay_half: np.ndarray, kinetic: np.ndarray,
+                   drained: np.ndarray, marks: list[int]) -> list[float]:
+    """The recorded norms of the Strang map stepped in the Fourier basis.
+
+    phi = fft(psi) is transformed once.  There the kinetic step is the
+    phase N * ``kinetic`` (exact: N is a power of two), and a decay that
+    differs from 1 on at most the one cell c, D = I + (d - 1) e_c e_c^T,
+    is the rank-one update phi + ((d - 1) / N) (u^H phi) u with
+    u = fft(e_c).  Inside a gap between two records the trailing half
+    decay of one step and the leading one of the next merge into one d^2
+    update.  Each record's norm is Parseval's (1/N^2) sum |phi_k|^2.
+    """
+    n = psi.size
+    # with no drained cell, cell 0 has d = 1 and every update adds zero
+    cell = int(drained[0]) if drained.size else 0
+    d = decay_half[cell].real
+    # the integer product reduced mod N first, so the phase is exact to rounding
+    u = np.exp(-2j * np.pi * ((np.arange(n) * cell) % n) / n)
+    phase = kinetic * n
+    half, full = (d - 1.0) / n, (d * d - 1.0) / n
+    phi = np.fft.fft(psi)
+    work = np.empty_like(phi)
+    norms = [_norm(psi)]
+    for start, end in zip(marks, marks[1:]):
+        coeff = half
+        for _ in range(start, end):
+            np.multiply(u, coeff * np.vdot(u, phi), out=work)
+            phi += work
+            phi *= phase
+            coeff = full
+        np.multiply(u, half * np.vdot(u, phi), out=work)
+        phi += work
+        norms.append(float(np.vdot(phi, phi).real) / n**2)
+    return norms
 
 
 def survival_curve(
@@ -273,7 +313,11 @@ def survival_curve(
     N <= 1024 cap bounds A at 16 MiB.  Records fall after steps 0, r, 2r,
     ..., steps; each gap between two records is one matvec ``psi @ A``
     where A exists and the gap is a whole stride, else a run of split
-    steps.  Which path runs follows a cost model of the call's N, r and
+    steps.  Where the half-step decay differs from 1 on at most one grid
+    cell (a delta absorber, or none), M can instead be stepped in the
+    Fourier basis with no transform per step (``_fourier_norms``): the
+    one-cell decay is a rank-one update there, so a step is O(N).
+    Which path runs follows a cost model of the call's N, r and
     s = steps // r, in microseconds, measured with BLAS pinned to one
     thread (numpy 2.4, OpenBLAS 0.3, 2 vCPUs):
 
@@ -286,22 +330,32 @@ def survival_curve(
                                             at N = 64, 128, 256
                         2 + 0.00075 N^2     N >= 512; measured 167-216 at
                                             512, 800-863 at 1024
+        one Fourier     3 + 0.002 N         per step; measured 2.4-3.8, 2.2-4.1,
+        step            + records *         2.5-4.2, 3.3-5.0, 4.4-5.8 at N = 64,
+                        (4 + 0.002 N)       128, 256, 512, 1024; per record 2-6
+                                            at N <= 512, 3-13 at 1024
 
-    The stride path runs when r >= 2, N <= 1024 and building A plus
-    s matvecs is predicted cheaper than s * r steps.  So N = 256, r = 5
-    over many strides uses A, while N = 512, r = 5 steps: a matvec costs
-    more than five steps there.  With r = 1 every step is recorded and
-    the curve equals repeated ``step`` calls bit for bit.  The two paths
-    agree to roundoff; M is a contraction, so on either path the norm
-    never increases beyond roundoff.
+    With r >= 2 the cheapest candidate runs: stepping, the stride path
+    where N <= 1024, and the Fourier path where one cell is drained.  So
+    N = 256, r = 40 over many strides uses A, while a delta absorber at
+    N = 512, r = 5 steps in the Fourier basis.  With r = 1 every step is
+    recorded and the curve equals repeated ``step`` calls bit for bit.
+    The paths agree to roundoff; M is a contraction, so on every path
+    the norm never increases beyond roundoff.
     """
     _check_run(initial, dt, steps, record_every)
     decay_half, kinetic = _step_factors(initial, absorber, dt)
+    marks = [*range(0, steps, record_every), steps]
+    times = np.asarray([initial.time, *(initial.time + mark * dt for mark in marks[1:])])
+    drained = np.flatnonzero(decay_half != 1.0)
+    path = _cheapest_path(initial.n_grid, record_every, steps // record_every, drained.size <= 1)
+    if path == "fourier":
+        norms = _fourier_norms(initial.psi, decay_half, kinetic, drained, marks)
+        return SurvivalCurve(t=times, survival=np.asarray(norms))
     psi = initial.psi.copy()
     work = np.empty_like(psi)
-    marks = [*range(0, steps, record_every), steps]
     stride = None
-    if _stride_is_cheaper(psi.size, record_every, steps // record_every):
+    if path == "stride":
         stride = np.eye(psi.size, dtype=complex)
         block_work = np.empty((STRIDE_BLOCK_ROWS, psi.size), dtype=complex)
         # rows step independently, so each block is stepped in place
@@ -316,8 +370,7 @@ def survival_curve(
             for _ in range(start, end):
                 _strang(psi, work, decay_half, kinetic)
         norms.append(_norm(psi))
-    times = [initial.time, *(initial.time + mark * dt for mark in marks[1:])]
-    return SurvivalCurve(t=np.asarray(times), survival=np.asarray(norms))
+    return SurvivalCurve(t=times, survival=np.asarray(norms))
 
 
 def loss_rate(state: RingState, absorber: Absorber) -> float:

@@ -380,8 +380,9 @@ class TestTextbookBits:
 
 
 def _forced(monkeypatch, path, *args):
-    """``survival_curve(*args)`` with the cost model's choice fixed to ``path``."""
-    monkeypatch.setattr(ring, "_stride_is_cheaper", lambda *_: path == "stride")
+    """``survival_curve(*args)`` with the cost model's choice fixed to ``path``:
+    "step", "stride" or "fourier" (the last only for a one-cell drain)."""
+    monkeypatch.setattr(ring, "_cheapest_path", lambda *_: path)
     return survival_curve(*args)
 
 
@@ -461,37 +462,92 @@ class TestStridePropagator:
         assert peak <= 1.25 * n * n * 16
 
     @pytest.mark.parametrize(
-        "n, record_every, steps, calls",
+        "n, record_every, steps, calls, delta_calls",
         [
-            (256, 5, 4000, BLOCK_256 * 5),
-            (256, 5, 4003, BLOCK_256 * 5 + [(256,)] * 3),
-            (256, 5, 100, [(256,)] * 100),
-            (512, 5, 4000, [(512,)] * 4000),
-            (64, 1, 100, [(64,)] * 100),
-            (1024, 16, 32, [(1024,)] * 32),
+            # the delta absorber drains one cell: at r >= 2 the Fourier path
+            # is the cheapest in every row, and it makes no _strang call
+            (256, 5, 4000, BLOCK_256 * 5, []),
+            (256, 5, 4003, BLOCK_256 * 5 + [(256,)] * 3, []),
+            (256, 5, 100, [(256,)] * 100, []),
+            (512, 5, 4000, [(512,)] * 4000, []),
+            (64, 1, 100, [(64,)] * 100, [(64,)] * 100),
+            (1024, 16, 32, [(1024,)] * 32, []),
         ],
     )
-    def test_cost_model_picks_the_path(self, monkeypatch, n, record_every, steps, calls):
+    @pytest.mark.parametrize("absorber", ABSORBERS, ids=["delta", "plateau"])
+    def test_cost_model_picks_the_path(self, monkeypatch, n, record_every, steps, calls,
+                                       delta_calls, absorber):
         shapes = _strang_calls(monkeypatch)
-        curve = survival_curve(uniform_state(n), Absorber(kind="delta", strength=0.5),
-                               0.25 * dt_bound(n, 1.0), steps, record_every)
-        assert shapes == calls
+        curve = survival_curve(uniform_state(n), absorber, 0.25 * dt_bound(n, 1.0), steps,
+                               record_every)
+        assert shapes == (delta_calls if absorber.kind == "delta" else calls)
         assert curve.t.size == -(-steps // record_every) + 1
 
 
+class TestFourierPath:
+    """A drain of one cell stepped in the Fourier basis, against stepping."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    @pytest.mark.parametrize("record_every", [2, 5, 40])
+    @pytest.mark.parametrize("strength", [0.0, 0.5])
+    @pytest.mark.parametrize("mass", [1.0, 1.5])
+    def test_fourier_agrees_with_stepping(self, monkeypatch, n, record_every, strength, mass):
+        # measured: at most 1.4e-14 over these cases, natively and under the
+        # pinned dispatch of tests/test_config_hashes.py
+        state = von_mises_state(n, 0.3, 2.0, boost=3, mass=mass)
+        dt = 0.25 * dt_bound(n, mass)
+        for cell in (0, n // 2, n - 1):
+            absorber = Absorber(kind="delta", center=cell / n, strength=strength)
+            for steps in (200, 203):
+                args = (state, absorber, dt, steps, record_every)
+                stepped = _forced(monkeypatch, "step", *args)
+                fourier = _forced(monkeypatch, "fourier", *args)
+                assert fourier.t.tobytes() == stepped.t.tobytes()
+                assert np.max(np.abs(fourier.survival - stepped.survival)) <= 2e-14
+
+    def test_one_cell_plateau_takes_the_fourier_path(self, monkeypatch):
+        # the drained cell is read from the decay itself, whatever the kind:
+        # a plateau this narrow drains the one grid cell at its centre
+        n = 128
+        absorber = Absorber(kind="plateau", center=0.25, strength=40.0, width=1e-6, sigma=1e-6)
+        args = (von_mises_state(n, 0.3, 2.0, boost=3), absorber, 0.25 * dt_bound(n, 1.0), 400, 5)
+        assert np.count_nonzero(absorber.profile(n)) == 1
+        stepped = _forced(monkeypatch, "step", *args)
+        monkeypatch.undo()
+        shapes = _strang_calls(monkeypatch)
+        curve = survival_curve(*args)
+        assert shapes == []
+        assert np.max(np.abs(curve.survival - stepped.survival)) <= 2e-14
+
+    def test_fourier_run_holds_no_n_squared_buffer(self, monkeypatch):
+        # measured peak: 121 kB, about 15 N complex values; A alone is N^2 * 16 bytes
+        n = 512
+        args = (uniform_state(n), Absorber(kind="delta", strength=0.5),
+                0.25 * dt_bound(n, 1.0), 4000, 5)
+        tracemalloc.start()
+        try:
+            _forced(monkeypatch, "fourier", *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * n * 16
+
+
 class TestExactReference:
-    """Both paths against psi(t) = exp(-i H t) psi_0 on N = 128, T = 0.4,
+    """Each path against psi(t) = exp(-i H t) psi_0 on N = 128, T = 0.4,
     20 records; the error is the largest over the records."""
 
-    def _errors(self, monkeypatch, state, absorber):
-        """Error of each path (columns: stepping, stride) at 1600, 3200, 6400 steps."""
+    def _errors(self, monkeypatch, state, absorber, paths=("step", "stride")):
+        """Error of each path (one column per path, stepping first) at 1600,
+        3200 and 6400 steps; every path agrees with stepping to 2e-14."""
         T, errors = 0.4, []
         exact = ring_exact_survival(state, absorber, np.arange(21) * (T / 20))
         for steps in (1600, 3200, 6400):
             args = (state, absorber, T / steps, steps, steps // 20)
-            curves = [_forced(monkeypatch, path, *args) for path in ("step", "stride")]
-            assert curves[1].t.tobytes() == curves[0].t.tobytes()
-            assert np.max(np.abs(curves[1].survival - curves[0].survival)) <= 2e-14
+            curves = [_forced(monkeypatch, path, *args) for path in paths]
+            for curve in curves[1:]:
+                assert curve.t.tobytes() == curves[0].t.tobytes()
+                assert np.max(np.abs(curve.survival - curves[0].survival)) <= 2e-14
             errors.append([np.max(np.abs(c.survival - exact)) for c in curves])
         return np.array(errors)
 
@@ -504,8 +560,10 @@ class TestExactReference:
 
     def test_delta_within_measured_bound(self, monkeypatch):
         # measured: 5.9e-5, 5.3e-5, 3.0e-5; not yet second order at these dt
+        # on all three paths: one cell is drained, so it may step in the Fourier basis
         absorber = Absorber(kind="delta", center=0.0, strength=0.5)
-        errors = self._errors(monkeypatch, uniform_state(128), absorber)
+        errors = self._errors(monkeypatch, uniform_state(128), absorber,
+                              ("step", "stride", "fourier"))
         assert np.all(errors < 7e-5)
 
 

@@ -338,6 +338,18 @@ class TestLandscapeUnderflow:
         assert v_at(state, x) == expected
         assert v_value_grad_hess(state, x)[0] == expected
 
+    def test_hessian_eigvalsh_cannot_read_is_a_failed_start(self):
+        # at the far centre the gradient vanishes, but derivative rows of
+        # order 1e154 overflow the Hessian to NaN and eigvalsh does not converge
+        basis = ModeBasis(omegas=[1.0] * 3, weights=[1.0] * 3)
+        near, far = _pt([0.0] * 3, [0.0] * 3), _pt([1e154] * 3, [1e154] * 3)
+        state = SuperposedState([0.9, 3.0], [near, far], basis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert ascend(state, far.as_vector())[2] is False
+        result = find_local_maxima(state)
+        assert result.failed_starts == 1
+        assert [c.point.as_vector().tolist() for c in result.maxima] == [[0.0] * 6]
+
 
 class TestSelectAndCollapse:
     def test_fixed_point(self):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coherentlab import (
@@ -317,11 +317,24 @@ def _states_with_probes(draw, max_components=6):
     return state, probes
 
 
+def _subnormal_case():
+    """A probe whose |a|^2 is subnormal: 2.8174063863325e-311 through re^2 + im^2,
+    one subnormal ulp lower through abs(a) ** 2 (a shrunk hypothesis example)."""
+    q, p = np.zeros((2, 8)), np.zeros((2, 8))
+    q[0, [3, 6]], p[0, [4, 6]], q[1, 0] = (3.0, -5.0), (6.0, -5.0), 1e3
+    basis = ModeBasis(omegas=np.zeros(8), weights=[0.5, 1.0, 1.0, 1.0, 1.75, 1.0, 3.0, 1.0])
+    state = SuperposedState([1.0, 1.0], [CoherentPoint(q=qj, p=pj) for qj, pj in zip(q, p)], basis)
+    probe = np.zeros(16)
+    probe[[0, 3, 6, 12, 14]] = 12.0, 3.0, 8.5, -12.0, 4.0
+    return state, [probe]
+
+
 class TestOneLandscapeEvaluator:
     """Every entry point to the landscape gives the same value, bit for bit."""
 
     @settings(max_examples=400, derandomize=True, deadline=None, database=None)
     @given(case=_states_with_probes())
+    @example(case=_subnormal_case())
     def test_evaluators_agree(self, case):
         state, probes = case
         for x in probes:
@@ -333,8 +346,11 @@ class TestOneLandscapeEvaluator:
             a = amplitude(state, pt)
             assert min((a.real * a.real + a.imag * a.imag) / state.norm_sq, 1.0) == v
             # |a|^2 through abs() rounds twice (hypot, then the square), so it
-            # may differ from re^2 + im^2 in the last bits
-            assert min(abs(a) ** 2 / state.norm_sq, 1.0) == pytest.approx(v, rel=1e-15, abs=0.0)
+            # may differ from re^2 + im^2 in the last bits; where |a|^2 is
+            # subnormal, those are a few ulps of the subnormal grid, 2^-1074
+            # each before the division by the norm
+            grid = 4 * 2.0**-1074 / min(state.norm_sq, 1.0)
+            assert min(abs(a) ** 2 / state.norm_sq, 1.0) == pytest.approx(v, rel=1e-15, abs=grid)
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(n=st.integers(1, 3), data=st.data())
