@@ -259,8 +259,8 @@ def _cheapest_path(n_grid: int, record_every: int, strides: int, one_cell: bool)
     return min(costs, key=costs.get)
 
 
-def _fourier_norms(psi: np.ndarray, decay_half: np.ndarray, kinetic: np.ndarray,
-                   drained: np.ndarray, marks: list[int]) -> list[float]:
+def _fourier_norms(psi: np.ndarray, cell: int, d: float, kinetic: np.ndarray,
+                   marks: list[int]) -> list[float]:
     """The recorded norms of the Strang map stepped in the Fourier basis.
 
     phi = fft(psi) is transformed once.  There the kinetic step is the
@@ -272,9 +272,6 @@ def _fourier_norms(psi: np.ndarray, decay_half: np.ndarray, kinetic: np.ndarray,
     update.  Each record's norm is Parseval's (1/N^2) sum |phi_k|^2.
     """
     n = psi.size
-    # with no drained cell, cell 0 has d = 1 and every update adds zero
-    cell = int(drained[0]) if drained.size else 0
-    d = decay_half[cell].real
     # the integer product reduced mod N first, so the phase is exact to rounding
     u = np.exp(-2j * np.pi * ((np.arange(n) * cell) % n) / n)
     phase = kinetic * n
@@ -350,7 +347,9 @@ def survival_curve(
     drained = np.flatnonzero(decay_half != 1.0)
     path = _cheapest_path(initial.n_grid, record_every, steps // record_every, drained.size <= 1)
     if path == "fourier":
-        norms = _fourier_norms(initial.psi, decay_half, kinetic, drained, marks)
+        # with no drained cell, cell 0 has d = 1 and every update adds zero
+        cell = int(drained[0]) if drained.size else 0
+        norms = _fourier_norms(initial.psi, cell, decay_half[cell].real, kinetic, marks)
         return SurvivalCurve(t=times, survival=np.asarray(norms))
     psi = initial.psi.copy()
     work = np.empty_like(psi)

@@ -505,6 +505,20 @@ class TestFourierPath:
                 assert fourier.t.tobytes() == stepped.t.tobytes()
                 assert np.max(np.abs(fourier.survival - stepped.survival)) <= 2e-14
 
+    def test_fourier_agrees_with_stepping_at_the_fine_config(self, monkeypatch):
+        # configs/ring_fine.json's N, r, dt and state over its 4000 steps: the
+        # roundoff of both paths grows with the step count; measured at most
+        # 1.0e-13 over these cells, natively and under the pinned dispatch
+        n = 512
+        state = von_mises_state(n, 0.5, 10.0, boost=3)
+        for cell in (0, n // 2, n - 1):
+            absorber = Absorber(kind="delta", center=cell / n, strength=0.5)
+            args = (state, absorber, 1e-4, 4000, 5)
+            stepped = _forced(monkeypatch, "step", *args)
+            fourier = _forced(monkeypatch, "fourier", *args)
+            assert fourier.t.tobytes() == stepped.t.tobytes()
+            assert np.max(np.abs(fourier.survival - stepped.survival)) <= 2e-13
+
     def test_one_cell_plateau_takes_the_fourier_path(self, monkeypatch):
         # the drained cell is read from the decay itself, whatever the kind:
         # a plateau this narrow drains the one grid cell at its centre

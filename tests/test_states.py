@@ -318,8 +318,8 @@ def _states_with_probes(draw, max_components=6):
 
 
 def _subnormal_case():
-    """A probe whose |a|^2 is subnormal: 2.8174063863325e-311 through re^2 + im^2,
-    one subnormal ulp lower through abs(a) ** 2 (a shrunk hypothesis example)."""
+    """A probe where |a|^2 and v are subnormal: v is 2.8174063863325e-311 through
+    re^2 + im^2, one step of 2^-1074 lower through abs(a) ** 2 (a shrunk example)."""
     q, p = np.zeros((2, 8)), np.zeros((2, 8))
     q[0, [3, 6]], p[0, [4, 6]], q[1, 0] = (3.0, -5.0), (6.0, -5.0), 1e3
     basis = ModeBasis(omegas=np.zeros(8), weights=[0.5, 1.0, 1.0, 1.0, 1.75, 1.0, 3.0, 1.0])
@@ -346,11 +346,14 @@ class TestOneLandscapeEvaluator:
             a = amplitude(state, pt)
             assert min((a.real * a.real + a.imag * a.imag) / state.norm_sq, 1.0) == v
             # |a|^2 through abs() rounds twice (hypot, then the square), so it
-            # may differ from re^2 + im^2 in the last bits; where |a|^2 is
-            # subnormal, those are a few ulps of the subnormal grid, 2^-1074
-            # each before the division by the norm
-            grid = 4 * 2.0**-1074 / min(state.norm_sq, 1.0)
-            assert min(abs(a) ** 2 / state.norm_sq, 1.0) == pytest.approx(v, rel=1e-15, abs=grid)
+            # may differ from re^2 + im^2 in the last bits
+            via_abs = min(abs(a) ** 2 / state.norm_sq, 1.0)
+            if min(abs(a) ** 2, v) >= np.finfo(float).tiny:
+                assert via_abs == pytest.approx(v, rel=1e-15, abs=0.0)
+            else:
+                # subnormal: the last bits are whole steps of 2^-1074, and the
+                # division by the norm scales those of |a|^2
+                assert abs(via_abs - v) <= 4 * 2.0**-1074 / min(state.norm_sq, 1.0)
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(n=st.integers(1, 3), data=st.data())
