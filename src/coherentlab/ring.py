@@ -38,6 +38,21 @@ DT_SAFETY_DEFAULT = 4000.0
 #: N >= 64.
 STRIDE_BLOCK_ROWS = 64
 
+#: Steps folded into one Fourier-basis gap operator of ``_fourier_norms``: a
+#: longer gap between two records runs as chunks of at most this many
+#: steps, so an operator holds two (cap + 1) x N arrays, 2.1 MB at N = 1024.
+GAP_CHUNK_STEPS = 64
+
+#: Frequencies whose phase powers ``_phase_powers`` carries at a time.
+POWER_BLOCK = 256
+
+#: Veltkamp's splitter 2^27 + 1 (Dekker 1971).
+_SPLITTER = 134217729.0
+
+#: Whether numpy's long double is wider than a double (x87's 64-bit
+#: mantissa, or quad precision); ``_phase_powers`` carries its products there.
+_WIDE_LONG_DOUBLE = bool(np.finfo(np.longdouble).eps < np.finfo(float).eps)
+
 #: CODATA value of the reduced Planck constant, J s.
 HBAR_SI = 1.054571817e-34
 
@@ -255,12 +270,112 @@ def _cheapest_path(n_grid: int, record_every: int, strides: int, one_cell: bool)
         matvec_us = 2.0 + (0.00035 if n_grid <= 256 else 0.00075) * n_grid**2
         costs["stride"] = record_every * 0.02 * n_grid**2 + strides * matvec_us
     if one_cell:
-        costs["fourier"] = steps * (3.0 + 0.002 * n_grid) + strides * (4.0 + 0.002 * n_grid)
+        chunk = min(record_every, GAP_CHUNK_STEPS)
+        build_us = (60.0 + 0.05 * n_grid + chunk * (5.0 + 0.006 * n_grid)
+                    + 0.0005 * (chunk + 1) ** 2 * n_grid)
+        chunks = strides * -(-record_every // GAP_CHUNK_STEPS)
+        chunk_us = 4.0 + 0.024 * n_grid + 0.0006 * (chunk + 1) * n_grid
+        costs["fourier"] = build_us + chunks * chunk_us
     return min(costs, key=costs.get)
 
 
+def _split(a):
+    """Veltkamp's split of a double into two halves of at most 26 bits each."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _dd_times(a, a_lo, b, b_split):
+    """(a + a_lo) * b as the unevaluated sum p + e, a * b exactly (Dekker)."""
+    p = a * b
+    a_hi, a_rest = _split(a)
+    b_hi, b_lo = b_split
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_rest * b_hi) + a_rest * b_lo + a_lo * b
+
+
+def _dd_sum(x, y):
+    """The double-double x + y, renormalised: Knuth's two_sum of the heads."""
+    s = x[0] + y[0]
+    z = s - x[0]
+    e = (x[0] - (s - z)) + (y[0] - z) + x[1] + y[1]
+    hi = s + e
+    return hi, e - (hi - s)
+
+
+def _phase_powers(phase: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows phase**j, j = 0..count, each the product of the rounded
+    ``phase`` carried in extended precision and rounded once; and
+    phase**count itself as ``np.clongdouble``, unrounded where that type
+    is wider than a double.
+
+    Repeated double products would round j times, and their error grows
+    with j.  Where numpy's long double is wider than a double it carries
+    the product; elsewhere each power is a double-double times the
+    double ``phase``, from Dekker's exact products.  The frequencies go
+    ``POWER_BLOCK`` at a time, which bounds the extended-precision
+    temporaries.
+    """
+    out = np.empty((count + 1, phase.size), dtype=complex)
+    out[0] = 1.0
+    last = np.empty(phase.size, dtype=np.clongdouble)
+    for first in range(0, phase.size, POWER_BLOCK):
+        cols = slice(first, first + POWER_BLOCK)
+        if _WIDE_LONG_DOUBLE:
+            factor = phase[cols].astype(np.clongdouble)
+            power = last[cols]
+            power[...] = 1.0
+            for row in out[1:]:
+                power *= factor
+                row[cols] = power
+            continue
+        pr, pi = phase[cols].real, phase[cols].imag
+        pr_split, pi_split = _split(pr), _split(pi)
+        (xr, xr_lo), (xi, xi_lo) = (np.ones_like(pr), 0.0), (np.zeros_like(pr), 0.0)
+        for row in out[1:]:
+            # (xr + i xi)(pr + i pi) = (xr pr - xi pi) + i (xr pi + xi pr)
+            (xr, xr_lo), (xi, xi_lo) = (
+                _dd_sum(_dd_times(xr, xr_lo, pr, pr_split), _dd_times(-xi, -xi_lo, pi, pi_split)),
+                _dd_sum(_dd_times(xr, xr_lo, pi, pi_split), _dd_times(xi, xi_lo, pr, pr_split)),
+            )
+            row[cols].real, row[cols].imag = xr, xi
+        last[cols] = out[count, cols]
+    return out, last
+
+
+def _gap_operator(u: np.ndarray, phase: np.ndarray, half: float, full: float, steps: int):
+    """(V, W, P^r) of r = ``steps`` Strang steps in the Fourier basis.
+
+    The r steps are r + 1 rank-one updates phi + c_j (u^H phi) u, with
+    c = (half, full, ..., full, half), and a phase P between each two.
+    Let s_j = u^H psi_j, the product read just before update j.  Then
+    s_j = u^H P^j phi + sum_{i<j} c_i g_{j-i} s_i with g_m = u^H P^m u,
+    so s = (I - T)^-1 V phi with V's rows conj(u) P^j and the strictly
+    lower triangular T_ji = c_i g_{j-i}.  The gap maps phi to
+    P^r phi + sum_i c_i s_i P^(r-i) u = P^r phi + (V phi) @ W: a diagonal
+    plus rank r + 1, the modified-matrix structure of Golub (1973).  V and
+    W are (r + 1) x N; the power table becomes V in place.  P^r comes in
+    ``np.clongdouble`` (see ``_phase_powers``).
+    """
+    k = steps + 1
+    powers, last = _phase_powers(phase, steps)
+    g = powers @ (u.conj() * u)
+    c = np.full(k, full)
+    c[[0, -1]] = half
+    lag = np.subtract.outer(np.arange(k), np.arange(k))
+    t = np.where(lag > 0, g[np.maximum(lag, 0)] * c, 0.0)
+    # W's row i is sum_j (K^T C)_ij P^(r-j) u, with K = (I - T)^-1 and C = diag(c)
+    w = np.linalg.solve((np.eye(k) - t).T, np.diag(c))[:, ::-1] @ powers
+    conj_u = u.conj()
+    # row by row: a broadcast in-place product takes a buffer of the whole array
+    for w_row, v_row in zip(w, powers):
+        w_row *= u
+        v_row *= conj_u
+    return powers, w, last
+
+
 def _fourier_norms(psi: np.ndarray, cell: int, d: float, kinetic: np.ndarray,
-                   marks: list[int]) -> list[float]:
+                   marks: list[int]) -> np.ndarray:
     """The recorded norms of the Strang map stepped in the Fourier basis.
 
     phi = fft(psi) is transformed once.  There the kinetic step is the
@@ -269,7 +384,12 @@ def _fourier_norms(psi: np.ndarray, cell: int, d: float, kinetic: np.ndarray,
     is the rank-one update phi + ((d - 1) / N) (u^H phi) u with
     u = fft(e_c).  Inside a gap between two records the trailing half
     decay of one step and the leading one of the next merge into one d^2
-    update.  Each record's norm is Parseval's (1/N^2) sum |phi_k|^2.
+    update, so the gap is one ``_gap_operator``: two thin matvecs, a phase
+    multiply and an add, whatever its length.  A gap longer than
+    ``GAP_CHUNK_STEPS`` runs as chunks of that form (D^2 = two half
+    decays).  Each chunk length is built once, and a run holds at most
+    three: the cap, r mod cap and the last gap's remainder.  Each
+    record's norm is Parseval's (1/N^2) sum |phi_k|^2.
     """
     n = psi.size
     # the integer product reduced mod N first, so the phase is exact to rounding
@@ -277,18 +397,24 @@ def _fourier_norms(psi: np.ndarray, cell: int, d: float, kinetic: np.ndarray,
     phase = kinetic * n
     half, full = (d - 1.0) / n, (d * d - 1.0) / n
     phi = np.fft.fft(psi)
-    work = np.empty_like(phi)
-    norms = [_norm(psi)]
-    for start, end in zip(marks, marks[1:]):
-        coeff = half
-        for _ in range(start, end):
-            np.multiply(u, coeff * np.vdot(u, phi), out=work)
-            phi += work
-            phi *= phase
-            coeff = full
-        np.multiply(u, half * np.vdot(u, phi), out=work)
-        phi += work
-        norms.append(float(np.vdot(phi, phi).real) / n**2)
+    operators = {}
+    wide = np.empty(n, dtype=np.clongdouble)
+    norms = np.empty(len(marks))
+    norms[0] = _norm(psi)
+    for record, (start, end) in enumerate(zip(marks, marks[1:]), 1):
+        for first in range(start, end, GAP_CHUNK_STEPS):
+            chunk = min(end - first, GAP_CHUNK_STEPS)
+            if chunk not in operators:
+                operators[chunk] = _gap_operator(u, phase, half, full, chunk)
+            v, w, last = operators[chunk]
+            products = v @ phi
+            # P^r phi in long double, rounded once: a P^r rounded to double
+            # biases each mode's modulus the same way at every record
+            wide[...] = phi
+            wide *= last
+            phi[...] = wide
+            phi += products @ w
+        norms[record] = np.vdot(phi, phi).real / n**2
     return norms
 
 
@@ -311,12 +437,14 @@ def survival_curve(
     ..., steps; each gap between two records is one matvec ``psi @ A``
     where A exists and the gap is a whole stride, else a run of split
     steps.  Where the half-step decay differs from 1 on at most one grid
-    cell (a delta absorber, or none), M can instead be stepped in the
-    Fourier basis with no transform per step (``_fourier_norms``): the
-    one-cell decay is a rank-one update there, so a step is O(N).
-    Which path runs follows a cost model of the call's N, r and
-    s = steps // r, in microseconds, measured with BLAS pinned to one
-    thread (numpy 2.4, OpenBLAS 0.3, 2 vCPUs):
+    cell (a delta absorber, or none), M can instead be run in the Fourier
+    basis with no transform per step (``_fourier_norms``): the one-cell
+    decay is a rank-one update there, so c steps are one diagonal plus
+    rank c + 1 operator: two thin matvecs and a phase multiply.  A gap
+    runs in chunks of c = min(r, ``GAP_CHUNK_STEPS``) steps.  Which path
+    runs follows a cost model of the call's N, r and s = steps // r, in
+    microseconds, measured with BLAS pinned to one thread (numpy 2.4,
+    OpenBLAS 0.3, 2 vCPUs):
 
         one step        12 + 0.03 N         measured 16, 19, 22, 21-31, 42-47
                                             at N = 64, 128, 256, 512, 1024
@@ -327,16 +455,24 @@ def survival_curve(
                                             at N = 64, 128, 256
                         2 + 0.00075 N^2     N >= 512; measured 167-216 at
                                             512, 800-863 at 1024
-        one Fourier     3 + 0.002 N         per step; measured 2.4-3.8, 2.2-4.1,
-        step            + records *         2.5-4.2, 3.3-5.0, 4.4-5.8 at N = 64,
-                        (4 + 0.002 N)       128, 256, 512, 1024; per record 2-6
-                                            at N <= 512, 3-13 at 1024
+        one Fourier     4 + 0.024 N         measured 5.6, 10.2, 16.2, 28.0 at
+        chunk           + 0.0006 (c+1) N    c = 2 and N = 64, 256, 512, 1024;
+                                            7.4, 15.6, 25.6, 55.2 at c = 40;
+                                            93-136 at N = 1024, c = 64, where
+                                            V and W outgrow the cache
+        its set-up and  60 + 0.05 N         once per run; measured, with one
+        operator        + c (5 + 0.006 N)   chunk, 89-160 at c = 2 and
+                        + 0.0005 (c+1)^2 N  N <= 512, 164-257 at 1024; 255-483,
+                                            461-727, 910-915, 1635-1636 at
+                                            c = 40; 2894-2926 at N = 1024,
+                                            c = 64
 
     With r >= 2 the cheapest candidate runs: stepping, the stride path
     where N <= 1024, and the Fourier path where one cell is drained.  So
-    N = 256, r = 40 over many strides uses A, while a delta absorber at
-    N = 512, r = 5 steps in the Fourier basis.  With r = 1 every step is
-    recorded and the curve equals repeated ``step`` calls bit for bit.
+    a plateau absorber at N = 256, r = 40 over many strides uses A, while
+    a delta absorber runs in the Fourier basis at every N and r >= 2 of
+    the sample configs.  With r = 1 every step is recorded and the curve
+    equals repeated ``step`` calls bit for bit.
     The paths agree to roundoff; M is a contraction, so on every path
     the norm never increases beyond roundoff.
     """
@@ -350,7 +486,7 @@ def survival_curve(
         # with no drained cell, cell 0 has d = 1 and every update adds zero
         cell = int(drained[0]) if drained.size else 0
         norms = _fourier_norms(initial.psi, cell, decay_half[cell].real, kinetic, marks)
-        return SurvivalCurve(t=times, survival=np.asarray(norms))
+        return SurvivalCurve(t=times, survival=norms)
     psi = initial.psi.copy()
     work = np.empty_like(psi)
     stride = None

@@ -5,7 +5,9 @@ code path it checks: the landscape is evaluated from the overlap formula
 directly (separable per-mode factors), the argmax is located by a
 zooming dense-grid scan with no derivative information, gradients are
 checked against centered finite differences, and the ring's norm is
-propagated by a dense matrix exponential instead of a split step.  Loop
+propagated by a dense matrix exponential instead of a split step, or
+stepped with the library's own rounded factors in long double through a
+radix-2 transform of its own.  Loop
 references keep the straightforward form of code that the library
 restructured for speed (the pairwise start search, the ascent that
 re-evaluates every accepted point), so the fast path can be required to
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
+from coherentlab import ring
 from coherentlab.landscape import v_at
 from coherentlab.states import _component_terms
 
@@ -255,3 +258,50 @@ def ring_exact_survival(state, absorber, times):
     return np.array(
         [np.mean(np.abs(expm(-1j * h * t) @ state.psi) ** 2) for t in times]
     )
+
+
+def _long_double_dft(n):
+    """The unnormalised transforms sum_j x_j exp(-+2 pi i jk / N), forward and
+    inverse, in long double: radix-2 decimation in time over the
+    bit-reversed input, with twiddles from a long-double pi."""
+    index = np.arange(n)
+    reversed_index = np.zeros(n, dtype=int)
+    bits = n.bit_length() - 1
+    for b in range(bits):
+        reversed_index |= ((index >> b) & 1) << (bits - 1 - b)
+    pi = np.arccos(np.longdouble(-1.0))
+    angles = [pi * np.arange(2**level, dtype=np.longdouble) / 2**level for level in range(bits)]
+
+    def transform(x, twiddles):
+        x = x[reversed_index]
+        for w in twiddles:
+            pairs = x.reshape(-1, 2, w.size)
+            odd = pairs[:, 1] * w
+            x = np.concatenate([pairs[:, 0] + odd, pairs[:, 0] - odd], axis=1).reshape(n)
+        return x
+
+    forward = [np.cos(a) - 1j * np.sin(a) for a in angles]
+    inverse = [np.cos(a) + 1j * np.sin(a) for a in angles]
+    return (lambda x: transform(x, forward)), (lambda x: transform(x, inverse))
+
+
+def ring_long_double_survival(state, absorber, dt, steps, record_every):
+    """The recorded norms of ``survival_curve``'s Strang map, stepped in long double.
+
+    The factors are the library's rounded ``decay_half`` and ``kinetic``
+    (which carries the inverse transform's 1/N), so this differs from the
+    map that every path of ``survival_curve`` computes only by the
+    roundoff of double arithmetic.  Records fall where the library's do.
+    """
+    decay_half, kinetic = ring._step_factors(state, absorber, dt)
+    decay = decay_half.astype(np.clongdouble)
+    phase = kinetic.astype(np.clongdouble)
+    forward, inverse = _long_double_dft(state.n_grid)
+    psi = state.psi.astype(np.clongdouble)
+    marks = [*range(0, steps, record_every), steps]
+    norms = [np.mean(np.abs(psi) ** 2)]
+    for start, end in zip(marks, marks[1:]):
+        for _ in range(start, end):
+            psi = decay * inverse(phase * forward(decay * psi))
+        norms.append(np.mean(np.abs(psi) ** 2))
+    return np.array(norms, dtype=float)

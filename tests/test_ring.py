@@ -1,12 +1,13 @@
 import json
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ring_exact_survival
+from oracles import ring_exact_survival, ring_long_double_survival
 
 from coherentlab import (
     Absorber,
@@ -26,6 +27,7 @@ from coherentlab import (
 from coherentlab.config import resolve_config
 
 RING_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ring.json"
+RING_FINE_CONFIG = RING_CONFIG.with_name("ring_fine.json")
 
 
 def _drawn_absorber(data):
@@ -399,6 +401,20 @@ def _strang_calls(monkeypatch):
     return shapes
 
 
+def _config_run(path):
+    """The ``survival_curve`` arguments of a sample ring config, and its parameters."""
+    config, inputs = resolve_config(json.loads(path.read_text()))
+    p = config["parameters"]
+    return (inputs["state"], inputs["absorber"], p["dt"], p["steps"], p["record_every"]), p
+
+
+def _one_cell_plateau_run():
+    """``survival_curve`` arguments with a plateau so narrow that it drains
+    only the grid cell at its centre."""
+    absorber = Absorber(kind="plateau", center=0.25, strength=40.0, width=1e-6, sigma=1e-6)
+    return (von_mises_state(128, 0.3, 2.0, boost=3), absorber, 0.25 * dt_bound(128, 1.0), 400, 5)
+
+
 STRIDE_ABSORBERS = ABSORBERS + [Absorber(kind="delta", center=0.5, strength=0.0)]
 
 #: The ``_strang`` shapes of one of the r stacked steps of the N = 256 stride build.
@@ -438,15 +454,26 @@ class TestStridePropagator:
             assert np.max(np.abs(strided.survival - stepped.survival)) <= 2e-14
 
     def test_ring_config_never_gains_norm_on_the_stride_path(self, monkeypatch):
-        config, inputs = resolve_config(json.loads(RING_CONFIG.read_text()))
-        p = config["parameters"]
+        args, p = _config_run(RING_CONFIG)
         shapes = _strang_calls(monkeypatch)
-        curve = survival_curve(inputs["state"], inputs["absorber"], p["dt"], p["steps"],
-                               p["record_every"])
+        curve = _forced(monkeypatch, "stride", *args)
         assert shapes == BLOCK_256 * p["record_every"]
         assert curve.survival.size == p["steps"] // p["record_every"] + 1
         assert np.all(np.diff(curve.survival) <= 1e-14)
         assert curve.survival[-1] == pytest.approx(3.5e-4, rel=0.05)
+
+    def test_ring_config_takes_the_fourier_path(self, monkeypatch):
+        # the cost model's pick for N = 256, r = 40: one cell is drained;
+        # measured 3.6e-15 from the stride curve over the 32000 steps
+        args, _ = _config_run(RING_CONFIG)
+        shapes = _strang_calls(monkeypatch)
+        curve = survival_curve(*args)
+        assert shapes == []
+        assert np.all(np.diff(curve.survival) <= 1e-14)
+        assert curve.survival[-1] == pytest.approx(3.5e-4, rel=0.05)
+        strided = _forced(monkeypatch, "stride", *args)
+        assert curve.t.tobytes() == strided.t.tobytes()
+        assert np.max(np.abs(curve.survival - strided.survival)) <= 1e-14
 
     def test_stride_run_holds_a_and_one_block(self, monkeypatch):
         # numpy reports its buffers to tracemalloc; A alone is N^2 * 16 bytes
@@ -520,12 +547,9 @@ class TestFourierPath:
             assert np.max(np.abs(fourier.survival - stepped.survival)) <= 2e-13
 
     def test_one_cell_plateau_takes_the_fourier_path(self, monkeypatch):
-        # the drained cell is read from the decay itself, whatever the kind:
-        # a plateau this narrow drains the one grid cell at its centre
-        n = 128
-        absorber = Absorber(kind="plateau", center=0.25, strength=40.0, width=1e-6, sigma=1e-6)
-        args = (von_mises_state(n, 0.3, 2.0, boost=3), absorber, 0.25 * dt_bound(n, 1.0), 400, 5)
-        assert np.count_nonzero(absorber.profile(n)) == 1
+        # the drained cell is read from the decay itself, whatever the kind
+        args = _one_cell_plateau_run()
+        assert np.count_nonzero(args[1].profile(args[0].n_grid)) == 1
         stepped = _forced(monkeypatch, "step", *args)
         monkeypatch.undo()
         shapes = _strang_calls(monkeypatch)
@@ -534,7 +558,8 @@ class TestFourierPath:
         assert np.max(np.abs(curve.survival - stepped.survival)) <= 2e-14
 
     def test_fourier_run_holds_no_n_squared_buffer(self, monkeypatch):
-        # measured peak: 121 kB, about 15 N complex values; A alone is N^2 * 16 bytes
+        # measured peak: 237 kB, of which V, W and P^r (in long double) take
+        # 115 kB; A alone is N^2 * 16 bytes
         n = 512
         args = (uniform_state(n), Absorber(kind="delta", strength=0.5),
                 0.25 * dt_bound(n, 1.0), 4000, 5)
@@ -545,6 +570,99 @@ class TestFourierPath:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * n * 16
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    @pytest.mark.parametrize("record_every", [5, ring.GAP_CHUNK_STEPS, 70, 150])
+    @pytest.mark.parametrize("strength", [0.0, 0.5, 1e6])
+    def test_chunked_gaps_and_edge_drains_agree_with_stepping(self, monkeypatch, n,
+                                                               record_every, strength):
+        # gaps of 70 and 150 steps run as chunks of at most the cap, and 203
+        # steps leave a short last gap; strength 1e6 drains its cell's
+        # half-step decay to exactly 0; measured at most 1.1e-14
+        state = von_mises_state(n, 0.3, 2.0, boost=3)
+        dt = 0.25 * dt_bound(n, 1.0)
+        for cell in (0, n // 2, n - 1):
+            absorber = Absorber(kind="delta", center=cell / n, strength=strength)
+            decay_half, _ = ring._step_factors(state, absorber, dt)
+            assert (decay_half[cell] == 0.0) == (strength == 1e6)
+            for steps in (200, 203):
+                args = (state, absorber, dt, steps, record_every)
+                stepped = _forced(monkeypatch, "step", *args)
+                fourier = _forced(monkeypatch, "fourier", *args)
+                assert fourier.t.tobytes() == stepped.t.tobytes()
+                assert np.max(np.abs(fourier.survival - stepped.survival)) <= 2e-14
+                assert np.all(np.diff(fourier.survival) <= 1e-14)
+
+    def test_gap_operators_stay_thin_at_the_cap(self, monkeypatch):
+        # one operator of a cap-long gap holds V and W, (cap + 1) x N each,
+        # and P^r: measured peak 2.34 cap N 16 bytes, against N^2 16 = 16 MiB
+        # for the stride path's A
+        n, cap = 1024, ring.GAP_CHUNK_STEPS
+        args = (uniform_state(n), Absorber(kind="delta", strength=0.5),
+                0.25 * dt_bound(n, 1.0), 4 * cap, cap)
+        tracemalloc.start()
+        try:
+            _forced(monkeypatch, "fourier", *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * cap * n * 16
+
+    @pytest.mark.parametrize("wide", [True, False], ids=["long-double", "dekker"])
+    def test_phase_powers_are_rounded_once(self, monkeypatch, wide):
+        # each power against the exact rational product of the rounded phase,
+        # rounded once; long double may miss that rounding by one unit
+        if wide and np.finfo(np.longdouble).eps == np.finfo(float).eps:
+            pytest.skip("long double is no wider than double here")
+        monkeypatch.setattr(ring, "_WIDE_LONG_DOUBLE", wide)
+        n, count = 64, 40
+        _, kinetic = ring._step_factors(uniform_state(n), Absorber(kind="delta"),
+                                        0.25 * dt_bound(n, 1.0))
+        phase = kinetic * n
+        powers, last = ring._phase_powers(phase, count)
+        assert np.all(last.astype(complex) == powers[count])
+        for k in range(0, n, 7):
+            a, b = Fraction(phase[k].real), Fraction(phase[k].imag)
+            re, im = Fraction(1), Fraction(0)
+            for row in powers:
+                exact = complex(float(re), float(im))
+                if wide:
+                    assert abs(row[k].real - exact.real) <= np.spacing(abs(exact.real))
+                    assert abs(row[k].imag - exact.imag) <= np.spacing(abs(exact.imag))
+                else:
+                    assert row[k] == exact
+                re, im = re * a - im * b, re * b + im * a
+
+    def test_dekker_powers_agree_with_stepping(self, monkeypatch):
+        # the powers of a host whose long double is no wider than double
+        args = _one_cell_plateau_run()
+        stepped = _forced(monkeypatch, "step", *args)
+        monkeypatch.setattr(ring, "_WIDE_LONG_DOUBLE", False)
+        fourier = _forced(monkeypatch, "fourier", *args)
+        assert np.max(np.abs(fourier.survival - stepped.survival)) <= 2e-14
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+class TestLongDoubleOracle:
+    """The Fourier path against the same Strang map stepped in long double.
+
+    Stepping is 1.93e-14 off this oracle in the plateau case below, and
+    9.9e-14 over the fine config's 4000 steps: the 2e-14 and 2e-13 bounds
+    on agreement with stepping are stepping's own roundoff."""
+
+    def test_one_cell_plateau(self, monkeypatch):
+        # measured 8.9e-16
+        args = _one_cell_plateau_run()
+        fourier = _forced(monkeypatch, "fourier", *args)
+        assert np.max(np.abs(fourier.survival - ring_long_double_survival(*args))) <= 2e-15
+
+    def test_fine_config(self, monkeypatch):
+        # measured 1.0e-15 over the 4000 steps; with P^r rounded to double at
+        # each record, 8.7e-15
+        args, _ = _config_run(RING_FINE_CONFIG)
+        fourier = _forced(monkeypatch, "fourier", *args)
+        assert np.max(np.abs(fourier.survival - ring_long_double_survival(*args))) <= 2e-15
 
 
 class TestExactReference:
