@@ -1,34 +1,71 @@
 """Deterministic CSV, JSON, and SVG artifact writers.
 
-CSV cells are written as the csv module writes them: an int as ``str``,
-a float as its shortest round-trip repr, and a string as given, so a
-runner spells a boolean cell itself, as JSON does (``true``/``false``).
-JSON keys are sorted, a non-finite float in JSON raises ``ValueError``
-(it has no JSON form), and the SVG writer emits a self-contained
-document with no timestamps or external references, so identical
-inputs always produce byte-identical files.  Each writer writes into
-an existing directory and creates none.
+Each writer builds its file's text in one pass and writes it with one
+call, as UTF-8 with ``\n`` line ends, into an existing directory; it
+creates none.  CSV cells keep the csv module's spelling and quoting: an
+int as ``str``, a float as its shortest round-trip repr, ``None`` as an
+empty cell, and a string as given, quoted (with ``"`` doubled) where it
+holds a comma, a quote or a line feed.  So a runner spells a boolean
+cell itself, as JSON does (``true``/``false``).  JSON keys are sorted, a
+non-finite float in JSON raises ``ValueError`` (it has no JSON form),
+and the SVG writer emits a self-contained document with no timestamps
+or external references, so identical inputs always produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from pathlib import Path
+from itertools import accumulate, chain
+
+import numpy as np
+
+# types whose str holds no character csv quotes and is never empty
+_PLAIN_CELL_TYPES = frozenset(
+    [int, float, bool, np.bool_]
+    + [np.dtype(code).type for code in np.typecodes["AllInteger"] + np.typecodes["Float"]]
+)
+_QUOTED_CHARS = frozenset(',"\n')  # the delimiter, the quote and the line terminator
+
+
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _cell(value) -> str:
+    """One csv cell: ``None`` as empty, else its text, quoted where it holds a quoted char."""
+    if value is None:
+        return ""
+    text = value if isinstance(value, str) else str(value)
+    if _QUOTED_CHARS.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _csv_lines(rows) -> str:
+    """The csv lines of ``rows``, formatted with one ``%`` call."""
+    rows = list(rows)
+    widths = list(map(len, rows))
+    cells = list(chain.from_iterable(rows))
+    if not _PLAIN_CELL_TYPES.issuperset(map(type, cells)):
+        cells = list(map(_cell, cells))
+        # csv quotes a lone empty cell, so that its row is not read as a row of no cells
+        for end, width in zip(accumulate(widths), widths):
+            if width == 1 and not cells[end - 1]:
+                cells[end - 1] = '""'
+    formats = {width: ",".join(["%s"] * width) + "\n" for width in set(widths)}
+    return "".join(map(formats.__getitem__, widths)) % tuple(cells)
 
 
 def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Write ``header`` and ``rows``, each a sequence of cells, as CSV."""
+    _write_text(path, _csv_lines([header]) + _csv_lines(rows))
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _widened(lo: float, hi: float) -> float:
@@ -86,14 +123,18 @@ def svg_line_plot(
     width, height = 720, 480
     ml, mr, mt, mb = 70, 20, 36, 52
     pw, ph = width - ml - mr, height - mt - mb
-    xs = [float(v) for x, _, _ in series for v in x]
-    ys = [float(v) for _, y, _ in series for v in y]
-    if not xs or not ys:
+    series = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float), label)
+              for x, y, label in series]
+    # the leading empty array lets a plot of no series reach the empty check
+    xs = np.concatenate([np.empty(0), *(x for x, _, _ in series)])
+    ys = np.concatenate([np.empty(0), *(y for _, y, _ in series)])
+    if not xs.size or not ys.size:
         raise ValueError("cannot plot empty series")
-    if not all(map(math.isfinite, xs + ys)):
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("cannot plot non-finite values")
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    # the first of tied extremes, as min and max pick it: its sign shows in a [lo, hi] tick
+    x0, x1 = float(xs[xs.argmin()]), float(xs[xs.argmax()])
+    y0, y1 = float(ys[ys.argmin()]), float(ys[ys.argmax()])
     x1, y1 = _widened(x0, x1), _widened(y0, y1)
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
@@ -102,10 +143,11 @@ def svg_line_plot(
     ax, wx = x0 * sx, x1 * sx - x0 * sx
     ay, wy = y0 * sy, y1 * sy - y0 * sy
 
-    def px(x: float) -> float:
+    # a float or a float64 array, scaled by the same IEEE operations in the same order
+    def px(x):
         return ml + (x * sx - ax) / wx * pw
 
-    def py(y: float) -> float:
+    def py(y):
         return mt + ph - (y * sy - ay) / wy * ph
 
     parts = [
@@ -150,7 +192,9 @@ def svg_line_plot(
     )
     for i, (x, y, label) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(x, y))
+        n = min(x.size, y.size)
+        xy = np.column_stack((px(x[:n]), py(y[:n])))
+        pts = ("%.2f,%.2f " * n)[:-1] % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
         )
@@ -164,4 +208,4 @@ def svg_line_plot(
             f'font-size="11">{label}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")

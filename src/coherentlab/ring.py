@@ -479,7 +479,7 @@ def survival_curve(
     _check_run(initial, dt, steps, record_every)
     decay_half, kinetic = _step_factors(initial, absorber, dt)
     marks = [*range(0, steps, record_every), steps]
-    times = np.asarray([initial.time, *(initial.time + mark * dt for mark in marks[1:])])
+    times = np.concatenate(([initial.time], initial.time + np.asarray(marks[1:]) * dt))
     drained = np.flatnonzero(decay_half != 1.0)
     path = _cheapest_path(initial.n_grid, record_every, steps // record_every, drained.size <= 1)
     if path == "fourier":

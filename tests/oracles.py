@@ -10,16 +10,22 @@ stepped with the library's own rounded factors in long double through a
 radix-2 transform of its own.  Loop
 references keep the straightforward form of code that the library
 restructured for speed (the pairwise start search, the ascent that
-re-evaluates every accepted point), so the fast path can be required to
+re-evaluates every accepted point, the csv module's writer and the plot
+that scales one point at a time), so the fast path can be required to
 give the same bytes.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+from pathlib import Path
+
 import numpy as np
 from scipy.linalg import expm
 
 from coherentlab import ring
+from coherentlab.reporting import _PALETTE, _nice_ticks, _scale, _tick_labels, _widened
 from coherentlab.landscape import v_at
 from coherentlab.states import _component_terms
 
@@ -305,3 +311,103 @@ def ring_long_double_survival(state, absorber, dt, steps, record_every):
             psi = decay * inverse(phase * forward(decay * psi))
         norms.append(np.mean(np.abs(psi) ** 2))
     return np.array(norms, dtype=float)
+
+
+def write_csv_reference(path, header, rows) -> None:
+    """Rows written through ``csv.writer``, one field at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def svg_line_plot_reference(
+    path,
+    series,
+    title: str,
+    xlabel: str,
+    ylabel: str,
+) -> None:
+    """The SVG line chart, with each point converted, scaled and formatted on its own."""
+    width, height = 720, 480
+    ml, mr, mt, mb = 70, 20, 36, 52
+    pw, ph = width - ml - mr, height - mt - mb
+    xs = [float(v) for x, _, _ in series for v in x]
+    ys = [float(v) for _, y, _ in series for v in y]
+    if not xs or not ys:
+        raise ValueError("cannot plot empty series")
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("cannot plot non-finite values")
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    x1, y1 = _widened(x0, x1), _widened(y0, y1)
+    pad = 0.05 * (y1 - y0)
+    y0, y1 = y0 - pad, y1 + pad
+
+    sx, sy = _scale(x0, x1), _scale(y0, y1)
+    ax, wx = x0 * sx, x1 * sx - x0 * sx
+    ay, wy = y0 * sy, y1 * sy - y0 * sy
+
+    def px(x: float) -> float:
+        return ml + (x * sx - ax) / wx * pw
+
+    def py(y: float) -> float:
+        return mt + ph - (y * sy - ay) / wy * ph
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
+        'stroke="#444444" stroke-width="1"/>',
+    ]
+    parts.append(
+        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{title}</text>'
+    )
+    xticks = _nice_ticks(x0, x1)
+    for tx, label in zip(xticks, _tick_labels(xticks)):
+        parts.append(
+            f'<line x1="{px(tx):.2f}" y1="{mt + ph}" x2="{px(tx):.2f}" '
+            f'y2="{mt + ph + 5}" stroke="#444444"/>'
+        )
+        parts.append(
+            f'<text x="{px(tx):.2f}" y="{mt + ph + 20}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{label}</text>'
+        )
+    yticks = _nice_ticks(y0, y1)
+    for ty, label in zip(yticks, _tick_labels(yticks)):
+        parts.append(
+            f'<line x1="{ml - 5}" y1="{py(ty):.2f}" x2="{ml}" '
+            f'y2="{py(ty):.2f}" stroke="#444444"/>'
+        )
+        parts.append(
+            f'<text x="{ml - 8}" y="{py(ty) + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{label}</text>'
+        )
+    parts.append(
+        f'<text x="{ml + pw / 2:.1f}" y="{height - 14}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="18" y="{mt + ph / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 18 {mt + ph / 2:.1f})">{ylabel}</text>'
+    )
+    for i, (x, y, label) in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        pts = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(x, y))
+        parts.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'
+        )
+        ly = mt + 16 + 16 * i
+        parts.append(
+            f'<line x1="{ml + pw - 150}" y1="{ly - 4}" x2="{ml + pw - 120}" '
+            f'y2="{ly - 4}" stroke="{color}" stroke-width="1.6"/>'
+        )
+        parts.append(
+            f'<text x="{ml + pw - 114}" y="{ly}" font-family="sans-serif" '
+            f'font-size="11">{label}</text>'
+        )
+    parts.append("</svg>")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

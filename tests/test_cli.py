@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -622,6 +623,41 @@ def test_directory_in_an_artifact_place_fails_before_any_move(tmp_path, capsys):
     assert line.startswith("error[io]: [Errno 21] Is a directory")
     assert [p.name for p in out.iterdir()] == ["survival.csv"]
     assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["out"]
+
+
+@pytest.mark.parametrize("error, kind", [
+    (OSError(errno.ENOSPC, "No space left on device"), "io"),
+    (ValueError("cannot plot non-finite values"), "numeric"),
+])
+class TestFailedWriteLeavesNoOutput:
+    """A ring run whose plot fails after its two CSVs are written."""
+
+    def _run_failing_plot(self, tmp_path, monkeypatch, error, out):
+        written = []
+
+        def failing_plot(path, *args, **kwargs):
+            written.extend(sorted(p.name for p in Path(path).parent.iterdir()))
+            raise error
+
+        monkeypatch.setattr(coherentlab.cli, "svg_line_plot", failing_plot)
+        cfg = write_config(tmp_path, "ring.json", _with(_RING, classical={"region_width": 0.1}))
+        code = main(["ring", "--config", cfg, "--out", str(out)])
+        assert written == ["classical.csv", "config_resolved.json", "survival.csv"]
+        return code
+
+    def test_one_error_line_and_no_directory(self, tmp_path, monkeypatch, capsys, error, kind):
+        assert self._run_failing_plot(tmp_path, monkeypatch, error, tmp_path / "runs" / "out") == 3
+        assert capsys.readouterr().err.splitlines() == [f"error[{kind}]: {error}"]
+        assert list(tmp_path.glob(".coherentlab-run-*")) == []
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == []
+
+    def test_existing_directory_keeps_only_its_files(self, tmp_path, monkeypatch, error, kind):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sentinel.txt").write_text("kept")
+        assert self._run_failing_plot(tmp_path, monkeypatch, error, out) == 3
+        assert [p.name for p in out.iterdir()] == ["sentinel.txt"]
+        assert (out / "sentinel.txt").read_text() == "kept"
 
 
 def test_thetas_a_few_subnormal_units_apart_are_plotted(tmp_path):
