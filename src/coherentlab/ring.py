@@ -18,6 +18,7 @@ of a packet squeezed through a slit, in SI units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,8 +39,8 @@ DT_SAFETY_DEFAULT = 4000.0
 #: N >= 64.
 STRIDE_BLOCK_ROWS = 64
 
-#: Steps folded into one Fourier-basis gap operator of ``_fourier_norms``: a
-#: longer gap between two records runs as chunks of at most this many
+#: Steps folded into one Fourier-basis gap operator of ``survival_curve``:
+#: a longer gap between two records runs as chunks of at most this many
 #: steps, so an operator holds two (cap + 1) x N arrays, 2.1 MB at N = 1024.
 GAP_CHUNK_STEPS = 64
 
@@ -344,18 +345,21 @@ def _phase_powers(phase: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _gap_operator(u: np.ndarray, phase: np.ndarray, half: float, full: float, steps: int):
-    """(V, W, P^r) of r = ``steps`` Strang steps in the Fourier basis.
+    """The in-place map of r = ``steps`` Strang steps in the Fourier basis.
 
-    The r steps are r + 1 rank-one updates phi + c_j (u^H phi) u, with
-    c = (half, full, ..., full, half), and a phase P between each two.
-    Let s_j = u^H psi_j, the product read just before update j.  Then
-    s_j = u^H P^j phi + sum_{i<j} c_i g_{j-i} s_i with g_m = u^H P^m u,
-    so s = (I - T)^-1 V phi with V's rows conj(u) P^j and the strictly
-    lower triangular T_ji = c_i g_{j-i}.  The gap maps phi to
-    P^r phi + sum_i c_i s_i P^(r-i) u = P^r phi + (V phi) @ W: a diagonal
-    plus rank r + 1, the modified-matrix structure of Golub (1973).  V and
-    W are (r + 1) x N; the power table becomes V in place.  P^r comes in
-    ``np.clongdouble`` (see ``_phase_powers``).
+    There the kinetic step is the phase P, and the half decay d of one
+    cell is the rank-one update phi + ((d - 1) / N) (u^H phi) u with
+    u = fft(e_cell).  The two half decays that meet inside a gap merge
+    into one d^2 update, so the r steps are r + 1 updates
+    phi + c_j (u^H phi) u, c = (half, full, ..., full, half), with a P
+    between each two.  Let s_j = u^H psi_j, the product read just before update
+    j.  Then s_j = u^H P^j phi + sum_{i<j} c_i g_{j-i} s_i with
+    g_m = u^H P^m u, so s = (I - T)^-1 V phi with V's rows conj(u) P^j
+    and the strictly lower triangular T_ji = c_i g_{j-i}.  The gap maps
+    phi to P^r phi + sum_i c_i s_i P^(r-i) u = P^r phi + (V phi) @ W: a
+    diagonal plus rank r + 1, the modified-matrix structure of Golub
+    (1973).  V and W are (r + 1) x N; the power table becomes V in place.
+    P^r comes in ``np.clongdouble`` (see ``_phase_powers``).
     """
     k = steps + 1
     powers, last = _phase_powers(phase, steps)
@@ -371,51 +375,19 @@ def _gap_operator(u: np.ndarray, phase: np.ndarray, half: float, full: float, st
     for w_row, v_row in zip(w, powers):
         w_row *= u
         v_row *= conj_u
-    return powers, w, last
+    wide = np.empty(u.size, dtype=np.clongdouble)
 
+    def gap(phi):
+        products = powers @ phi
+        # P^r phi in long double, rounded once: a P^r rounded to double
+        # biases each mode's modulus the same way at every record
+        wide[...] = phi
+        np.multiply(wide, last, out=wide)
+        phi[...] = wide
+        phi += products @ w
+        return phi
 
-def _fourier_norms(psi: np.ndarray, cell: int, d: float, kinetic: np.ndarray,
-                   marks: list[int]) -> np.ndarray:
-    """The recorded norms of the Strang map stepped in the Fourier basis.
-
-    phi = fft(psi) is transformed once.  There the kinetic step is the
-    phase N * ``kinetic`` (exact: N is a power of two), and a decay that
-    differs from 1 on at most the one cell c, D = I + (d - 1) e_c e_c^T,
-    is the rank-one update phi + ((d - 1) / N) (u^H phi) u with
-    u = fft(e_c).  Inside a gap between two records the trailing half
-    decay of one step and the leading one of the next merge into one d^2
-    update, so the gap is one ``_gap_operator``: two thin matvecs, a phase
-    multiply and an add, whatever its length.  A gap longer than
-    ``GAP_CHUNK_STEPS`` runs as chunks of that form (D^2 = two half
-    decays).  Each chunk length is built once, and a run holds at most
-    three: the cap, r mod cap and the last gap's remainder.  Each
-    record's norm is Parseval's (1/N^2) sum |phi_k|^2.
-    """
-    n = psi.size
-    # the integer product reduced mod N first, so the phase is exact to rounding
-    u = np.exp(-2j * np.pi * ((np.arange(n) * cell) % n) / n)
-    phase = kinetic * n
-    half, full = (d - 1.0) / n, (d * d - 1.0) / n
-    phi = np.fft.fft(psi)
-    operators = {}
-    wide = np.empty(n, dtype=np.clongdouble)
-    norms = np.empty(len(marks))
-    norms[0] = _norm(psi)
-    for record, (start, end) in enumerate(zip(marks, marks[1:]), 1):
-        for first in range(start, end, GAP_CHUNK_STEPS):
-            chunk = min(end - first, GAP_CHUNK_STEPS)
-            if chunk not in operators:
-                operators[chunk] = _gap_operator(u, phase, half, full, chunk)
-            v, w, last = operators[chunk]
-            products = v @ phi
-            # P^r phi in long double, rounded once: a P^r rounded to double
-            # biases each mode's modulus the same way at every record
-            wide[...] = phi
-            wide *= last
-            phi[...] = wide
-            phi += products @ w
-        norms[record] = np.vdot(phi, phi).real / n**2
-    return norms
+    return gap
 
 
 def survival_curve(
@@ -428,23 +400,31 @@ def survival_curve(
     """Norm history N(t) over ``steps`` split steps (non-increasing).
 
     The norm is recorded at t = 0, after every ``record_every`` = r steps
-    and after the last step.  The Strang map M is linear and the same at
-    every step, so the r steps between two records are one N x N matrix
-    A = M^r.  It is built by stepping the identity's rows r times with the
-    stepper itself (row i is M^r e_i), ``STRIDE_BLOCK_ROWS`` rows at a
-    time in place, so a stride run holds A and one row block; the
-    N <= 1024 cap bounds A at 16 MiB.  Records fall after steps 0, r, 2r,
-    ..., steps; each gap between two records is one matvec ``psi @ A``
-    where A exists and the gap is a whole stride, else a run of split
-    steps.  Where the half-step decay differs from 1 on at most one grid
-    cell (a delta absorber, or none), M can instead be run in the Fourier
-    basis with no transform per step (``_fourier_norms``): the one-cell
-    decay is a rank-one update there, so c steps are one diagonal plus
-    rank c + 1 operator: two thin matvecs and a phase multiply.  A gap
-    runs in chunks of c = min(r, ``GAP_CHUNK_STEPS``) steps.  Which path
-    runs follows a cost model of the call's N, r and s = steps // r, in
-    microseconds, measured with BLAS pinned to one thread (numpy 2.4,
-    OpenBLAS 0.3, 2 vCPUs):
+    and after the last step.  Every path runs one loop over the gaps
+    between two records: psi enters the path's basis once, each gap runs
+    as chunks of at most the path's cap, the operator of each chunk
+    length is built once and cached, and each record's norm is taken in
+    the path's basis.  The Strang map M is linear and the same at every
+    step, so each path's operator is M^c in some form:
+
+    - step: psi itself, cap r; a chunk is a run of split steps.
+    - stride (N <= 1024): as step, but a whole stride is one matvec
+      ``psi @ A`` with A = M^r, built on the first whole stride by
+      stepping the identity's rows (row i is M^r e_i) with the stepper
+      itself, ``STRIDE_BLOCK_ROWS`` rows at a time in place.  A stride run
+      holds A, 16 MiB at most, and one run of steps.
+    - fourier, where the half-step decay differs from 1 on at most one
+      cell (a delta absorber, or none): phi = fft(psi), cap
+      ``GAP_CHUNK_STEPS``; a chunk of c steps is the ``_gap_operator``
+      map, a diagonal plus rank c + 1 (two thin matvecs and a phase
+      multiply, no transform), and the norm is Parseval's
+      (1/N^2) sum |phi_k|^2.  A run holds at most three operators: the
+      cap, r mod cap and the last gap's remainder.
+
+    Which path runs follows a cost model of the call's N, r and
+    s = steps // r, in microseconds, with c = min(r, ``GAP_CHUNK_STEPS``),
+    measured with BLAS pinned to one thread (numpy 2.4, OpenBLAS 0.3,
+    2 vCPUs):
 
         one step        12 + 0.03 N         measured 16, 19, 22, 21-31, 42-47
                                             at N = 64, 128, 256, 512, 1024
@@ -467,44 +447,61 @@ def survival_curve(
                                             c = 40; 2894-2926 at N = 1024,
                                             c = 64
 
-    With r >= 2 the cheapest candidate runs: stepping, the stride path
-    where N <= 1024, and the Fourier path where one cell is drained.  So
-    a plateau absorber at N = 256, r = 40 over many strides uses A, while
-    a delta absorber runs in the Fourier basis at every N and r >= 2 of
-    the sample configs.  With r = 1 every step is recorded and the curve
-    equals repeated ``step`` calls bit for bit.
-    The paths agree to roundoff; M is a contraction, so on every path
-    the norm never increases beyond roundoff.
+    With r >= 2 the cheapest path runs: a plateau absorber at N = 256,
+    r = 40 over many strides uses A, and a delta absorber the Fourier
+    basis at every N and r >= 2 of the sample configs.  r = 1 always
+    steps, so the curve equals repeated ``step`` calls bit for bit.  The
+    paths agree to roundoff; M is a contraction, so on every path the
+    norm never increases beyond roundoff.
     """
     _check_run(initial, dt, steps, record_every)
     decay_half, kinetic = _step_factors(initial, absorber, dt)
+    n = initial.n_grid
     marks = [*range(0, steps, record_every), steps]
     times = np.concatenate(([initial.time], initial.time + np.asarray(marks[1:]) * dt))
     drained = np.flatnonzero(decay_half != 1.0)
-    path = _cheapest_path(initial.n_grid, record_every, steps // record_every, drained.size <= 1)
+    path = _cheapest_path(n, record_every, steps // record_every, drained.size <= 1)
     if path == "fourier":
         # with no drained cell, cell 0 has d = 1 and every update adds zero
         cell = int(drained[0]) if drained.size else 0
-        norms = _fourier_norms(initial.psi, cell, decay_half[cell].real, kinetic, marks)
-        return SurvivalCurve(t=times, survival=norms)
-    psi = initial.psi.copy()
-    work = np.empty_like(psi)
-    stride = None
-    if path == "stride":
-        stride = np.eye(psi.size, dtype=complex)
-        block_work = np.empty((STRIDE_BLOCK_ROWS, psi.size), dtype=complex)
-        # rows step independently, so each block is stepped in place
-        for block in np.split(stride, psi.size // STRIDE_BLOCK_ROWS):
-            for _ in range(record_every):
-                _strang(block, block_work, decay_half, kinetic)
-    norms = [_norm(psi)]
+        d = decay_half[cell].real
+        # the integer product reduced mod N first, so the phase is exact to rounding
+        u = np.exp(-2j * np.pi * ((np.arange(n) * cell) % n) / n)
+        # N * kinetic is the kinetic phase, exact since N is a power of two
+        build = partial(_gap_operator, u, kinetic * n, (d - 1.0) / n, (d * d - 1.0) / n)
+        vec, cap = np.fft.fft(initial.psi), GAP_CHUNK_STEPS
+
+        def norm(phi):
+            return np.vdot(phi, phi).real / n**2
+    else:
+        vec, cap, norm = initial.psi.copy(), record_every, _norm
+        work = np.empty_like(vec)
+
+        def build(chunk):
+            def run(psi, buffer=work):
+                for _ in range(chunk):
+                    _strang(psi, buffer, decay_half, kinetic)
+                return psi
+
+            if path == "step" or chunk < record_every:
+                return run
+            a = np.eye(n, dtype=complex)
+            block_work = np.empty((STRIDE_BLOCK_ROWS, n), dtype=complex)
+            # rows step independently, so each block is stepped in place
+            for block in np.split(a, n // STRIDE_BLOCK_ROWS):
+                run(block, block_work)
+            return lambda psi: psi @ a
+
+    # vec is psi on the grid paths and phi on the Fourier path
+    operators = {}
+    norms = [_norm(initial.psi)]
     for start, end in zip(marks, marks[1:]):
-        if stride is not None and end - start == record_every:
-            psi = psi @ stride
-        else:
-            for _ in range(start, end):
-                _strang(psi, work, decay_half, kinetic)
-        norms.append(_norm(psi))
+        for first in range(start, end, cap):
+            chunk = min(end - first, cap)
+            if chunk not in operators:
+                operators[chunk] = build(chunk)
+            vec = operators[chunk](vec)
+        norms.append(norm(vec))
     return SurvivalCurve(t=times, survival=np.asarray(norms))
 
 

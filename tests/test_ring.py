@@ -152,7 +152,8 @@ class TestStep:
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @given(n_grid=st.sampled_from([64, 128, 256]), data=st.data())
     def test_recorded_survival_never_rises(self, n_grid, data):
-        # N = 64 with record_every >= 2 over enough steps takes the stride path
+        # the path is the cost model's pick (None) or forced; "fourier" only
+        # where the decay drains at most one cell
         absorber = _drawn_absorber(data)
         if data.draw(st.booleans()):
             state = uniform_state(n_grid)
@@ -160,8 +161,14 @@ class TestStep:
             state = von_mises_state(n_grid, data.draw(st.floats(0.0, 1.0)),
                                     data.draw(st.floats(1.0, 40.0)), data.draw(st.integers(-3, 3)))
         dt = data.draw(st.floats(0.01, 1.0)) * dt_bound(n_grid, state.mass)
-        curve = survival_curve(state, absorber, dt, data.draw(st.integers(1, 60)),
-                               data.draw(st.integers(1, 6)))
+        args = (state, absorber, dt, data.draw(st.integers(1, 60)), data.draw(st.integers(1, 6)))
+        decay_half, _ = ring._step_factors(state, absorber, dt)
+        paths = [None, "step", "stride"]
+        if np.count_nonzero(decay_half != 1.0) <= 1:
+            paths.append("fourier")
+        path = data.draw(st.sampled_from(paths))
+        with pytest.MonkeyPatch.context() as mp:
+            curve = survival_curve(*args) if path is None else _forced(mp, path, *args)
         assert np.all(np.diff(curve.survival) <= 1e-14)
 
     def test_time_advances(self):
@@ -271,15 +278,19 @@ class TestSurvival:
             Absorber(kind="plateau", center=0.1, strength=0.8, width=0.05, sigma=0.02),
         ],
     )
-    def test_curve_equals_repeated_steps(self, absorber):
+    def test_curve_equals_repeated_steps(self, monkeypatch, absorber):
+        # r = 1 steps by itself; at r = 5 the step path is forced, since no
+        # sample config or demo pins its bits at r >= 2
         state = von_mises_state(128, 0.3, 20.0, boost=2)
-        dt, steps = 1e-3, 40
-        curve = survival_curve(state, absorber, dt=dt, steps=steps)
-        norms = [state.norm()]
-        for _ in range(steps):
-            state = step(state, absorber, dt)
-            norms.append(state.norm())
-        assert np.all(curve.survival == np.asarray(norms))
+        dt, stepped, norms = 1e-3, state, [state.norm()]
+        for _ in range(43):
+            stepped = step(stepped, absorber, dt)
+            norms.append(stepped.norm())
+        norms = np.asarray(norms)
+        assert np.all(survival_curve(state, absorber, dt=dt, steps=40).survival == norms[:41])
+        for steps in (40, 43):
+            curve = _forced(monkeypatch, "step", state, absorber, dt, steps, 5)
+            assert np.all(curve.survival == norms[[*range(0, steps, 5), steps]])
 
 
 ABSORBERS = [
@@ -446,12 +457,21 @@ class TestStridePropagator:
     def test_stride_agrees_with_stepping(self, monkeypatch, n, record_every, absorber, mass):
         state = von_mises_state(n, 0.3, 20.0, boost=2, mass=mass)
         dt = 0.25 * dt_bound(n, mass)
-        for steps in (200, 203):
+        for steps in (record_every - 1, record_every, 200, 203):
             args = (state, absorber, dt, steps, record_every)
             stepped = _forced(monkeypatch, "step", *args)
             strided = _forced(monkeypatch, "stride", *args)
             assert strided.t.tobytes() == stepped.t.tobytes()
             assert np.max(np.abs(strided.survival - stepped.survival)) <= 2e-14
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("record_every", [2, 5, 40])
+    def test_a_run_shorter_than_a_stride_builds_no_a(self, monkeypatch, n, record_every):
+        # A is built on the first whole stride, and r - 1 steps have none
+        shapes = _strang_calls(monkeypatch)
+        _forced(monkeypatch, "stride", von_mises_state(n, 0.3, 20.0, boost=2), ABSORBERS[1],
+                0.25 * dt_bound(n, 1.0), record_every - 1, record_every)
+        assert shapes == [(n,)] * (record_every - 1)
 
     def test_ring_config_never_gains_norm_on_the_stride_path(self, monkeypatch):
         args, p = _config_run(RING_CONFIG)
@@ -525,7 +545,7 @@ class TestFourierPath:
         dt = 0.25 * dt_bound(n, mass)
         for cell in (0, n // 2, n - 1):
             absorber = Absorber(kind="delta", center=cell / n, strength=strength)
-            for steps in (200, 203):
+            for steps in (record_every - 1, record_every, 200, 203):
                 args = (state, absorber, dt, steps, record_every)
                 stepped = _forced(monkeypatch, "step", *args)
                 fourier = _forced(monkeypatch, "fourier", *args)
@@ -592,6 +612,32 @@ class TestFourierPath:
                 assert fourier.t.tobytes() == stepped.t.tobytes()
                 assert np.max(np.abs(fourier.survival - stepped.survival)) <= 2e-14
                 assert np.all(np.diff(fourier.survival) <= 1e-14)
+
+    @pytest.mark.parametrize(
+        "record_every, steps, built",
+        [
+            # with the cap of 64 steps: a gap of 70 is chunks of 64 and 6, one
+            # of 150 chunks of 64, 64 and 22, and the last gap adds its remainder
+            (5, 200, [5]), (5, 203, [5, 3]),
+            (64, 200, [64, 8]), (64, 203, [64, 11]),
+            (70, 200, [64, 6, 60]), (70, 203, [64, 6, 63]),
+            (150, 200, [64, 22, 50]), (150, 203, [64, 22, 53]),
+        ],
+    )
+    def test_each_gap_operator_is_built_once(self, monkeypatch, record_every, steps, built):
+        lengths = []
+        builder = ring._gap_operator
+
+        def recorder(*args):
+            lengths.append(args[-1])
+            return builder(*args)
+
+        monkeypatch.setattr(ring, "_gap_operator", recorder)
+        n = 128
+        _forced(monkeypatch, "fourier", von_mises_state(n, 0.3, 2.0, boost=3),
+                Absorber(kind="delta", center=0.5, strength=0.5), 0.25 * dt_bound(n, 1.0),
+                steps, record_every)
+        assert lengths == built
 
     def test_gap_operators_stay_thin_at_the_cap(self, monkeypatch):
         # one operator of a cap-long gap holds V and W, (cap + 1) x N each,
