@@ -18,7 +18,7 @@ of a packet squeezed through a slit, in SI units.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -468,7 +468,7 @@ def survival_curve(
         # the integer product reduced mod N first, so the phase is exact to rounding
         u = np.exp(-2j * np.pi * ((np.arange(n) * cell) % n) / n)
         # N * kinetic is the kinetic phase, exact since N is a power of two
-        build = partial(_gap_operator, u, kinetic * n, (d - 1.0) / n, (d * d - 1.0) / n)
+        build = cache(partial(_gap_operator, u, kinetic * n, (d - 1.0) / n, (d * d - 1.0) / n))
         vec, cap = np.fft.fft(initial.psi), GAP_CHUNK_STEPS
 
         def norm(phi):
@@ -477,6 +477,7 @@ def survival_curve(
         vec, cap, norm = initial.psi.copy(), record_every, _norm
         work = np.empty_like(vec)
 
+        @cache
         def build(chunk):
             def run(psi, buffer=work):
                 for _ in range(chunk):
@@ -492,17 +493,18 @@ def survival_curve(
                 run(block, block_work)
             return lambda psi: psi @ a
 
-    # vec is psi on the grid paths and phi on the Fourier path
-    operators = {}
-    norms = [_norm(initial.psi)]
-    for start, end in zip(marks, marks[1:]):
-        for first in range(start, end, cap):
-            chunk = min(end - first, cap)
-            if chunk not in operators:
-                operators[chunk] = build(chunk)
-            vec = operators[chunk](vec)
-        norms.append(norm(vec))
-    return SurvivalCurve(t=times, survival=np.asarray(norms))
+    # vec is psi on the grid paths and phi on the Fourier path; build is
+    # cached by chunk length, and each gap length is split into chunks once
+    gaps = {}
+    norms = np.empty(len(marks))
+    norms[0] = _norm(initial.psi)
+    for record, (start, end) in enumerate(zip(marks, marks[1:]), 1):
+        if end - start not in gaps:
+            gaps[end - start] = [build(min(end - first, cap)) for first in range(start, end, cap)]
+        for operator in gaps[end - start]:
+            vec = operator(vec)
+        norms[record] = norm(vec)
+    return SurvivalCurve(t=times, survival=norms)
 
 
 def loss_rate(state: RingState, absorber: Absorber) -> float:
