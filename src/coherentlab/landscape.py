@@ -28,6 +28,9 @@ ASCENT_TOL = 1e-10
 #: A start that has not converged after this many ascent steps fails.
 ASCENT_MAX_ITER = 200
 
+#: Maxima closer than this (flattened Euclidean) are one; an ascent stops this close to one found.
+DEDUP_RADIUS = 1e-6
+
 #: Eight units of roundoff: a predicted gain below this times v is below v's resolution.
 _ULP_GAIN = 8.0 * float(np.finfo(float).eps)
 
@@ -62,12 +65,13 @@ def _curvature(basis) -> np.ndarray:
     return c
 
 
-def _half_weights(basis) -> np.ndarray:
-    """-w/2 per mode, cached on the basis beside ``_curvature``."""
+def _half_weights(basis) -> tuple[np.ndarray, np.ndarray]:
+    """-w/2 and +w/2 per mode, cached on the basis beside ``_curvature``."""
     h = basis.__dict__.get("_half_weights")
     if h is None:
-        h = -0.5 * basis.weights
-        h.setflags(write=False)
+        h = (-0.5 * basis.weights, 0.5 * basis.weights)
+        for row in h:
+            row.setflags(write=False)
         basis.__dict__["_half_weights"] = h
     return h
 
@@ -78,19 +82,22 @@ def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     At points x of shape (..., 2n) they have shapes (...), (..., 2n) and
     (..., 2n, 2n), and each row of a stack has the bits of its one-point call.
     """
-    terms, dq, dp, sq = _component_terms(state, x)
-    # log-derivative rows of every term with respect to [q..., p...]:
-    # -w/2 (dq + i dp) in the q columns, -w/2 (dp + i sq) in the p columns; a zero
-    # part may carry the other sign than complex arithmetic gives, and the value,
-    # gradient and Hessian keep their bytes (tests/test_selection.py::TestHessian)
+    terms, dq, dp = _component_terms(state, x)
+    # log-derivative rows of every term in the frame translated to the probe, which
+    # puts one phase linear in p on every term and so changes neither |a|^2 nor the
+    # curvature: -w/2 (dq + i dp) in the q columns, -w/2 (dp - i dq) in the p columns.
+    # Rows stay of the order of the distance to their component, not of its
+    # coordinates, whose squares would cancel in the Hessian.  A zero part may carry
+    # the other sign than complex arithmetic gives, and the value, gradient and
+    # Hessian keep their bytes (tests/test_selection.py::TestHessian)
     n = dq.shape[-1]
-    half_w = _half_weights(state.basis)
+    minus_half_w, half_w = _half_weights(state.basis)
     d = np.empty(dq.shape[:-1] + (2 * n,), complex)
     re, im = d.real, d.imag
-    np.multiply(half_w, dq, out=re[..., :n])
-    np.multiply(half_w, dp, out=im[..., :n])
-    np.multiply(half_w, dp, out=re[..., n:])
-    np.multiply(half_w, sq, out=im[..., n:])
+    np.multiply(minus_half_w, dq, out=re[..., :n])
+    np.multiply(minus_half_w, dp, out=im[..., :n])
+    np.multiply(minus_half_w, dp, out=re[..., n:])
+    np.multiply(half_w, dq, out=im[..., n:])
     a = terms.sum(axis=-1)
     ca = np.conj(a)[..., None]
     # each row keeps the bits of terms @ d and "j,ja,jb->ab"; an einsum for da is 1e-14 off
@@ -105,23 +112,34 @@ def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     return _landscape_value(a, state.norm_sq), grad, hess
 
 
-def ascend(state: SuperposedState, start: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def ascend(state: SuperposedState, start: np.ndarray, first: tuple[float, np.ndarray, np.ndarray],
+           maxima: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float, bool]:
     """Ascend the landscape from ``start``; returns (x, v, is_max).
 
+    ``first`` is the (v, grad, hess) at ``start``: its row of the one stacked
+    ``v_value_grad_hess`` call that evaluates all of a search's starts.
     Newton steps are taken whenever the Hessian is negative definite and
     the step is an ascent direction; otherwise plain gradient steps with
     Armijo backtracking.  Convergence is ||grad|| < ASCENT_TOL * max(1, v)
     within ASCENT_MAX_ITER steps, and a converged point only qualifies as
     a maximum if its Hessian is strictly negative definite.
 
+    ``maxima`` holds the (x, v) maxima the search has found so far.  Once an
+    iterate, the start included, lies within DEDUP_RADIUS of one of them,
+    the ascent returns that maximum's own x and v, with is_max True.
+
     Every line-search trial, whatever its step length, is evaluated with
     ``v_value_grad_hess``, and the accepted trial's value, gradient and
     Hessian serve the next iteration, so no point is evaluated twice.
     """
     x = np.asarray(start, dtype=float).copy()
-    v, grad, hess = v_value_grad_hess(state, x)
+    v, grad, hess = first
     v = float(v)
     for it in range(ASCENT_MAX_ITER + 1):
+        for found in maxima:
+            d = x - found[0]
+            if d @ d < DEDUP_RADIUS * DEDUP_RADIUS:
+                return *found, True
         gnorm = math.sqrt(grad @ grad)
         converged = gnorm < ASCENT_TOL * max(1.0, v)
         if converged or it == ASCENT_MAX_ITER:

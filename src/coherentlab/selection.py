@@ -13,7 +13,6 @@ veto angle taken from it on first use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -21,15 +20,12 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .borngeo import BlockingVector, TransitionGeometry, is_blocked, theta_from_norms
-from .landscape import ascend, ascent_starts
+from .landscape import ascend, ascent_starts, v_value_grad_hess
 from .modes import ModeBasis
 from .states import CoherentPoint, SuperposedState, evolve_free
 
 #: |dv| below which two global maxima count as tied (resolved lexicographically).
 TIE_TOLERANCE = 1e-12
-
-#: Converged maxima closer than this (flattened Euclidean) are merged.
-DEDUP_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -143,9 +139,13 @@ class UrgencySchedule:
 def find_local_maxima(state: SuperposedState) -> MaximaResult:
     """Locate local maxima of the landscape by multi-start ascent.
 
-    Starts are all component centers plus midpoints of near pairs.
-    Non-converged starts are dropped and counted in ``failed_starts``.
-    States are immutable, so the result is cached on the state instance.
+    Starts are all component centers plus midpoints of near pairs.  One
+    stacked ``v_value_grad_hess`` call evaluates every start, and each
+    ascent begins from its row.  Each ascent also receives the maxima found
+    before it and stops once it comes within ``landscape.DEDUP_RADIUS`` of
+    one of them, so the maximum found first is the one kept.  Non-converged starts
+    are dropped and counted in ``failed_starts``.  States are immutable, so
+    the result is cached on the state instance.
     """
     cached = state.__dict__.get("_maxima")
     if cached is not None:
@@ -154,18 +154,13 @@ def find_local_maxima(state: SuperposedState) -> MaximaResult:
     failed = 0
     # far-apart centres overflow: the kernel flushes to 0, an inf start distance is not near
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in ascent_starts(state):
-            x, v, ok = ascend(state, start)
+        starts = ascent_starts(state)
+        for start, first in zip(starts, zip(*v_value_grad_hess(state, np.array(starts)))):
+            x, v, ok = ascend(state, start, first, found)
             if not ok:
                 failed += 1
-                continue
-            for k, (xk, vk) in enumerate(found):
-                d = x - xk
-                if math.sqrt(d.dot(d)) < DEDUP_RADIUS:
-                    if v > vk:
-                        found[k] = (x, v)
-                    break
-            else:
+            # an ascent absorbed into a maximum already found returns that maximum's own x
+            elif all(x is not xk for xk, _ in found):
                 found.append((x, v))
     found.sort(key=lambda item: (-item[1], tuple(item[0])))
     # |<x|Psi>|^2 <= <Psi|Psi>, so a value above 1 is the roundoff of a norm

@@ -93,7 +93,7 @@ def _kernel_rows(x, q, p, weights):
 
     x has shape (..., 2n) and the rows q, p have shape (M, n).  Returns the
     (..., M) kernel <x|q_j, p_j>, with underflowing and non-finite values
-    flushed to exact zero, and the (..., M, n) dq, dp and sq it came from.
+    flushed to exact zero, and the (..., M, n) differences dq, dp it came from.
     """
     n = q.shape[-1]
     xq, xp = x[..., None, :n], x[..., None, n:]
@@ -112,7 +112,7 @@ def _kernel_rows(x, q, p, weights):
     expo *= -0.25
     out = np.exp(expo)
     out[~((expo.real >= -UNDERFLOW_EXPONENT) & np.isfinite(out))] = 0.0
-    return out, dq, dp, sq
+    return out, dq, dp
 
 
 def overlap(a: CoherentPoint, b: CoherentPoint, basis: ModeBasis) -> complex:
@@ -218,9 +218,9 @@ class SuperposedState:
 
 
 def _component_terms(state: SuperposedState, x):
-    """The terms c_j <x|x_j> at points x of shape (..., 2n), and the dq, dp, sq they came from."""
-    kernel, dq, dp, sq = _kernel_rows(np.asarray(x, float), state.q, state.p, state.basis.weights)
-    return state.coeffs * kernel, dq, dp, sq
+    """The terms c_j <x|x_j> at points x of shape (..., 2n), and the dq, dp they came from."""
+    kernel, dq, dp = _kernel_rows(np.asarray(x, float), state.q, state.p, state.basis.weights)
+    return state.coeffs * kernel, dq, dp
 
 
 def _landscape_value(a, norm_sq):

@@ -10,7 +10,8 @@ stepped with the library's own rounded factors in long double through a
 radix-2 transform of its own.  Loop
 references keep the straightforward form of code that the library
 restructured for speed (the pairwise start search, the ascent that
-re-evaluates every accepted point, the csv module's writer and the plot
+re-evaluates every accepted point, the search that runs every start to
+convergence, the csv module's writer and the plot
 that scales one point at a time), so the fast path can be required to
 give the same bytes.
 """
@@ -172,8 +173,9 @@ def value_grad_hess_indexed(state, x):
     x = np.asarray(x, dtype=float)
     n = state.n_modes
     w = state.basis.weights
-    terms, dq, dp, sq = _component_terms(state, x)
-    d = np.concatenate([-0.5 * w * (dq + 1j * dp), -0.5 * w * (dp + 1j * sq)], axis=1)
+    terms, dq, dp = _component_terms(state, x)
+    # the p columns in the frame translated to the probe, as in the library
+    d = np.concatenate([-0.5 * w * (dq + 1j * dp), -0.5 * w * (dp - 1j * dq)], axis=1)
     a = terms.sum()
     da = terms @ d
     ha = np.einsum("j,ja,jb->ab", terms, d, d)
@@ -235,6 +237,37 @@ def ascend_reevaluating(state, start, tol=1e-10, max_iter=200, counts=None):
     is_max = ok and bool(np.linalg.eigvalsh(hess).max() < 0.0)
     counts["failed"] += not is_max
     return x, v, is_max
+
+
+def find_local_maxima_reference(state, dedup_radius=1e-6, tie_tolerance=1e-12):
+    """Multi-start search in which every start ascends to convergence on its own.
+
+    Each start of the pair loop runs through ``ascend_reevaluating``; a
+    converged endpoint within ``dedup_radius`` of one kept already replaces
+    it if its v is higher.  Returns the maxima as (x, v) pairs sorted by
+    descending v, values above 1 taken as 1, the failed-start count, the
+    argmax with lexicographic tie-breaking, and the tie flag.
+    """
+    found = []
+    failed = 0
+    for start in ascent_starts_loop(state):
+        x, v, ok = ascend_reevaluating(state, start)
+        if not ok:
+            failed += 1
+            continue
+        for k, (xk, vk) in enumerate(found):
+            if np.linalg.norm(x - xk) < dedup_radius:
+                if v > vk:
+                    found[k] = (x, v)
+                break
+        else:
+            found.append((x, v))
+    found = sorted(((x, min(v, 1.0)) for x, v in found),
+                   key=lambda item: (-item[1], tuple(item[0])))
+    if not found:
+        return found, failed, None, False
+    tied = [x for x, v in found if abs(v - found[0][1]) < tie_tolerance]
+    return found, failed, min(tied, key=tuple), len(tied) > 1
 
 
 def polarization_cross_reference(k_vec):

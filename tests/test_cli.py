@@ -1,4 +1,5 @@
 import errno
+import math
 import json
 import os
 import re
@@ -208,8 +209,33 @@ class TestCliSelect:
         assert len(doc["events"]) == 3
         assert doc["events"][0]["chosen"]["q"] == pytest.approx([1.5])
 
+    @pytest.mark.parametrize("coord", [1e7, 1e8, 1e100, 1e154])
+    def test_lone_component_far_from_the_origin(self, tmp_path, coord):
+        # the Hessian is taken in the probe's frame, so coordinates of this
+        # size do not cancel in it: the centre stays a strict maximum
+        config = write_config(tmp_path, "far.json", {
+            "experiment": "select",
+            "parameters": {
+                "basis": {"omegas": [1.0]},
+                "initial": {"components": [{"coeff": [1.0], "q": [coord], "p": [coord]}]},
+                "n_events": 3,
+            },
+        })
+        out = tmp_path / "out"
+        assert main(["select", "--config", config, "--out", str(out)]) == 0
+        events = json.loads((out / "events.json").read_text())["events"]
+        assert len(events) == 3
+        for event in events:
+            # free rotation of (coord, coord) by the event time, clockwise
+            t = event["time"]
+            q = coord * (math.cos(t) + math.sin(t))
+            p = coord * (math.cos(t) - math.sin(t))
+            assert event["chosen"]["q"] == pytest.approx([q], rel=1e-12)
+            assert event["chosen"]["p"] == pytest.approx([p], rel=1e-12)
+            assert event["v_at_choice"] == 1.0 and event["failed_starts"] == 0
+
     def test_search_without_maximum_is_numeric_error(self, tmp_path, monkeypatch, capsys):
-        def failing_ascend(state, start):
+        def failing_ascend(state, start, first, maxima):
             return np.asarray(start, dtype=float), 0.0, False
 
         monkeypatch.setattr(coherentlab.selection, "ascend", failing_ascend)
@@ -233,7 +259,7 @@ def _spread_overflows(tmp_path, monkeypatch):
 
 
 def _select_without_maximum(tmp_path, monkeypatch):
-    def failing_ascend(state, start):
+    def failing_ascend(state, start, first, maxima):
         return np.asarray(start, dtype=float), 0.0, False
 
     monkeypatch.setattr(coherentlab.selection, "ascend", failing_ascend)
