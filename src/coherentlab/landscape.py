@@ -6,9 +6,13 @@ are closed-form.  Maxima are found by Newton ascent with a gradient
 fallback and Armijo backtracking, started from every component center
 plus midpoints of nearby pairs.
 
-Values come from the one landscape evaluator in ``states``; the
-derivative rows are built from the differences it returns.  Every
-evaluator here takes points of shape (..., 2n), one point or a stack.
+An evaluation runs in two stages.  The value stage takes the landscape
+from the one evaluator in ``states`` and keeps the terms and differences
+it came from; the derivative stage builds the gradient and Hessian from
+what it kept.  ``v_at`` is the value stage alone, ``v_value_grad_hess``
+the two composed, and the ascent runs the derivative stage only at the
+iterates it keeps.  Every evaluator here takes points of shape (..., 2n),
+one point or a stack.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ _ULP_GAIN = 8.0 * float(np.finfo(float).eps)
 
 def v_at(state: SuperposedState, x: np.ndarray) -> float | np.ndarray:
     """Landscape value at phase-space points x = [q..., p...] of shape (..., 2n)."""
-    return _landscape_value(_component_terms(state, x)[0].sum(axis=-1), state.norm_sq)
+    return _value_stage(state, x)[0]
 
 
 def v_gradient(state: SuperposedState, x: np.ndarray) -> np.ndarray:
     """Analytic gradient of the landscape with respect to [q..., p...]."""
-    return v_value_grad_hess(state, x)[1]
+    return _derivative_stage(state, _value_stage(state, x)[1])[0]
 
 
 def _curvature(basis) -> np.ndarray:
@@ -76,13 +80,20 @@ def _half_weights(basis) -> tuple[np.ndarray, np.ndarray]:
     return h
 
 
-def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
-    """Landscape value, gradient, and Hessian in one pass.
+def _value_stage(state: SuperposedState, x: np.ndarray):
+    """The landscape value at points x of shape (..., 2n), and what its derivatives need.
 
-    At points x of shape (..., 2n) they have shapes (...), (..., 2n) and
-    (..., 2n, 2n), and each row of a stack has the bits of its one-point call.
+    Returns v and the kept stage (terms, dq, dp, a), from which
+    ``_derivative_stage`` builds the gradient and Hessian at the same points.
     """
     terms, dq, dp = _component_terms(state, x)
+    a = terms.sum(axis=-1)
+    return _landscape_value(a, state.norm_sq), (terms, dq, dp, a)
+
+
+def _derivative_stage(state: SuperposedState, stage):
+    """Gradient and Hessian from a ``_value_stage`` kept stage."""
+    terms, dq, dp, a = stage
     # log-derivative rows of every term in the frame translated to the probe, which
     # puts one phase linear in p on every term and so changes neither |a|^2 nor the
     # curvature: -w/2 (dq + i dp) in the q columns, -w/2 (dp - i dq) in the p columns.
@@ -98,7 +109,6 @@ def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     np.multiply(minus_half_w, dp, out=im[..., :n])
     np.multiply(minus_half_w, dp, out=re[..., n:])
     np.multiply(half_w, dq, out=im[..., n:])
-    a = terms.sum(axis=-1)
     ca = np.conj(a)[..., None]
     # each row keeps the bits of terms @ d and "j,ja,jb->ab"; an einsum for da is 1e-14 off
     da = np.matmul(terms[..., None, :], d)[..., 0, :]
@@ -109,7 +119,17 @@ def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     grad /= state.norm_sq
     hess = 2.0 * (np.conj(da)[..., :, None] * da[..., None, :] + ca[..., None] * ha).real
     hess /= state.norm_sq
-    return _landscape_value(a, state.norm_sq), grad, hess
+    return grad, hess
+
+
+def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
+    """Landscape value, gradient, and Hessian: the value stage, then the derivative stage.
+
+    At points x of shape (..., 2n) they have shapes (...), (..., 2n) and
+    (..., 2n, 2n), and each row of a stack has the bits of its one-point call.
+    """
+    v, stage = _value_stage(state, x)
+    return v, *_derivative_stage(state, stage)
 
 
 def ascend(state: SuperposedState, start: np.ndarray, first: tuple[float, np.ndarray, np.ndarray],
@@ -129,8 +149,10 @@ def ascend(state: SuperposedState, start: np.ndarray, first: tuple[float, np.nda
     the ascent returns that maximum's own x and v, with is_max True.
 
     Every line-search trial, whatever its step length, is evaluated with
-    ``v_value_grad_hess``, and the accepted trial's value, gradient and
-    Hessian serve the next iteration, so no point is evaluated twice.
+    ``_value_stage`` only, since the Armijo test reads v alone.  Once a trial
+    is accepted and not absorbed into a maximum found, ``_derivative_stage``
+    builds its gradient and Hessian from the trial's kept stage, so no point
+    is evaluated twice and no derivatives are built that are not read.
     """
     x = np.asarray(start, dtype=float).copy()
     v, grad, hess = first
@@ -140,6 +162,9 @@ def ascend(state: SuperposedState, start: np.ndarray, first: tuple[float, np.nda
             d = x - found[0]
             if d @ d < DEDUP_RADIUS * DEDUP_RADIUS:
                 return *found, True
+        if it:
+            # the accepted trial's derivatives, once it is not absorbed; the start's came with first
+            grad, hess = _derivative_stage(state, stage)
         gnorm = math.sqrt(grad @ grad)
         converged = gnorm < ASCENT_TOL * max(1.0, v)
         if converged or it == ASCENT_MAX_ITER:
@@ -160,18 +185,17 @@ def ascend(state: SuperposedState, start: np.ndarray, first: tuple[float, np.nda
         ulp_gain = _ULP_GAIN * max(v, 1e-300)
         for _ in range(60):
             trial = x + alpha * direction
-            evaluation = v_value_grad_hess(state, trial)
+            v_trial, stage = _value_stage(state, trial)
             # near the summit the predicted gain drops below the float
             # resolution of v itself; accept the nudge untested there so the
             # final Newton refinement is not blocked by a flat line search
-            if alpha * slope <= ulp_gain or evaluation[0] > v + 1e-4 * alpha * slope:
+            if alpha * slope <= ulp_gain or v_trial > v + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
         else:
             break  # no ascent step along the direction: not converged
         x = trial
-        v, grad, hess = evaluation
-        v = float(v)
+        v = float(v_trial)
     # a stationary point only counts as a maximum if the curvature is
     # strictly negative; flat saddles between far bumps also pass the
     # gradient test and must be dropped, as must a Hessian eigvalsh cannot read

@@ -212,6 +212,39 @@ class TestTranslationCovariance:
         assert np.abs(hess - hess_t).max() <= tol * max(1.0, np.abs(hess).max())
 
 
+def _assert_stages_compose(state, points):
+    """The value stage and then the derivative stage give v_value_grad_hess's bits.
+
+    At each point alone and on the stack of all of them; the value stage's v
+    is also ``v_at``'s.
+    """
+    for x in [*points, np.array(points)]:
+        v, stage = coherentlab.landscape._value_stage(state, x)
+        composed = (v, *coherentlab.landscape._derivative_stage(state, stage))
+        for got, want in zip(composed, v_value_grad_hess(state, x)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.asarray(v_at(state, x)).tobytes() == np.asarray(v).tobytes()
+
+
+class TestEvaluationStages:
+    """``v_value_grad_hess`` is the value stage composed with the derivative stage."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stages_composed_keep_the_bits_property(self, seed):
+        rng = np.random.default_rng(seed)
+        state = _overlapping_state(rng)
+        _assert_stages_compose(state, ascent_starts(state) + [rng.normal(0.0, 3.0, 2 * state.n_modes)])
+
+    def test_flushed_kernel_and_overflowing_hessian(self):
+        state, near, far = TestLandscapeUnderflow._state()
+        probes = [np.array([500.0, 0.0, 0.0, 500.0]), near.as_vector() + 0.3, far.as_vector() - 0.2]
+        _assert_stages_compose(state, probes)
+        heavy = TestLandscapeUnderflow._heavy_state()
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_stages_compose(heavy, [np.concatenate([heavy.q[1], heavy.p[1]]), np.zeros(6)])
+
+
 def _overlapping_state(rng, n_comp=None, max_modes=10):
     """1 to ``max_modes`` modes, 1-8 components close enough for their bumps to interact."""
     n = int(rng.integers(1, max_modes + 1))
@@ -244,6 +277,17 @@ class TestAscentStarts:
         assert len(ascent_starts_loop(state, near_distance=6.0)) == 4
 
 
+def _backtracking_state():
+    """Four bumps in up to three modes: its second start backtracks twice on its first step."""
+    return _overlapping_state(np.random.default_rng(36), n_comp=4, max_modes=3)
+
+
+def _one_summit_state():
+    """Three overlapping bumps with one summit, which all six starts reach."""
+    return SuperposedState([1.0, 0.8, 0.6], [_pt(0.0, 0.0), _pt(0.8, 0.3), _pt(-0.5, 0.6)],
+                           single_mode())
+
+
 class TestAscentReuse:
     """The accepted trial's evaluation is reused, with the same result."""
 
@@ -268,10 +312,11 @@ class TestAscentReuse:
         assert counts["failed"] >= 1
 
     def test_no_point_is_evaluated_twice_in_a_row(self, monkeypatch):
-        # every line-search trial is a full evaluation that the accepted step
-        # reuses: the first start never backtracks, the second backtracks
-        # twice, and a shortened step is not evaluated again either
-        state = _overlapping_state(np.random.default_rng(36), n_comp=4, max_modes=3)
+        # the accepted step reuses its line-search trial's evaluation, whose
+        # value stage keeps what the derivatives need: the first start never
+        # backtracks, the second backtracks twice, and a shortened step is not
+        # evaluated again either
+        state = _backtracking_state()
         starts = ascent_starts(state)
         cases = [
             (starts[0] + 0.7, {"backtracks": 0, "gradient_steps": 1, "failed": 0}),
@@ -352,8 +397,7 @@ class TestSearchAgainstReference:
         # three overlapping bumps with one summit: every start after the first
         # returns the first start's maximum itself, after fewer evaluations
         # than the reference search and than ascents that run to convergence
-        state = SuperposedState([1.0, 0.8, 0.6], [_pt(0.0, 0.0), _pt(0.8, 0.3), _pt(-0.5, 0.6)],
-                                single_mode())
+        state = _one_summit_state()
         starts = ascent_starts(state)
         evaluated = []
         component_terms = coherentlab.states._component_terms
@@ -385,26 +429,90 @@ class TestSearchAgainstReference:
         self._assert_matches_reference(state)
 
 
+class TestDerivativesOnlyWhereKept:
+    """The ascent builds derivatives only at iterates it keeps.
+
+    A rejected line-search trial and an iterate absorbed into a maximum
+    found get the value stage alone; an accepted trial gets the derivative
+    stage right after its own value stage.
+    """
+
+    @staticmethod
+    def _stages(monkeypatch, state, start, maxima):
+        """The stages one ascent from ``start`` runs, as "value" and "derivatives" in order."""
+        first = v_value_grad_hess(state, start)
+        value_stage = coherentlab.landscape._value_stage
+        derivative_stage = coherentlab.landscape._derivative_stage
+        log = []
+
+        def value(state, x):
+            v, stage = value_stage(state, x)
+            log.append(("value", stage))
+            return v, stage
+
+        def derivatives(state, stage):
+            # built from the stage of the trial just evaluated, not an earlier one
+            assert log[-1][0] == "value" and log[-1][1] is stage
+            log.append(("derivatives", stage))
+            return derivative_stage(state, stage)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(coherentlab.landscape, "_value_stage", value)
+            patch.setattr(coherentlab.landscape, "_derivative_stage", derivatives)
+            result = ascend(state, start, first, maxima)
+        return [kind for kind, _ in log], result
+
+    def _assert_kept_only(self, monkeypatch, state, start):
+        """Alone, every accepted trial gets derivatives and no rejected one does."""
+        counts = {}
+        ascend_reevaluating(state, start, counts=counts)
+        kinds, _ = self._stages(monkeypatch, state, start, [])
+        assert kinds.count("derivatives") == kinds.count("value") - counts["backtracks"]
+        return kinds, counts
+
+    def test_no_derivatives_for_a_rejected_trial(self, monkeypatch):
+        state = _backtracking_state()
+        kinds, counts = self._assert_kept_only(monkeypatch, state, ascent_starts(state)[1])
+        assert counts["backtracks"] == 2
+        assert kinds[:4] == ["value", "value", "value", "derivatives"]
+
+    def test_no_derivatives_for_an_absorbed_iterate(self, monkeypatch):
+        state = _one_summit_state()
+        starts = ascent_starts(state)
+        x, v, ok = ascend(state, starts[0], v_value_grad_hess(state, starts[0]), [])
+        absorbed_after_a_step = 0
+        for start in starts[1:]:
+            alone, _ = self._assert_kept_only(monkeypatch, state, start)
+            merged, result = self._stages(monkeypatch, state, start, [(x, v)])
+            assert result[0] is x
+            if merged:
+                # the same stages as alone, up to the absorbed iterate, whose
+                # derivatives the ascent alone goes on to build
+                assert merged[-1] == "value"
+                assert alone[:len(merged) + 1] == merged + ["derivatives"]
+                absorbed_after_a_step += 1
+        assert absorbed_after_a_step == len(starts) - 1
+
+
 class TestExhaustedLineSearch:
     """A direction along which no trial step gains ends the ascent as not converged."""
 
     @staticmethod
     def _summits_at(monkeypatch, starts):
         # the real gradient and Hessian, but v = -(distance to the nearest
-        # start): each start is a summit, and every Armijo trial falls below it;
-        # x is one point, or the stack of a search's starts that
-        # find_local_maxima evaluates in one call, so both bindings are patched
-        evaluate = coherentlab.landscape.v_value_grad_hess
+        # start): each start is a summit, and every Armijo trial falls below it.
+        # The value stage is lowered: the line search evaluates its trials with it
+        # alone, and v_value_grad_hess, which evaluates a start or the stack of a
+        # search's starts that find_local_maxima evaluates in one call, runs it first
+        value_stage = coherentlab.landscape._value_stage
         calls = []
 
         def lowered(state, x):
             calls.append(np.array(x))
-            _, grad, hess = evaluate(state, x)
             distances = np.linalg.norm(np.asarray(x)[..., None, :] - np.array(starts), axis=-1)
-            return -distances.min(axis=-1), grad, hess
+            return -distances.min(axis=-1), value_stage(state, x)[1]
 
-        for module in (coherentlab.landscape, coherentlab.selection):
-            monkeypatch.setattr(module, "v_value_grad_hess", lowered)
+        monkeypatch.setattr(coherentlab.landscape, "_value_stage", lowered)
         return calls
 
     def _state(self):
@@ -435,7 +543,8 @@ class TestExhaustedLineSearch:
 class TestLandscapeUnderflow:
     """The landscape flushes far components to zero exactly as ``overlap`` does."""
 
-    def _state(self):
+    @staticmethod
+    def _state():
         basis = ModeBasis(omegas=[1.0, 0.5], weights=[1.0, 1.7])
         near = _pt([0.5, -0.3], [0.2, 0.4])
         far = _pt([1e3, 0.0], [0.0, 1e3])
@@ -461,15 +570,19 @@ class TestLandscapeUnderflow:
         assert v_at(state, x) == expected
         assert v_value_grad_hess(state, x)[0] == expected
 
-    def test_hessian_eigvalsh_cannot_read_is_a_failed_start(self):
-        # at the heavier centre the gradient vanishes, but the curvature
+    @staticmethod
+    def _heavy_state():
+        # at the heavier centre, the second, the gradient vanishes, but the curvature
         # |a|^2 w / 2 overflows the Hessian to -inf, with NaN where inf meets
         # the zero off-diagonal, and eigvalsh does not converge; the lighter
         # centre's curvature stays finite.  At w = 1e308 the two bumps do not overlap
         basis = ModeBasis(omegas=[1.0] * 3, weights=[1e308] * 3)
         near, far = _pt([0.0] * 3, [0.0] * 3), _pt([1.0] * 3, [1.0] * 3)
-        state = SuperposedState([0.9, 3.0], [near, far], basis)
-        x = far.as_vector()
+        return SuperposedState([0.9, 3.0], [near, far], basis)
+
+    def test_hessian_eigvalsh_cannot_read_is_a_failed_start(self):
+        state = self._heavy_state()
+        x = np.concatenate([state.q[1], state.p[1]])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.eigvalsh(v_value_grad_hess(state, x)[2])
