@@ -181,6 +181,8 @@ class FieldMode:
     weight: float = 1.0
     polarization: int = 0
     k4: np.ndarray = field(init=False, repr=False, compare=False)
+    #: (e1, e2) of ``polarization_vectors(k_vec)`` as the rows of a (2, 3) array
+    polarization_pair: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.asarray(self.k_vec, dtype=float)
@@ -199,6 +201,9 @@ class FieldMode:
         k4 = np.concatenate([[length], k])
         k4.setflags(write=False)
         object.__setattr__(self, "k4", k4)
+        pair = np.stack(polarization_vectors(k))
+        pair.setflags(write=False)
+        object.__setattr__(self, "polarization_pair", pair)
 
     @property
     def omega(self) -> float:
@@ -253,9 +258,10 @@ def polarization_vectors(k_vec) -> tuple[np.ndarray, np.ndarray]:
 
 def _transverse_amplitudes(trajectories, modes) -> np.ndarray:
     """(e1 . J_vec(k), e2 . J_vec(k)) for each field mode, shape (K, 2)."""
-    k = _wave_vectors(modes)
-    j = current_j(trajectories, k)[:, 1:]
-    return np.sum(np.stack(polarization_vectors(k[:, 1:]), axis=1) * j[:, None, :], axis=2)
+    j = current_j(trajectories, _wave_vectors(modes))[:, 1:]
+    # each mode's pair has the bits of its row of polarization_vectors over the stack
+    pairs = np.reshape([m.polarization_pair for m in modes], (-1, 2, 3))
+    return np.sum(pairs * j[:, None, :], axis=2)
 
 
 def radiated_quanta(trajectories, modes) -> float:

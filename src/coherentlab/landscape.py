@@ -13,6 +13,13 @@ what it kept.  ``v_at`` is the value stage alone, ``v_value_grad_hess``
 the two composed, and the ascent runs the derivative stage only at the
 iterates it keeps.  Every evaluator here takes points of shape (..., 2n),
 one point or a stack.
+
+A search takes the first step of all its starts at once: one stacked
+evaluation, one ``eigvalsh`` and one ``solve`` over the starts, and one
+value stage over their trials at alpha = 1 (``first_steps``).  Each
+``ascend`` goes on from its start's row, one point at a time; every step,
+the first included, chooses between the Newton step and the gradient by
+the one rule of ``_newton_steps`` and ``_direction``.
 """
 
 from __future__ import annotations
@@ -132,17 +139,108 @@ def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     return v, *_derivative_stage(state, stage)
 
 
-def ascend(state: SuperposedState, start: np.ndarray, first: tuple[float, np.ndarray, np.ndarray],
+def _negative_definite(hess: np.ndarray) -> np.ndarray:
+    """Whether each Hessian of shape (..., 2n, 2n) is strictly negative definite.
+
+    One that ``eigvalsh`` cannot read is not.  numpy raises for a whole
+    stack if one Hessian fails, so then each is read alone.
+    """
+    try:
+        return np.linalg.eigvalsh(hess).max(axis=-1) < 0.0
+    except np.linalg.LinAlgError:
+        if hess.ndim == 2:
+            return np.False_
+        return np.array([_negative_definite(h) for h in hess])
+
+
+def _solve(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """-hess^-1 grad at gradients of shape (..., 2n), NaN where ``solve`` cannot take it.
+
+    numpy raises for a whole stack if one row fails, so then each row is
+    solved alone.
+    """
+    try:
+        return np.linalg.solve(hess, -grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if hess.ndim == 2:
+            return np.full_like(grad, np.nan)
+        return np.array([_solve(h, g) for h, g in zip(hess, grad)])
+
+
+def _newton_steps(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
+    """The Newton step -hess^-1 grad at one point or a stack of them, gradients (..., 2n).
+
+    NaN at a point whose Hessian is not negative definite, and at one that
+    ``eigvalsh`` or ``solve`` cannot take; the other points of a stack are
+    unaffected.  A stack takes one ``eigvalsh`` and one ``solve`` call, and
+    each of its points has the bits of its one-point call.
+    """
+    newton = _negative_definite(hess)
+    if newton.ndim == 0:  # one point: its own call, with no rows to pick
+        return _solve(hess, grad) if newton else np.full_like(grad, np.nan)
+    if newton.all():
+        return _solve(hess, grad)
+    steps = np.full_like(grad, np.nan)
+    if newton.any():
+        steps[newton] = _solve(hess[newton], grad[newton])
+    return steps
+
+
+def _direction(grad: np.ndarray, gnorm: float, newton: np.ndarray) -> tuple[np.ndarray, float]:
+    """The ascent direction from one point and its slope grad . direction.
+
+    The point's Newton step (from ``_newton_steps``) where it is an ascent
+    direction, and the unit gradient otherwise: a NaN step has no slope > 0.
+    """
+    slope = float(newton @ grad)
+    if slope > 0.0:
+        return newton, slope
+    direction = grad / max(gnorm, 1e-300)
+    return direction, float(grad @ direction)
+
+
+def first_steps(state: SuperposedState, starts: np.ndarray) -> list[tuple]:
+    """What ``ascend`` takes as ``first`` from each row of ``starts``, shape (S, 2n).
+
+    One stacked ``v_value_grad_hess`` call evaluates every start.  The
+    starts that have not converged there take their first direction from
+    one ``_newton_steps`` call over all of them, and one value stage
+    evaluates all of their trials at alpha = 1.  Each row is (v, grad,
+    hess, step), where step is (direction, slope, v_trial, stage) with the
+    trial's value and kept stage, or None at a converged start; each has
+    the bits of the start evaluated and stepped alone.
+    """
+    v, grad, hess = v_value_grad_hess(state, starts)
+    # each row with the bits of ascend's 1-D grad @ grad
+    gnorm = np.sqrt(np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0])
+    # fmax, like max(1.0, v), reads a NaN v as 1
+    moving = np.flatnonzero(~(gnorm < ASCENT_TOL * np.fmax(1.0, v)))
+    steps = [None] * len(starts)
+    if moving.size:
+        grad_m = grad[moving]
+        directions = [_direction(g, norm, newton) for g, norm, newton
+                      in zip(grad_m, gnorm[moving].tolist(), _newton_steps(grad_m, hess[moving]))]
+        trials = starts[moving] + np.array([direction for direction, _ in directions])
+        v_trial, stage = _value_stage(state, trials)
+        for i, (direction, slope), vt, kept in zip(moving.tolist(), directions, v_trial.tolist(),
+                                                  zip(*stage)):
+            steps[i] = (direction, slope, vt, kept)
+    return list(zip(v.tolist(), grad, hess, steps))
+
+
+def ascend(state: SuperposedState, start: np.ndarray, first: tuple,
            maxima: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float, bool]:
     """Ascend the landscape from ``start``; returns (x, v, is_max).
 
-    ``first`` is the (v, grad, hess) at ``start``: its row of the one stacked
-    ``v_value_grad_hess`` call that evaluates all of a search's starts.
-    Newton steps are taken whenever the Hessian is negative definite and
-    the step is an ascent direction; otherwise plain gradient steps with
-    Armijo backtracking.  Convergence is ||grad|| < ASCENT_TOL * max(1, v)
-    within ASCENT_MAX_ITER steps, and a converged point only qualifies as
-    a maximum if its Hessian is strictly negative definite.
+    ``first`` is the start's row of ``first_steps``: its (v, grad, hess)
+    and its first step with the trial at alpha = 1, taken with every other
+    start of the search in stacked calls.  Each step is the Newton step
+    whenever the Hessian is negative definite and the step is an ascent
+    direction, and the unit gradient otherwise (``_direction``), with
+    Armijo backtracking from alpha = 1.  Convergence is
+    ||grad|| < ASCENT_TOL * max(1, v) within ASCENT_MAX_ITER steps, and a
+    converged point only qualifies as a maximum if its Hessian is strictly
+    negative definite.
 
     ``maxima`` holds the (x, v) maxima the search has found so far.  Once an
     iterate, the start included, lies within DEDUP_RADIUS of one of them,
@@ -155,7 +253,7 @@ def ascend(state: SuperposedState, start: np.ndarray, first: tuple[float, np.nda
     is evaluated twice and no derivatives are built that are not read.
     """
     x = np.asarray(start, dtype=float).copy()
-    v, grad, hess = first
+    v, grad, hess, step = first
     v = float(v)
     for it in range(ASCENT_MAX_ITER + 1):
         for found in maxima:
@@ -169,29 +267,24 @@ def ascend(state: SuperposedState, start: np.ndarray, first: tuple[float, np.nda
         converged = gnorm < ASCENT_TOL * max(1.0, v)
         if converged or it == ASCENT_MAX_ITER:
             break
-        direction = None
-        try:
-            if np.linalg.eigvalsh(hess).max() < 0.0:
-                cand = np.linalg.solve(hess, -grad)
-                slope = float(cand @ grad)
-                if slope > 0.0:
-                    direction = cand
-        except np.linalg.LinAlgError:
-            direction = None
-        if direction is None:
-            direction = grad / max(gnorm, 1e-300)
-            slope = float(grad @ direction)
+        if it:
+            direction, slope = _direction(grad, gnorm, _newton_steps(grad, hess))
+            v_trial = None
+        else:
+            direction, slope, v_trial, stage = step
         alpha = 1.0
         ulp_gain = _ULP_GAIN * max(v, 1e-300)
         for _ in range(60):
             trial = x + alpha * direction
-            v_trial, stage = _value_stage(state, trial)
+            if v_trial is None:  # the first step's trial at alpha = 1 came with first
+                v_trial, stage = _value_stage(state, trial)
             # near the summit the predicted gain drops below the float
             # resolution of v itself; accept the nudge untested there so the
             # final Newton refinement is not blocked by a flat line search
             if alpha * slope <= ulp_gain or v_trial > v + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
+            v_trial = None
         else:
             break  # no ascent step along the direction: not converged
         x = trial
@@ -199,10 +292,7 @@ def ascend(state: SuperposedState, start: np.ndarray, first: tuple[float, np.nda
     # a stationary point only counts as a maximum if the curvature is
     # strictly negative; flat saddles between far bumps also pass the
     # gradient test and must be dropped, as must a Hessian eigvalsh cannot read
-    try:
-        return x, v, converged and bool(np.linalg.eigvalsh(hess).max() < 0.0)
-    except np.linalg.LinAlgError:
-        return x, v, False
+    return x, v, converged and bool(_negative_definite(hess))
 
 
 def ascent_starts(state: SuperposedState) -> list[np.ndarray]:

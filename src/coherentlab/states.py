@@ -220,7 +220,10 @@ class SuperposedState:
 def _component_terms(state: SuperposedState, x):
     """The terms c_j <x|x_j> at points x of shape (..., 2n), and the dq, dp they came from."""
     kernel, dq, dp = _kernel_rows(np.asarray(x, float), state.q, state.p, state.basis.weights)
-    return state.coeffs * kernel, dq, dp
+    # the coefficients take the kernel's ndim: a (1,) by (1, 1) product, a one-row
+    # stack of a one-component state, runs another multiply loop than one point's
+    coeffs = state.coeffs[(None,) * (kernel.ndim - 1)]
+    return coeffs * kernel, dq, dp
 
 
 def _landscape_value(a, norm_sq):
@@ -257,14 +260,23 @@ def evolve_free(state: SuperposedState, dt: float) -> SuperposedState:
     dt = float(dt)
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
-    c = np.cos(state.basis.omegas * dt)
-    s = np.sin(state.basis.omegas * dt)
-    q_new = state.q * c + state.p * s
-    p_new = state.p * c - state.q * s
-    phases = 0.5 * np.sum(
-        state.basis.weights * (state.q * state.p - q_new * p_new), axis=1
-    )
-    coeffs = state.coeffs * np.exp(1j * phases)
+    # a centre past ~1e154 overflows q p, and a turned centre can overflow itself:
+    # both are refused below, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.cos(state.basis.omegas * dt)
+        s = np.sin(state.basis.omegas * dt)
+        q_new = state.q * c + state.p * s
+        p_new = state.p * c - state.q * s
+        phases = 0.5 * np.sum(
+            state.basis.weights * (state.q * state.p - q_new * p_new), axis=1
+        )
+        coeffs = state.coeffs * np.exp(1j * phases)
+    finite = np.isfinite(phases)
+    # _from_rows names a turned centre that overflowed
+    if not finite.all() and np.isfinite(q_new).all() and np.isfinite(p_new).all():
+        j = int(np.argmin(finite))
+        raise ValueError(f"free evolution over dt = {dt!r} overflows the phase of component {j}: "
+                         f"q = {state.q[j].tolist()}, p = {state.p[j].tolist()}")
     return SuperposedState._from_rows(coeffs, q_new, p_new, state.basis)
 
 

@@ -234,6 +234,27 @@ class TestCliSelect:
             assert event["chosen"]["p"] == pytest.approx([p], rel=1e-12)
             assert event["v_at_choice"] == 1.0 and event["failed_starts"] == 0
 
+    def test_lone_component_whose_phase_overflows(self, tmp_path):
+        # q p = 1e310 overflows the free-evolution phase of the centre, which is
+        # itself finite after the turn: one error line, as a user sees it with
+        # numpy's default warnings, and no output directory
+        config = write_config(tmp_path, "overflow.json", {
+            "experiment": "select",
+            "parameters": {
+                "basis": {"omegas": [1.0]},
+                "initial": {"components": [{"coeff": [1.0], "q": [1e155], "p": [1e155]}]},
+                "n_events": 3,
+            },
+        })
+        out = tmp_path / "out"
+        proc = _run_cli_process(["select", "--config", config, "--out", str(out)],
+                                PYTHONWARNINGS="default")
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("error[numeric]: free evolution over dt = 1.0 overflows the phase")
+        assert not out.exists()
+
     def test_search_without_maximum_is_numeric_error(self, tmp_path, monkeypatch, capsys):
         def failing_ascend(state, start, first, maxima):
             return np.asarray(start, dtype=float), 0.0, False

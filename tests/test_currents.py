@@ -20,6 +20,7 @@ from coherentlab import (
     vacuum_persistence,
 )
 
+from coherentlab.currents import _transverse_amplitudes
 from oracles import polarization_cross_reference
 
 
@@ -436,6 +437,27 @@ class TestPolarization:
         assert not mode.k4.flags.writeable
         assert mode.k4.tobytes() == np.concatenate([[mode.omega], mode.k_vec]).tobytes()
 
+
+    def test_polarization_pair_built_once_per_mode(self):
+        mode = FieldMode(k_vec=np.array([1e-8, 1e-8, -3.0]))
+        assert mode.polarization_pair is mode.polarization_pair
+        assert not mode.polarization_pair.flags.writeable
+        assert mode.polarization_pair.tobytes() == np.stack(polarization_vectors(mode.k_vec)).tobytes()
+
+    def test_transverse_amplitudes_keep_the_bytes_of_the_stacked_pairs(self):
+        # each mode's cached (e1, e2) against the pairs of one polarization_vectors
+        # call over the stack of wave vectors, near the z axis too
+        rng = np.random.default_rng(67)
+        for trial in range(200):
+            k = rng.normal(size=(int(rng.integers(1, 7)), 3))
+            if trial % 4 == 0:
+                k[0, :2] *= 1e-8
+            modes = [FieldMode(k_vec=row, weight=rng.uniform(0.2, 1.5)) for row in k]
+            trajs = [random_trajectory(rng) for _ in range(int(rng.integers(1, 3)))]
+            k4 = np.array([m.k4 for m in modes])
+            j = current_j(trajs, k4)[:, 1:]
+            want = np.sum(np.stack(polarization_vectors(k4[:, 1:]), axis=1) * j[:, None, :], axis=2)
+            assert _transverse_amplitudes(trajs, modes).tobytes() == want.tobytes()
 
 class TestCsvIngest:
     def test_round_trip(self, tmp_path):

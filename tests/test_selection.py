@@ -31,7 +31,9 @@ from coherentlab import (
 import coherentlab.landscape
 import coherentlab.selection
 import coherentlab.states
-from coherentlab.landscape import ascend, ascent_starts, v_at, v_gradient, v_value_grad_hess
+from coherentlab.landscape import (
+    ascend, ascent_starts, first_steps, v_at, v_gradient, v_value_grad_hess,
+)
 
 import oracles
 from oracles import (
@@ -245,6 +247,11 @@ class TestEvaluationStages:
             _assert_stages_compose(heavy, [np.concatenate([heavy.q[1], heavy.p[1]]), np.zeros(6)])
 
 
+def _first(state, start):
+    """``ascend``'s ``first`` for one start, built as ``find_local_maxima`` builds a stack's."""
+    return first_steps(state, np.array([start]))[0]
+
+
 def _overlapping_state(rng, n_comp=None, max_modes=10):
     """1 to ``max_modes`` modes, 1-8 components close enough for their bumps to interact."""
     n = int(rng.integers(1, max_modes + 1))
@@ -300,7 +307,7 @@ class TestAscentReuse:
             for start in starts:
                 for max_iter in (200, 3):
                     monkeypatch.setattr(coherentlab.landscape, "ASCENT_MAX_ITER", max_iter)
-                    x, v, ok = ascend(state, start, v_value_grad_hess(state, start), [])
+                    x, v, ok = ascend(state, start, _first(state, start), [])
                     run = counts if max_iter == 200 else {}
                     x_ref, v_ref, ok_ref = ascend_reevaluating(
                         state, start, max_iter=max_iter, counts=run)
@@ -338,7 +345,7 @@ class TestAscentReuse:
             return points, result
 
         def ascend_alone(state, start):
-            return ascend(state, start, v_value_grad_hess(state, start), [])
+            return ascend(state, start, _first(state, start), [])
 
         for start, expected in cases:
             counts = {}
@@ -416,14 +423,14 @@ class TestSearchAgainstReference:
 
         n_search, result = points_evaluated(lambda: find_local_maxima(state))
         n_reference, _ = points_evaluated(lambda: find_local_maxima_reference(state))
-        alone = [points_evaluated(lambda: ascend(state, s, v_value_grad_hess(state, s), []))
+        alone = [points_evaluated(lambda: ascend(state, s, _first(state, s), []))
                  for s in starts]
         assert len(starts) == 6 and len(result.maxima) == 1 and result.failed_starts == 0
         x, v, ok = alone[0][1]
         assert ok and result.maxima[0].point.as_vector().tobytes() == x.tobytes()
         found = [(x, v)]
         for start in starts[1:]:
-            merged = ascend(state, start, v_value_grad_hess(state, start), found)
+            merged = ascend(state, start, _first(state, start), found)
             assert merged[0] is x and merged[1] == v and merged[2] is True
         assert n_search < sum(n for n, _ in alone) < n_reference
         self._assert_matches_reference(state)
@@ -439,8 +446,11 @@ class TestDerivativesOnlyWhereKept:
 
     @staticmethod
     def _stages(monkeypatch, state, start, maxima):
-        """The stages one ascent from ``start`` runs, as "value" and "derivatives" in order."""
-        first = v_value_grad_hess(state, start)
+        """The stages one ascent from ``start`` runs, as "value" and "derivatives" in order.
+
+        They begin with the value stage of the first step's trial, which
+        ``first_steps`` evaluates after the start's own two stages.
+        """
         value_stage = coherentlab.landscape._value_stage
         derivative_stage = coherentlab.landscape._derivative_stage
         log = []
@@ -451,16 +461,21 @@ class TestDerivativesOnlyWhereKept:
             return v, stage
 
         def derivatives(state, stage):
-            # built from the stage of the trial just evaluated, not an earlier one
-            assert log[-1][0] == "value" and log[-1][1] is stage
+            # built from the stage of the trial just evaluated, not an earlier one; the
+            # first step's trial is a row of the stage first_steps evaluates for a stack
+            assert log[-1][0] == "value"
+            assert all(np.shares_memory(got, kept) for got, kept in zip(stage[:3], log[-1][1]))
             log.append(("derivatives", stage))
             return derivative_stage(state, stage)
 
         with monkeypatch.context() as patch:
             patch.setattr(coherentlab.landscape, "_value_stage", value)
             patch.setattr(coherentlab.landscape, "_derivative_stage", derivatives)
+            first = _first(state, start)
             result = ascend(state, start, first, maxima)
-        return [kind for kind, _ in log], result
+        # the start's own evaluation, which the search makes for every start
+        assert [kind for kind, _ in log[:2]] == ["value", "derivatives"]
+        return [kind for kind, _ in log[2:]], result
 
     def _assert_kept_only(self, monkeypatch, state, start):
         """Alone, every accepted trial gets derivatives and no rejected one does."""
@@ -479,7 +494,7 @@ class TestDerivativesOnlyWhereKept:
     def test_no_derivatives_for_an_absorbed_iterate(self, monkeypatch):
         state = _one_summit_state()
         starts = ascent_starts(state)
-        x, v, ok = ascend(state, starts[0], v_value_grad_hess(state, starts[0]), [])
+        x, v, ok = ascend(state, starts[0], _first(state, starts[0]), [])
         absorbed_after_a_step = 0
         for start in starts[1:]:
             alone, _ = self._assert_kept_only(monkeypatch, state, start)
@@ -523,7 +538,7 @@ class TestExhaustedLineSearch:
         state = self._state()
         start = ascent_starts(state)[0]
         calls = self._summits_at(monkeypatch, [start])
-        x, v, ok = ascend(state, start, coherentlab.landscape.v_value_grad_hess(state, start), [])
+        x, v, ok = ascend(state, start, _first(state, start), [])
         assert x.tobytes() == start.tobytes() and v == 0.0 and ok is False
         assert len(calls) == 1 + 60
         assert all(np.any(c != start) for c in calls[1:])
@@ -535,9 +550,14 @@ class TestExhaustedLineSearch:
         result = find_local_maxima(state)
         assert len(starts) == 3
         assert result.failed_starts == len(starts) and result.maxima == []
-        # the stacked first evaluation went through the lowered landscape too
-        assert calls[0].shape == (len(starts), 2)
-        assert len(calls) == 1 + 60 * len(starts)
+        # the stacked first evaluation went through the lowered landscape too,
+        # and so did the stacked first trial of every start
+        assert calls[0].shape == calls[1].shape == (len(starts), 2)
+        # counted in rows, 1 + 60 evaluations per start: its row of each stacked
+        # call (the start and its first trial), then its other 59 trials alone
+        rows = [len(np.atleast_2d(c)) for c in calls]
+        assert rows == [len(starts)] * 2 + [1] * (59 * len(starts))
+        assert sum(rows) == (1 + 60) * len(starts)
 
 
 class TestLandscapeUnderflow:
@@ -586,10 +606,175 @@ class TestLandscapeUnderflow:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.eigvalsh(v_value_grad_hess(state, x)[2])
-            assert ascend(state, x, v_value_grad_hess(state, x), [])[2] is False
+            assert ascend(state, x, _first(state, x), [])[2] is False
         result = find_local_maxima(state)
         assert result.failed_starts == 1
         assert [c.point.as_vector().tolist() for c in result.maxima] == [[0.0] * 6]
+
+
+def _one_point_direction(grad, hess, gnorm):
+    """The direction and slope at one point, as ``ascend`` takes them after its first step."""
+    newton = coherentlab.landscape._newton_steps(grad, hess)
+    return coherentlab.landscape._direction(grad, gnorm, newton)
+
+
+def _first_alone(state, start):
+    """One start's ``first`` from one-point calls only."""
+    v, grad, hess = v_value_grad_hess(state, start)
+    gnorm = math.sqrt(grad @ grad)
+    if gnorm < coherentlab.landscape.ASCENT_TOL * max(1.0, v):
+        return v, grad, hess, None
+    direction, slope = _one_point_direction(grad, hess, gnorm)
+    v_trial, stage = coherentlab.landscape._value_stage(state, start + direction)
+    return v, grad, hess, (direction, slope, v_trial, stage)
+
+
+def _assert_same_first(got, want):
+    *evaluated, step = got
+    *evaluated_alone, step_alone = want
+    for a, b in zip(evaluated, evaluated_alone):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert (step is None) == (step_alone is None)
+    if step is not None:
+        *scalars, stage = step
+        *scalars_alone, stage_alone = step_alone
+        for a, b in zip([*scalars, *stage], [*scalars_alone, *stage_alone]):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _search_alone(state):
+    """``find_local_maxima``'s loop with each start's first step taken alone."""
+    found, failed = [], 0
+    for start in ascent_starts(state):
+        x, v, ok = ascend(state, start, _first_alone(state, start), found)
+        if not ok:
+            failed += 1
+        elif all(x is not xk for xk, _ in found):
+            found.append((x, v))
+    found.sort(key=lambda item: (-item[1], tuple(item[0])))
+    return found, failed
+
+
+class TestStackedFirstStep:
+    """Every start's first step, taken in stacked calls, is the step it takes alone."""
+
+    @staticmethod
+    def _assert_rows_alone(state, points):
+        stacked = first_steps(state, np.array(points))
+        assert len(stacked) == len(points)
+        for start, first in zip(points, stacked):
+            _assert_same_first(first, _first_alone(state, start))
+            _assert_same_first(_first(state, start), first)
+        result = find_local_maxima(state)
+        found, failed = _search_alone(state)
+        assert result.failed_starts == failed
+        assert [(c.point.as_vector().tobytes(), c.v) for c in result.maxima] == [
+            (x.tobytes(), min(v, 1.0)) for x, v in found]
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_each_row_is_the_step_taken_alone_property(self, seed):
+        rng = np.random.default_rng(seed)
+        state = _overlapping_state(rng)
+        self._assert_rows_alone(state, ascent_starts(state) + [rng.normal(0.0, 3.0, 2 * state.n_modes)])
+
+    def test_flushed_kernel_and_overflowing_hessian(self):
+        state, near, far = TestLandscapeUnderflow._state()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._assert_rows_alone(state, ascent_starts(state) + [
+                np.array([500.0, 0.0, 0.0, 500.0]), near.as_vector() + 0.3, far.as_vector() - 0.2])
+            heavy = TestLandscapeUnderflow._heavy_state()
+            self._assert_rows_alone(heavy, ascent_starts(heavy) + [np.zeros(6)])
+
+    def test_the_sample_takes_newton_and_gradient_steps(self):
+        rng = np.random.default_rng(40)
+        newton = gradient = 0
+        for _ in range(30):
+            state = _overlapping_state(rng)
+            starts = ascent_starts(state)
+            for first in first_steps(state, np.array(starts)):
+                if first[3] is not None:
+                    unit = first[1] / math.sqrt(first[1] @ first[1])
+                    if first[3][0].tobytes() == unit.tobytes():
+                        gradient += 1
+                    else:
+                        newton += 1
+        assert newton >= 20 and gradient >= 20
+
+    def test_a_row_eigvalsh_cannot_read_takes_the_gradient_alone(self):
+        state = _backtracking_state()
+        starts = np.array(ascent_starts(state))
+        _, grad, hess = v_value_grad_hess(state, starts)
+        gnorm = [math.sqrt(g @ g) for g in grad]
+        hess = hess.copy()
+        hess[1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvalsh(hess)
+        stacked = coherentlab.landscape._newton_steps(grad, hess)
+        steps = [coherentlab.landscape._direction(*row) for row in zip(grad, gnorm, stacked)]
+        assert np.isnan(stacked[1]).all()
+        unit = grad[1] / gnorm[1]
+        assert steps[1][0].tobytes() == unit.tobytes() and steps[1][1] == float(grad[1] @ unit)
+        newton = 0
+        for i in range(len(starts)):
+            if i != 1:
+                direction, slope = _one_point_direction(grad[i], hess[i], gnorm[i])
+                assert steps[i][0].tobytes() == direction.tobytes() and steps[i][1] == slope
+                newton += direction.tobytes() != (grad[i] / gnorm[i]).tobytes()
+        assert newton >= 2
+
+    def test_a_row_solve_cannot_take_gives_no_newton_step_alone(self):
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(3, 4, 4))
+        hess = -(a @ a.transpose(0, 2, 1)) - np.eye(4)
+        hess[1] = 0.0  # singular: solve raises for the whole stack
+        grad = rng.normal(size=(3, 4))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(hess, -grad[:, :, None])
+        steps = coherentlab.landscape._solve(hess, grad)
+        assert np.isnan(steps[1]).all()
+        for i in (0, 2):
+            assert steps[i].tobytes() == np.linalg.solve(hess[i], -grad[i]).tobytes()
+
+    def test_a_start_on_a_maximum_found_returns_it_before_stepping(self):
+        state = _backtracking_state()
+        for start in ascent_starts(state):
+            first = _first(state, start)
+            assert first[3] is not None
+            found = [(start + 1e-7, 0.25)]
+            x, v, ok = ascend(state, start, first, found)
+            assert x is found[0][0] and v == 0.25 and ok is True
+
+    def test_stage_rows_per_search_are_unchanged(self, monkeypatch):
+        # a chain of four-component states, as the select_chain benchmark runs:
+        # rows counted through each stage, against 2640 and 2084 with each
+        # start's first step taken alone (the ascent before stacking it)
+        value_stage = coherentlab.landscape._value_stage
+        derivative_stage = coherentlab.landscape._derivative_stage
+        rows = {"value": 0, "derivatives": 0, "value calls": 0}
+
+        def value(state, x):
+            rows["value"] += np.asarray(x).size // (2 * state.n_modes)
+            rows["value calls"] += 1
+            return value_stage(state, x)
+
+        def derivatives(state, stage):
+            rows["derivatives"] += np.size(stage[3])
+            return derivative_stage(state, stage)
+
+        monkeypatch.setattr(coherentlab.landscape, "_value_stage", value)
+        monkeypatch.setattr(coherentlab.landscape, "_derivative_stage", derivatives)
+        rng = np.random.default_rng(7)
+        basis = ModeBasis(omegas=[0.7, 1.1, 1.6], weights=[0.8, 1.0, 1.3])
+        initial = SuperposedState([0.9, 0.6j, 0.5],
+                                  [_pt(rng.normal(0, 1.5, 3), rng.normal(0, 1.5, 3)) for _ in range(3)],
+                                  basis)
+        log = run_sequence(initial, UrgencySchedule(2.0), seeded_spawn(11, count=3, spread=1.5),
+                           n_events=40)
+        assert len(log) == 40 and sum(r.failed_starts for r in log) == 0
+        assert rows["value"] == 2640 and rows["derivatives"] == 2084
+        # in fewer calls: 2307 before
+        assert rows["value calls"] == 1974
 
 
 class TestSelectAndCollapse:

@@ -398,6 +398,23 @@ class TestBatchedEvaluator:
             assert grad[i].tobytes() == one[1].tobytes() == grad3[0, i].tobytes()
             assert hess[i].tobytes() == one[2].tobytes() == hess3[0, i].tobytes()
 
+    def test_one_row_stack_of_one_component_equals_the_one_point_call(self):
+        # a (1,) by (1, 1) product of coefficients and kernel runs another
+        # complex multiply than one point's, about half the time a last bit off
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(1, 4))
+            basis = ModeBasis(omegas=rng.uniform(0.5, 2.0, n), weights=rng.uniform(0.3, 3.0, n))
+            state = SuperposedState([complex(*rng.normal(size=2))],
+                                    [CoherentPoint(rng.normal(0.0, 2.0, n), rng.normal(0.0, 2.0, n))],
+                                    basis)
+            x = rng.normal(0.0, 2.0, 2 * n)
+            one = v_value_grad_hess(state, x)
+            for stack in (x[None], x[None, None]):
+                assert _component_terms(state, stack)[0].tobytes() == _component_terms(state, x)[0].tobytes()
+                for got, want in zip(v_value_grad_hess(state, stack), one):
+                    assert got.tobytes() == np.asarray(want).tobytes()
+
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(case=_states_with_probes(max_components=8))
     def test_gram_equals_the_pairwise_kernel(self, case):
