@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import queue
 from dataclasses import dataclass
+from threading import Thread
 from typing import NamedTuple
 
 import numpy as np
@@ -155,21 +156,57 @@ def _accepted_count(k: int, n: int, seed_key: tuple) -> int:
     return accepted
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _accepted_counts(cells: list[tuple[int, tuple]], n: int, shards: int, workers: int) -> list[int]:
     """Accepted counts of n samples for each (lattice threshold, seed prefix) cell.
 
     Each cell is split into ``shards`` substreams keyed by (*prefix,
-    shard); all shards of all cells share one pool of at most ``workers``
-    threads, and of no more than jobs or CPUs; the counts never depend on it.
+    shard), one job each.  The job indices go into one shared queue.  The
+    calling thread takes jobs from it like every helper, so it works
+    rather than waits; min(workers, jobs, usable CPUs) - 1 helper threads
+    join it, and with one worker the caller runs every job and no thread
+    starts.  Each count is stored at its job's index and summed per cell
+    in shard order, so no count depends on the thread count or on which
+    thread ran a job.  The first exception in any thread stops the others
+    taking jobs; it is raised here once every helper has ended.
     """
     sizes = _shard_sizes(n, shards)
     jobs = [(k, m, (*prefix, i)) for k, prefix in cells for i, m in enumerate(sizes)]
-    pool_size = min(workers, len(jobs), os.cpu_count() or 1)
-    if pool_size > 1:
-        with ThreadPoolExecutor(max_workers=pool_size) as pool:
-            counts = list(pool.map(lambda job: _accepted_count(*job), jobs))
-    else:
-        counts = [_accepted_count(*job) for job in jobs]
+    counts = [0] * len(jobs)
+    todo = queue.SimpleQueue()
+    for index in range(len(jobs)):
+        todo.put(index)
+    failures = []
+
+    def drain():
+        while not failures:
+            try:
+                index = todo.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                counts[index] = _accepted_count(*jobs[index])
+            except BaseException as exc:  # kept and raised by the caller, below
+                failures.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(workers, len(jobs), _usable_cpus()) - 1):
+            helper = Thread(target=drain)
+            helper.start()
+            helpers.append(helper)
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
     return [sum(counts[c * shards:(c + 1) * shards]) for c in range(len(cells))]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import accumulate, chain
 
 import numpy as np
@@ -136,8 +137,11 @@ def svg_line_plot(
     x0, x1 = float(xs[xs.argmin()]), float(xs[xs.argmax()])
     y0, y1 = float(ys[ys.argmin()]), float(ys[ys.argmax()])
     x1, y1 = _widened(x0, x1), _widened(y0, y1)
-    pad = 0.05 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
+    # a 5% pad at each end; a width that overflows is taken from the halved
+    # ends, as _scale does, and the padded ends are clamped to finite values
+    s = _scale(y0, y1)
+    pad = 0.05 * (y1 * s - y0 * s) / s
+    y0, y1 = max(y0 - pad, -sys.float_info.max), min(y1 + pad, sys.float_info.max)
 
     sx, sy = _scale(x0, x1), _scale(y0, y1)
     ax, wx = x0 * sx, x1 * sx - x0 * sx

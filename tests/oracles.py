@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -374,8 +375,9 @@ def svg_line_plot_reference(
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     x1, y1 = _widened(x0, x1), _widened(y0, y1)
-    pad = 0.05 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
+    s = _scale(y0, y1)
+    pad = 0.05 * (y1 * s - y0 * s) / s
+    y0, y1 = max(y0 - pad, -sys.float_info.max), min(y1 + pad, sys.float_info.max)
 
     sx, sy = _scale(x0, x1), _scale(y0, y1)
     ax, wx = x0 * sx, x1 * sx - x0 * sx

@@ -2,6 +2,9 @@ import json
 import math
 import os
 import pickle
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +22,7 @@ from coherentlab import (
     sweep_transition_prob,
     theta_from_norms,
 )
+from coherentlab import borngeo
 from coherentlab.borngeo import _accepted_count, _lattice_threshold
 
 
@@ -234,6 +238,20 @@ class TestRawDrawCounts:
         assert peak < 2 * 2**20
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """The helper threads the sweep starts, recorded as each starts."""
+    threads = []
+
+    class RecordingThread(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(borngeo, "Thread", RecordingThread)
+    return threads
+
+
 class TestTransitionProbMc:
     def test_zero_theta_exact(self):
         [row] = sweep_transition_prob([0.0], n=1000, seed=1)
@@ -253,29 +271,73 @@ class TestTransitionProbMc:
             [row] = sweep_transition_prob([0.7], n=100001, seed=9, workers=workers)
             assert row["p_hat"] == base["p_hat"]
 
-    def test_pool_has_no_more_threads_than_jobs_or_cpus(self, monkeypatch):
-        # a stand-in pool records its size and maps serially, so no thread starts
-        sizes = []
+    def test_pool_has_no_more_threads_than_jobs_or_cpus(self, monkeypatch, started):
+        # every job records the thread that ran it, and every helper thread is counted
+        runners = []
+        real_count = borngeo._accepted_count
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recording_count(*job):
+            runners.append(threading.get_ident())
+            return real_count(*job)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr("coherentlab.borngeo.ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(borngeo, "_accepted_count", recording_count)
         thetas, shards = [0.3, 0.7, 1.1], 4
+        serial = sweep_transition_prob(thetas, n=1000, seed=5, shards=shards, workers=1)
+        assert started == [] and runners == [threading.get_ident()] * len(thetas) * shards
+        runners.clear()
         rows = sweep_transition_prob(thetas, n=1000, seed=5, shards=shards, workers=10**6)
-        bound = min(len(thetas) * shards, os.cpu_count() or 1)
-        assert sizes == ([bound] if bound > 1 else [])
-        assert rows == sweep_transition_prob(thetas, n=1000, seed=5, shards=shards, workers=1)
+        bound = min(len(thetas) * shards, len(os.sched_getaffinity(0)))
+        assert len(runners) == len(thetas) * shards
+        assert len(set(runners)) <= bound and len(started) == bound - 1
+        assert rows == serial
+
+    def test_one_usable_cpu_starts_no_helper_thread(self, monkeypatch, started):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        rows = sweep_transition_prob([0.4, 0.9], n=5000, seed=6, workers=8)
+        assert started == []
+        assert rows == sweep_transition_prob([0.4, 0.9], n=5000, seed=6, workers=1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_a_failing_job_stops_the_sweep_and_every_helper(self, monkeypatch, workers):
+        thetas, shards = [0.19 * i for i in range(1, 9)], 16
+        ran = []
+        real_count = borngeo._accepted_count
+
+        def failing_count(k, n, seed_key):
+            ran.append(seed_key)
+            if seed_key == (3, 4, 7):  # the 72nd of 128 jobs
+                raise RuntimeError("substream (3, 4, 7) failed")
+            time.sleep(1e-3)  # the other jobs take long enough for the failure to stop them
+            return real_count(k, n, seed_key)
+
+        monkeypatch.setattr(borngeo, "_accepted_count", failing_count)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=r"^substream \(3, 4, 7\) failed$"):
+            sweep_transition_prob(thetas, n=1000, seed=3, shards=shards, workers=workers)
+        assert (3, 4, 7) in ran and len(ran) < len(thetas) * shards
+        assert threading.active_count() == before
+
+    def test_many_helpers_run_each_job_once(self, monkeypatch):
+        # more helpers than cores and a short switch interval: a job lost or run twice shows
+        keys = []
+        real_count = borngeo._accepted_count
+
+        def recording_count(k, n, seed_key):
+            keys.append(seed_key)
+            return real_count(k, n, seed_key)
+
+        thetas, shards = [0.05 * i for i in range(1, 31)], 16
+        serial = sweep_transition_prob(thetas, n=64, seed=8, shards=shards, workers=1)
+        monkeypatch.setattr(borngeo, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(borngeo, "_accepted_count", recording_count)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = sweep_transition_prob(thetas, n=64, seed=8, shards=shards, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(keys) == [(8, cell, shard) for cell in range(30) for shard in range(16)]
+        assert rows == serial
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(

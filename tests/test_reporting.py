@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,11 +153,23 @@ def _plot_outcome(plot, path, series):
 @example(series=[([0.0, -0.0, 5e-324], [-5e-324, -0.0, 0.0], "tied zeros")])
 @example(series=[([-1e308, 1e308], [1e308, -1e307], "wide"), (np.array([1.0]), [], "empty")])
 @example(series=[([2.0], [0.5], "one point")])
+@example(series=[([0.0, 1.0], [-1.7e308, 1.7e308], "padding overflows")])
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(series=_plot_series())
 def test_plot_bytes_equal_the_per_point_plot(writer_dir, series):
     expected = _plot_outcome(svg_line_plot_reference, writer_dir / "reference.svg", series)
     assert _plot_outcome(svg_line_plot, writer_dir / "fast.svg", series) == expected
+
+
+@pytest.mark.parametrize("y", [[-1.7e308, 1.7e308], [-_MAX, 0.0], [_MAX, _MAX]])
+def test_plot_whose_padded_range_overflows_is_written(tmp_path, y):
+    path = tmp_path / "wide.svg"
+    svg_line_plot(path, [([0.0, 1.0], y, "s")], title="T", xlabel="x", ylabel="y")
+    text = path.read_text()
+    points = re.search(r'<polyline points="([^"]*)"', text).group(1).split()
+    # every point lies inside the frame, which spans y pixels 36 to 428
+    assert all(36.0 <= float(point.split(",")[1]) <= 428.0 for point in points)
+    assert "inf" not in text and "nan" not in text
 
 
 @example(bad=math.nan, x=[0.0], y=[0.0, 1.0], on_x=False, as_array=True)
