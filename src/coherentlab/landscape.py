@@ -16,10 +16,10 @@ one point or a stack.
 
 A search takes the first step of all its starts at once: one stacked
 evaluation, one ``eigvalsh`` and one ``solve`` over the starts, and one
-value stage over their trials at alpha = 1 (``first_steps``).  Each
-``ascend`` goes on from its start's row, one point at a time; every step,
-the first included, chooses between the Newton step and the gradient by
-the one rule of ``_newton_steps`` and ``_direction``.
+value stage over their trials at alpha = 1 (``first_steps``), converged
+starts included.  Each ``ascend`` goes on from its start's row, one point
+at a time; every step, the first included, chooses between the Newton
+step and the gradient by the one rule of ``_newton_steps`` and ``_direction``.
 """
 
 from __future__ import annotations
@@ -56,35 +56,27 @@ def v_gradient(state: SuperposedState, x: np.ndarray) -> np.ndarray:
     return _derivative_stage(state, _value_stage(state, x)[1])[0]
 
 
-def _curvature(basis) -> np.ndarray:
-    """Constant part of every component's log-kernel Hessian, (2n, 2n) complex.
+def _derivative_constants(basis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """-w/2 and +w/2 per mode, and the constant part of every log-kernel Hessian.
 
-    Blocks [[-w/2, -iw/2], [-iw/2, -w/2]] (diagonal in the modes); built
-    once per basis and cached on it, since bases are immutable.
+    That part is (2n, 2n) complex, blocks [[-w/2, -iw/2], [-iw/2, -w/2]]
+    (diagonal in the modes).  All three are built once per basis and cached
+    on it, since bases are immutable.
     """
-    c = basis.__dict__.get("_curvature")
-    if c is None:
+    constants = basis.__dict__.get("_derivative_constants")
+    if constants is None:
         n = basis.n_modes
         ww = np.concatenate([basis.weights, basis.weights])
         k = np.arange(2 * n)
-        c = np.zeros((2 * n, 2 * n), complex)
-        c[k, k] = -0.5 * ww
+        curvature = np.zeros((2 * n, 2 * n), complex)
+        curvature[k, k] = -0.5 * ww
         # off-diagonal blocks: the negative columns k - n of the first n rows wrap to n + k
-        c[k, k - n] = -0.5j * ww
-        c.setflags(write=False)
-        basis.__dict__["_curvature"] = c
-    return c
-
-
-def _half_weights(basis) -> tuple[np.ndarray, np.ndarray]:
-    """-w/2 and +w/2 per mode, cached on the basis beside ``_curvature``."""
-    h = basis.__dict__.get("_half_weights")
-    if h is None:
-        h = (-0.5 * basis.weights, 0.5 * basis.weights)
-        for row in h:
-            row.setflags(write=False)
-        basis.__dict__["_half_weights"] = h
-    return h
+        curvature[k, k - n] = -0.5j * ww
+        constants = (-0.5 * basis.weights, 0.5 * basis.weights, curvature)
+        for c in constants:
+            c.setflags(write=False)
+        basis.__dict__["_derivative_constants"] = constants
+    return constants
 
 
 def _value_stage(state: SuperposedState, x: np.ndarray):
@@ -109,7 +101,7 @@ def _derivative_stage(state: SuperposedState, stage):
     # the other sign than complex arithmetic gives, and the value, gradient and
     # Hessian keep their bytes (tests/test_selection.py::TestHessian)
     n = dq.shape[-1]
-    minus_half_w, half_w = _half_weights(state.basis)
+    minus_half_w, half_w, curvature = _derivative_constants(state.basis)
     d = np.empty(dq.shape[:-1] + (2 * n,), complex)
     re, im = d.real, d.imag
     np.multiply(minus_half_w, dq, out=re[..., :n])
@@ -121,7 +113,7 @@ def _derivative_stage(state: SuperposedState, stage):
     da = np.matmul(terms[..., None, :], d)[..., 0, :]
     # Hessian of the amplitude: sum_j t_j (d_j d_j^T + const curvature blocks).
     ha = np.einsum("...j,...ja,...jb->...ab", terms, d, d)
-    ha += a[..., None, None] * _curvature(state.basis)
+    ha += a[..., None, None] * curvature
     grad = 2.0 * (ca * da).real
     grad /= state.norm_sq
     hess = 2.0 * (np.conj(da)[..., :, None] * da[..., None, :] + ca[..., None] * ha).real
@@ -139,32 +131,12 @@ def v_value_grad_hess(state: SuperposedState, x: np.ndarray):
     return v, *_derivative_stage(state, stage)
 
 
-def _negative_definite(hess: np.ndarray) -> np.ndarray:
-    """Whether each Hessian of shape (..., 2n, 2n) is strictly negative definite.
-
-    One that ``eigvalsh`` cannot read is not.  numpy raises for a whole
-    stack if one Hessian fails, so then each is read alone.
-    """
+def _negative_definite(hess: np.ndarray) -> bool:
+    """Whether one Hessian is strictly negative definite; one ``eigvalsh`` cannot read is not."""
     try:
-        return np.linalg.eigvalsh(hess).max(axis=-1) < 0.0
+        return bool(np.linalg.eigvalsh(hess).max() < 0.0)
     except np.linalg.LinAlgError:
-        if hess.ndim == 2:
-            return np.False_
-        return np.array([_negative_definite(h) for h in hess])
-
-
-def _solve(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """-hess^-1 grad at gradients of shape (..., 2n), NaN where ``solve`` cannot take it.
-
-    numpy raises for a whole stack if one row fails, so then each row is
-    solved alone.
-    """
-    try:
-        return np.linalg.solve(hess, -grad[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if hess.ndim == 2:
-            return np.full_like(grad, np.nan)
-        return np.array([_solve(h, g) for h, g in zip(hess, grad)])
+        return False
 
 
 def _newton_steps(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
@@ -173,17 +145,25 @@ def _newton_steps(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     NaN at a point whose Hessian is not negative definite, and at one that
     ``eigvalsh`` or ``solve`` cannot take; the other points of a stack are
     unaffected.  A stack takes one ``eigvalsh`` and one ``solve`` call, and
-    each of its points has the bits of its one-point call.
+    each of its points has the bits of its one-point call.  numpy raises for
+    a whole stack if one point fails either call, so then each is stepped alone.
     """
-    newton = _negative_definite(hess)
-    if newton.ndim == 0:  # one point: its own call, with no rows to pick
-        return _solve(hess, grad) if newton else np.full_like(grad, np.nan)
-    if newton.all():
-        return _solve(hess, grad)
-    steps = np.full_like(grad, np.nan)
-    if newton.any():
-        steps[newton] = _solve(hess[newton], grad[newton])
-    return steps
+    try:
+        newton = np.linalg.eigvalsh(hess).max(axis=-1) < 0.0
+        # one point: no rows to pick, and no numpy bool's all(), which costs about 2 us
+        if newton.ndim == 0:
+            if not newton:
+                return np.full_like(grad, np.nan)
+        elif not newton.all():
+            steps = np.full_like(grad, np.nan)
+            if newton.any():
+                steps[newton] = np.linalg.solve(hess[newton], -grad[newton, :, None])[..., 0]
+            return steps
+        return np.linalg.solve(hess, -grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if hess.ndim == 2:
+            return np.full_like(grad, np.nan)
+        return np.array([_newton_steps(g, h) for g, h in zip(grad, hess)])
 
 
 def _direction(grad: np.ndarray, gnorm: float, newton: np.ndarray) -> tuple[np.ndarray, float]:
@@ -202,29 +182,20 @@ def _direction(grad: np.ndarray, gnorm: float, newton: np.ndarray) -> tuple[np.n
 def first_steps(state: SuperposedState, starts: np.ndarray) -> list[tuple]:
     """What ``ascend`` takes as ``first`` from each row of ``starts``, shape (S, 2n).
 
-    One stacked ``v_value_grad_hess`` call evaluates every start.  The
-    starts that have not converged there take their first direction from
-    one ``_newton_steps`` call over all of them, and one value stage
-    evaluates all of their trials at alpha = 1.  Each row is (v, grad,
+    One stacked ``v_value_grad_hess`` call evaluates every start, one
+    ``_newton_steps`` call gives every start its first direction, and one
+    value stage evaluates every trial at alpha = 1.  Each row is (v, grad,
     hess, step), where step is (direction, slope, v_trial, stage) with the
-    trial's value and kept stage, or None at a converged start; each has
-    the bits of the start evaluated and stepped alone.
+    trial's value and kept stage; each has the bits of the start evaluated
+    and stepped alone.  A start that has already converged gets a step too,
+    which ``ascend`` does not read.
     """
     v, grad, hess = v_value_grad_hess(state, starts)
     # each row with the bits of ascend's 1-D grad @ grad
     gnorm = np.sqrt(np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0])
-    # fmax, like max(1.0, v), reads a NaN v as 1
-    moving = np.flatnonzero(~(gnorm < ASCENT_TOL * np.fmax(1.0, v)))
-    steps = [None] * len(starts)
-    if moving.size:
-        grad_m = grad[moving]
-        directions = [_direction(g, norm, newton) for g, norm, newton
-                      in zip(grad_m, gnorm[moving].tolist(), _newton_steps(grad_m, hess[moving]))]
-        trials = starts[moving] + np.array([direction for direction, _ in directions])
-        v_trial, stage = _value_stage(state, trials)
-        for i, (direction, slope), vt, kept in zip(moving.tolist(), directions, v_trial.tolist(),
-                                                  zip(*stage)):
-            steps[i] = (direction, slope, vt, kept)
+    directions = [_direction(*row) for row in zip(grad, gnorm.tolist(), _newton_steps(grad, hess))]
+    v_trial, stage = _value_stage(state, starts + np.array([d for d, _ in directions]))
+    steps = [(*step, vt, kept) for step, vt, kept in zip(directions, v_trial.tolist(), zip(*stage))]
     return list(zip(v.tolist(), grad, hess, steps))
 
 
@@ -234,10 +205,11 @@ def ascend(state: SuperposedState, start: np.ndarray, first: tuple,
 
     ``first`` is the start's row of ``first_steps``: its (v, grad, hess)
     and its first step with the trial at alpha = 1, taken with every other
-    start of the search in stacked calls.  Each step is the Newton step
-    whenever the Hessian is negative definite and the step is an ascent
-    direction, and the unit gradient otherwise (``_direction``), with
-    Armijo backtracking from alpha = 1.  Convergence is
+    start of the search in stacked calls.  A start that has converged, or
+    lies on a maximum found, returns before its step is read.  Each step
+    is the Newton step whenever the Hessian is negative definite and the
+    step is an ascent direction, and the unit gradient otherwise
+    (``_direction``), with Armijo backtracking from alpha = 1.  Convergence is
     ||grad|| < ASCENT_TOL * max(1, v) within ASCENT_MAX_ITER steps, and a
     converged point only qualifies as a maximum if its Hessian is strictly
     negative definite.
@@ -269,14 +241,13 @@ def ascend(state: SuperposedState, start: np.ndarray, first: tuple,
             break
         if it:
             direction, slope = _direction(grad, gnorm, _newton_steps(grad, hess))
-            v_trial = None
         else:
             direction, slope, v_trial, stage = step
         alpha = 1.0
         ulp_gain = _ULP_GAIN * max(v, 1e-300)
-        for _ in range(60):
+        for k in range(60):
             trial = x + alpha * direction
-            if v_trial is None:  # the first step's trial at alpha = 1 came with first
+            if k or it:  # the first step's trial at alpha = 1 came with first
                 v_trial, stage = _value_stage(state, trial)
             # near the summit the predicted gain drops below the float
             # resolution of v itself; accept the nudge untested there so the
@@ -284,7 +255,6 @@ def ascend(state: SuperposedState, start: np.ndarray, first: tuple,
             if alpha * slope <= ulp_gain or v_trial > v + 1e-4 * alpha * slope:
                 break
             alpha *= 0.5
-            v_trial = None
         else:
             break  # no ascent step along the direction: not converged
         x = trial
@@ -292,7 +262,7 @@ def ascend(state: SuperposedState, start: np.ndarray, first: tuple,
     # a stationary point only counts as a maximum if the curvature is
     # strictly negative; flat saddles between far bumps also pass the
     # gradient test and must be dropped, as must a Hessian eigvalsh cannot read
-    return x, v, converged and bool(_negative_definite(hess))
+    return x, v, converged and _negative_definite(hess)
 
 
 def ascent_starts(state: SuperposedState) -> list[np.ndarray]:

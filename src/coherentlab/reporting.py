@@ -69,9 +69,15 @@ def write_json(path, obj) -> None:
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _widened(lo: float, hi: float) -> float:
-    """``hi``, or for an empty range ``lo`` plus a width that survives rounding at ``lo``."""
-    return hi if hi > lo else lo + max(1.0, math.ulp(lo))
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi), or for an empty range one end at ``lo`` and a width that survives rounding there.
+
+    The width goes above ``lo``, or below it where ``lo`` plus the width overflows.
+    """
+    if hi > lo:
+        return lo, hi
+    width = max(1.0, math.ulp(lo))
+    return (lo, lo + width) if lo + width < math.inf else (lo - width, lo)
 
 
 def _scale(lo: float, hi: float) -> float:
@@ -136,7 +142,7 @@ def svg_line_plot(
     # the first of tied extremes, as min and max pick it: its sign shows in a [lo, hi] tick
     x0, x1 = float(xs[xs.argmin()]), float(xs[xs.argmax()])
     y0, y1 = float(ys[ys.argmin()]), float(ys[ys.argmax()])
-    x1, y1 = _widened(x0, x1), _widened(y0, y1)
+    (x0, x1), (y0, y1) = _widened(x0, x1), _widened(y0, y1)
     # a 5% pad at each end; a width that overflows is taken from the halved
     # ends, as _scale does, and the padded ends are clamped to finite values
     s = _scale(y0, y1)

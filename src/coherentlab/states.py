@@ -118,8 +118,10 @@ def _kernel_rows(x, q, p, weights):
 def overlap(a: CoherentPoint, b: CoherentPoint, basis: ModeBasis) -> complex:
     """Overlap <a|b> of two coherent states over the given basis.
 
-    Satisfies overlap(a, a) == 1 exactly, |overlap| <= 1, and Hermitian
-    symmetry overlap(a, b) == conj(overlap(b, a)).
+    Satisfies overlap(a, a) == 1 exactly wherever every 2|q_k| is finite,
+    |overlap| <= 1, and Hermitian symmetry overlap(a, b) == conj(overlap(b, a)).
+    Where 2|q_k| overflows, q + q is inf and the non-finite kernel flushes
+    to 0, so overlap(a, a) is 0 (q = 1e308, for one).
     """
     _check_point(a, basis)
     _check_point(b, basis)

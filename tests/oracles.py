@@ -374,7 +374,7 @@ def svg_line_plot_reference(
         raise ValueError("cannot plot non-finite values")
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    x1, y1 = _widened(x0, x1), _widened(y0, y1)
+    (x0, x1), (y0, y1) = _widened(x0, x1), _widened(y0, y1)
     s = _scale(y0, y1)
     pad = 0.05 * (y1 * s - y0 * s) / s
     y0, y1 = max(y0 - pad, -sys.float_info.max), min(y1 + pad, sys.float_info.max)

@@ -581,14 +581,16 @@ _TWO_BUMPS = _with(_SELECT, initial={"components": [
     "params",
     [{"n_events": 3, "t0": 1e16, "schedule": {"energy": 0.5}},
      {"n_events": 1, "t0": 1e17, "schedule": {"energy": 0.0625}},
-     {"n_events": 3, "t0": -1.5e308, "schedule": {"energy": 1e-308}}],
+     {"n_events": 3, "t0": -1.5e308, "schedule": {"energy": 1e-308}},
+     {"n_events": 1, "t0": 1.7976931348623155e308, "schedule": {"energy": 5e-293}}],
     ids=["ticks_below_half_an_ulp", "one_event_above_two_to_the_53",
-         "axis_wider_than_the_float_range"],
+         "axis_wider_than_the_float_range", "one_event_at_the_largest_float"],
 )
 def test_event_times_of_large_magnitude_are_plotted(tmp_path, params):
     # a tick step of half an ulp of t, a one-event time axis whose unit
-    # widening rounds away, or an axis from -5e307 to 1.5e308 whose width
-    # overflows must still give a finite set of ticks at finite positions
+    # widening rounds away, an axis from -5e307 to 1.5e308 whose width
+    # overflows, or a one-event axis at the largest float, which widens
+    # below it, must still give a finite set of ticks at finite positions
     cfg = write_config(tmp_path, "late.json", _with(_TWO_BUMPS, **params))
     out = tmp_path / "out"
     proc = _run_cli_process(["select", "--config", cfg, "--out", str(out)])

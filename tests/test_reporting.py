@@ -172,6 +172,22 @@ def test_plot_whose_padded_range_overflows_is_written(tmp_path, y):
     assert "inf" not in text and "nan" not in text
 
 
+@pytest.mark.parametrize("x, y", [([_MAX, _MAX], [0.0, 1.0]), ([-_MAX, -_MAX], [0.0, 1.0]),
+                                  ([_MAX], [_MAX])], ids=["x_at_max", "x_at_minus_max", "max_max"])
+def test_plot_of_an_empty_range_at_the_float_range_ends_is_written(writer_dir, x, y):
+    # the one-unit-of-roundoff widening of an x or y range at max goes below it
+    series = [(x, y, "s")]
+    expected = _plot_outcome(svg_line_plot_reference, writer_dir / "reference.svg", series)
+    assert _plot_outcome(svg_line_plot, writer_dir / "fast.svg", series) == expected
+    text = (writer_dir / "fast.svg").read_text()
+    points = re.search(r'<polyline points="([^"]*)"', text).group(1).split()
+    # the frame spans x pixels 70 to 700 and y pixels 36 to 428
+    for point in points:
+        px, py = map(float, point.split(","))
+        assert 70.0 <= px <= 700.0 and 36.0 <= py <= 428.0
+    assert "inf" not in text and "nan" not in text
+
+
 @example(bad=math.nan, x=[0.0], y=[0.0, 1.0], on_x=False, as_array=True)
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(bad=st.sampled_from([math.nan, math.inf, -math.inf]),

@@ -619,27 +619,19 @@ def _one_point_direction(grad, hess, gnorm):
 
 
 def _first_alone(state, start):
-    """One start's ``first`` from one-point calls only."""
+    """One start's ``first`` from one-point calls only; a converged start gets a step too."""
     v, grad, hess = v_value_grad_hess(state, start)
-    gnorm = math.sqrt(grad @ grad)
-    if gnorm < coherentlab.landscape.ASCENT_TOL * max(1.0, v):
-        return v, grad, hess, None
-    direction, slope = _one_point_direction(grad, hess, gnorm)
+    direction, slope = _one_point_direction(grad, hess, math.sqrt(grad @ grad))
     v_trial, stage = coherentlab.landscape._value_stage(state, start + direction)
     return v, grad, hess, (direction, slope, v_trial, stage)
 
 
 def _assert_same_first(got, want):
-    *evaluated, step = got
-    *evaluated_alone, step_alone = want
-    for a, b in zip(evaluated, evaluated_alone):
+    """Both rows have a step, and every array of the two rows has the same bits."""
+    (*evaluated, (*scalars, stage)), (*evaluated_alone, (*scalars_alone, stage_alone)) = got, want
+    for a, b in zip([*evaluated, *scalars, *stage],
+                    [*evaluated_alone, *scalars_alone, *stage_alone], strict=True):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    assert (step is None) == (step_alone is None)
-    if step is not None:
-        *scalars, stage = step
-        *scalars_alone, stage_alone = step_alone
-        for a, b in zip([*scalars, *stage], [*scalars_alone, *stage_alone]):
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def _search_alone(state):
@@ -693,12 +685,12 @@ class TestStackedFirstStep:
             state = _overlapping_state(rng)
             starts = ascent_starts(state)
             for first in first_steps(state, np.array(starts)):
-                if first[3] is not None:
-                    unit = first[1] / math.sqrt(first[1] @ first[1])
-                    if first[3][0].tobytes() == unit.tobytes():
-                        gradient += 1
-                    else:
-                        newton += 1
+                # every row has a step; a zero gradient's direction is grad / 1e-300
+                unit = first[1] / max(math.sqrt(first[1] @ first[1]), 1e-300)
+                if first[3][0].tobytes() == unit.tobytes():
+                    gradient += 1
+                else:
+                    newton += 1
         assert newton >= 20 and gradient >= 20
 
     def test_a_row_eigvalsh_cannot_read_takes_the_gradient_alone(self):
@@ -724,17 +716,62 @@ class TestStackedFirstStep:
         assert newton >= 2
 
     def test_a_row_solve_cannot_take_gives_no_newton_step_alone(self):
+        # -u u^T is singular, so solve raises for the whole stack; the first draw whose
+        # zero eigenvalues all round below 0 (about 1 in 75) is read as negative definite
         rng = np.random.default_rng(41)
         a = rng.normal(size=(3, 4, 4))
         hess = -(a @ a.transpose(0, 2, 1)) - np.eye(4)
-        hess[1] = 0.0  # singular: solve raises for the whole stack
         grad = rng.normal(size=(3, 4))
+        for _ in range(2000):
+            u = rng.normal(size=4)
+            hess[1] = -np.outer(u, u)
+            if np.linalg.eigvalsh(hess[1]).max() < 0.0:
+                try:
+                    np.linalg.solve(hess[1], -grad[1])
+                except np.linalg.LinAlgError:
+                    break
+        else:
+            pytest.fail("no singular Hessian read as negative definite")
+        assert (np.linalg.eigvalsh(hess).max(axis=-1) < 0.0).all()
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(hess, -grad[:, :, None])
-        steps = coherentlab.landscape._solve(hess, grad)
+        steps = coherentlab.landscape._newton_steps(grad, hess)
         assert np.isnan(steps[1]).all()
+        assert np.isnan(coherentlab.landscape._newton_steps(grad[1], hess[1])).all()
         for i in (0, 2):
             assert steps[i].tobytes() == np.linalg.solve(hess[i], -grad[i]).tobytes()
+            assert steps[i].tobytes() == coherentlab.landscape._newton_steps(grad[i], hess[i]).tobytes()
+
+    def test_a_row_eigvalsh_cannot_read_leaves_the_others_their_first_steps(self):
+        # the heavier centre's Hessian stops eigvalsh for the whole stack, so every row
+        # is stepped alone: that row by its zero gradient, the others by Newton steps
+        state = TestLandscapeUnderflow._heavy_state()
+        rng = np.random.default_rng(42)
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = ascent_starts(state) + [rng.normal(0.0, 1e-155, 6) for _ in range(3)]
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.eigvalsh(v_value_grad_hess(state, np.array(points))[2])
+            stacked = first_steps(state, np.array(points))
+            for start, first in zip(points, stacked):
+                _assert_same_first(first, _first_alone(state, start))
+        for first in stacked[:2]:  # the two centres, where the gradient is zero
+            assert not first[1].any() and not first[3][0].any() and first[3][1] == 0.0
+        for first in stacked[2:]:
+            unit = first[1] / math.sqrt(first[1] @ first[1])
+            assert first[3][1] > 0.0 and first[3][0].tobytes() != unit.tobytes()
+
+    def test_a_converged_start_is_a_maximum_whose_step_is_not_read(self):
+        # a lone component's centre has a zero gradient; first_steps still gives it a
+        # step, and ascend stops there before it would unpack the None put in its place
+        basis = single_mode()
+        for coord in (0.0, 1e7, -1e154):
+            state = SuperposedState.single(_pt(coord, coord), basis)
+            (start,) = ascent_starts(state)
+            first = _first(state, start)
+            assert not first[1].any() and first[3] is not None
+            x, v, ok = ascend(state, start, (*first[:3], None), [])
+            assert ok is True and v == first[0] and x.tobytes() == start.tobytes()
+            assert find_local_maxima(state).failed_starts == 0
 
     def test_a_start_on_a_maximum_found_returns_it_before_stepping(self):
         state = _backtracking_state()
