@@ -14,17 +14,12 @@ the two composed, and the ascent runs the derivative stage only at the
 iterates it keeps.  Every evaluator here takes points of shape (..., 2n),
 one point or a stack.
 
-A search takes the first step of all its starts at once: one stacked
-evaluation, one ``eigvalsh`` and one ``solve`` over the starts, and one
-value stage over their trials at alpha = 1 (``first_steps``), converged
-starts included.  Each ``ascend`` goes on from its start's row, one point
-at a time; every step, the first included, chooses between the Newton
-step and the gradient by the one rule of ``_newton_steps`` and ``_direction``.
+A search ascends all its starts in lockstep (``lockstep_ascent``), each row
+with the bits of its start ascended alone; ``ascend`` then resolves, one
+start at a time in start order, absorption into the maxima found before it.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -140,129 +135,134 @@ def _negative_definite(hess: np.ndarray) -> bool:
 
 
 def _newton_steps(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """The Newton step -hess^-1 grad at one point or a stack of them, gradients (..., 2n).
+    """The Newton steps -hess^-1 grad at a stack of points, gradients (m, 2n).
 
     NaN at a point whose Hessian is not negative definite, and at one that
-    ``eigvalsh`` or ``solve`` cannot take; the other points of a stack are
-    unaffected.  A stack takes one ``eigvalsh`` and one ``solve`` call, and
-    each of its points has the bits of its one-point call.  numpy raises for
-    a whole stack if one point fails either call, so then each is stepped alone.
+    ``eigvalsh`` or ``solve`` cannot take; the other points are unaffected.
+    A stack takes one ``eigvalsh`` and one ``solve`` call, and each of its
+    points has the bits of its one-point call.  numpy raises for a whole
+    stack if one point fails either call, so then each is stepped alone.
     """
     try:
         newton = np.linalg.eigvalsh(hess).max(axis=-1) < 0.0
-        # one point: no rows to pick, and no numpy bool's all(), which costs about 2 us
-        if newton.ndim == 0:
-            if not newton:
-                return np.full_like(grad, np.nan)
-        elif not newton.all():
-            steps = np.full_like(grad, np.nan)
-            if newton.any():
-                steps[newton] = np.linalg.solve(hess[newton], -grad[newton, :, None])[..., 0]
-            return steps
-        return np.linalg.solve(hess, -grad[..., None])[..., 0]
+        if newton.all():
+            return np.linalg.solve(hess, -grad[..., None])[..., 0]
+        steps = np.full_like(grad, np.nan)
+        if newton.any():
+            steps[newton] = np.linalg.solve(hess[newton], -grad[newton, :, None])[..., 0]
+        return steps
     except np.linalg.LinAlgError:
-        if hess.ndim == 2:
+        if len(hess) == 1:
             return np.full_like(grad, np.nan)
-        return np.array([_newton_steps(g, h) for g, h in zip(grad, hess)])
+        return np.concatenate([_newton_steps(grad[i:i + 1], hess[i:i + 1]) for i in range(len(hess))])
 
 
-def _direction(grad: np.ndarray, gnorm: float, newton: np.ndarray) -> tuple[np.ndarray, float]:
-    """The ascent direction from one point and its slope grad . direction.
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row by row a . b of stacks (..., k), each with the bits of the 1-D ``a @ b``."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-    The point's Newton step (from ``_newton_steps``) where it is an ascent
-    direction, and the unit gradient otherwise: a NaN step has no slope > 0.
+
+def _direction(grad: np.ndarray, gnorm: np.ndarray, newton: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascent directions at a stack of points, (m, 2n), and their slopes grad . direction.
+
+    A point's Newton step, its row of ``newton`` (overwritten), where that is
+    an ascent direction, and its unit gradient otherwise: NaN has no slope > 0.
     """
-    slope = float(newton @ grad)
-    if slope > 0.0:
-        return newton, slope
-    direction = grad / max(gnorm, 1e-300)
-    return direction, float(grad @ direction)
+    slope = _dots(newton, grad)
+    gradient = ~(slope > 0.0)
+    if gradient.any():
+        unit = grad[gradient] / np.maximum(gnorm[gradient], 1e-300)[:, None]
+        newton[gradient] = unit
+        slope[gradient] = _dots(grad[gradient], unit)
+    return newton, slope
 
 
-def first_steps(state: SuperposedState, starts: np.ndarray) -> list[tuple]:
-    """What ``ascend`` takes as ``first`` from each row of ``starts``, shape (S, 2n).
+def lockstep_ascent(state: SuperposedState, starts: np.ndarray) -> list[tuple]:
+    """Ascend from every row of ``starts``, shape (S, 2n), all rows in the same calls.
 
-    One stacked ``v_value_grad_hess`` call evaluates every start, one
-    ``_newton_steps`` call gives every start its first direction, and one
-    value stage evaluates every trial at alpha = 1.  Each row is (v, grad,
-    hess, step), where step is (direction, slope, v_trial, stage) with the
-    trial's value and kept stage; each has the bits of the start evaluated
-    and stepped alone.  A start that has already converged gets a step too,
-    which ``ascend`` does not read.
+    Each iteration takes the rows still moving.  A row stops before its
+    trial once ||grad|| < ASCENT_TOL * max(1, v), or after ASCENT_MAX_ITER
+    steps.  Each step is the Newton step where the Hessian is negative
+    definite and the step is an ascent direction, and the unit gradient
+    otherwise (``_direction``), with Armijo backtracking from alpha = 1 on
+    each row: a row whose 60th trial still fails stops, not converged.
+    Trials are evaluated with ``_value_stage`` only, since the Armijo test
+    reads v alone, and ``_derivative_stage`` builds the gradient and Hessian
+    of the accepted trials from what their value stage kept.
+
+    Returns what ``ascend`` takes as ``first`` for each start: its iterates
+    (the start first) and their values, whether the last converged, and the
+    last one's Hessian, each with the bits of the start ascended alone.
     """
-    v, grad, hess = v_value_grad_hess(state, starts)
-    # each row with the bits of ascend's 1-D grad @ grad
-    gnorm = np.sqrt(np.matmul(grad[:, None, :], grad[:, :, None])[:, 0, 0])
-    directions = [_direction(*row) for row in zip(grad, gnorm.tolist(), _newton_steps(grad, hess))]
-    v_trial, stage = _value_stage(state, starts + np.array([d for d, _ in directions]))
-    steps = [(*step, vt, kept) for step, vt, kept in zip(directions, v_trial.tolist(), zip(*stage))]
-    return list(zip(v.tolist(), grad, hess, steps))
+    x = np.asarray(starts, dtype=float)
+    v, grad, hess = v_value_grad_hess(state, x)
+    rows = np.arange(len(x))
+    converged = np.zeros(len(x), bool)
+    kept, last_hess = [(rows, x, v)], hess
+    for it in range(ASCENT_MAX_ITER + 1):
+        gnorm = np.sqrt(_dots(grad, grad))
+        moving = ~(gnorm < ASCENT_TOL * np.fmax(1.0, v))
+        converged[rows[~moving]] = True
+        if it == ASCENT_MAX_ITER or not moving.any():
+            break
+        if not moving.all():
+            rows, x, v, grad, hess, gnorm = (a[moving] for a in (rows, x, v, grad, hess, gnorm))
+        direction, slope = _direction(grad, gnorm, _newton_steps(grad, hess))
+        trial = x + direction
+        v_trial, stage = _value_stage(state, trial)
+        # near the summit the predicted gain drops below the float resolution
+        # of v itself; accept the nudge untested there so the final Newton
+        # refinement is not blocked by a flat line search
+        ulp_gain = _ULP_GAIN * np.maximum(v, 1e-300)
+        back = np.flatnonzero(~((slope <= ulp_gain) | (v_trial > v + 1e-4 * slope)))
+        for k in range(1, 60):
+            if not back.size:
+                break
+            alpha = 0.5**k
+            trial[back] = x[back] + alpha * direction[back]
+            v_trial[back], part = _value_stage(state, trial[back])
+            for full, new in zip(stage, part):
+                full[back] = new
+            gain = alpha * slope[back]
+            back = back[~((gain <= ulp_gain[back]) | (v_trial[back] > v[back] + 1e-4 * alpha * slope[back]))]
+        if back.size:  # no ascent step along the direction: these rows stop, not converged
+            ok = np.ones(len(rows), bool)
+            ok[back] = False
+            rows, trial, v_trial, *stage = (a[ok] for a in (rows, trial, v_trial, *stage))
+        x, v = trial, v_trial
+        grad, hess = _derivative_stage(state, stage)
+        kept.append((rows, x, v))
+        last_hess[rows] = hess
+    # every row's iterates in order, gathered from the iterations it ran
+    rows, xs, vs = (np.concatenate(a) for a in zip(*kept))
+    order = np.argsort(rows, kind="stable")
+    xs, vs, bounds = xs[order], vs[order], [0, *np.cumsum(np.bincount(rows)).tolist()]
+    return [(xs[a:b], vs[a:b], c, h) for a, b, c, h in
+            zip(bounds, bounds[1:], converged.tolist(), last_hess)]
 
 
 def ascend(state: SuperposedState, start: np.ndarray, first: tuple,
            maxima: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float, bool]:
-    """Ascend the landscape from ``start``; returns (x, v, is_max).
+    """Where the ascent from ``start`` ends; returns (x, v, is_max).
 
-    ``first`` is the start's row of ``first_steps``: its (v, grad, hess)
-    and its first step with the trial at alpha = 1, taken with every other
-    start of the search in stacked calls.  A start that has converged, or
-    lies on a maximum found, returns before its step is read.  Each step
-    is the Newton step whenever the Hessian is negative definite and the
-    step is an ascent direction, and the unit gradient otherwise
-    (``_direction``), with Armijo backtracking from alpha = 1.  Convergence is
-    ||grad|| < ASCENT_TOL * max(1, v) within ASCENT_MAX_ITER steps, and a
-    converged point only qualifies as a maximum if its Hessian is strictly
-    negative definite.
-
-    ``maxima`` holds the (x, v) maxima the search has found so far.  Once an
-    iterate, the start included, lies within DEDUP_RADIUS of one of them,
-    the ascent returns that maximum's own x and v, with is_max True.
-
-    Every line-search trial, whatever its step length, is evaluated with
-    ``_value_stage`` only, since the Armijo test reads v alone.  Once a trial
-    is accepted and not absorbed into a maximum found, ``_derivative_stage``
-    builds its gradient and Hessian from the trial's kept stage, so no point
-    is evaluated twice and no derivatives are built that are not read.
+    ``first`` is the start's row of ``lockstep_ascent``, and ``maxima`` the
+    (x, v) maxima the search has found so far.  The first iterate, the start
+    included, within DEDUP_RADIUS of one of them returns that maximum's own
+    x and v, with is_max True.  Otherwise the last iterate is returned, and
+    a converged point only counts as a maximum if its Hessian is strictly
+    negative definite: flat saddles between far bumps also pass the
+    gradient test.
     """
-    x = np.asarray(start, dtype=float).copy()
-    v, grad, hess, step = first
-    v = float(v)
-    for it in range(ASCENT_MAX_ITER + 1):
-        for found in maxima:
-            d = x - found[0]
-            if d @ d < DEDUP_RADIUS * DEDUP_RADIUS:
-                return *found, True
-        if it:
-            # the accepted trial's derivatives, once it is not absorbed; the start's came with first
-            grad, hess = _derivative_stage(state, stage)
-        gnorm = math.sqrt(grad @ grad)
-        converged = gnorm < ASCENT_TOL * max(1.0, v)
-        if converged or it == ASCENT_MAX_ITER:
-            break
-        if it:
-            direction, slope = _direction(grad, gnorm, _newton_steps(grad, hess))
-        else:
-            direction, slope, v_trial, stage = step
-        alpha = 1.0
-        ulp_gain = _ULP_GAIN * max(v, 1e-300)
-        for k in range(60):
-            trial = x + alpha * direction
-            if k or it:  # the first step's trial at alpha = 1 came with first
-                v_trial, stage = _value_stage(state, trial)
-            # near the summit the predicted gain drops below the float
-            # resolution of v itself; accept the nudge untested there so the
-            # final Newton refinement is not blocked by a flat line search
-            if alpha * slope <= ulp_gain or v_trial > v + 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            break  # no ascent step along the direction: not converged
-        x = trial
-        v = float(v_trial)
-    # a stationary point only counts as a maximum if the curvature is
-    # strictly negative; flat saddles between far bumps also pass the
-    # gradient test and must be dropped, as must a Hessian eigvalsh cannot read
-    return x, v, converged and _negative_definite(hess)
+    xs, vs, converged, hess = first
+    if maxima:
+        d = xs[:, None, :] - np.array([x for x, _ in maxima])
+        near = _dots(d, d) < DEDUP_RADIUS * DEDUP_RADIUS
+        # the first iterate near a maximum, and the first maximum near it
+        hit = near.argmax()
+        if near.flat[hit]:
+            return *maxima[hit % len(maxima)], True
+    # a copy: a maximum kept on a cached state must not hold the search's iterates alive
+    return xs[-1].copy(), float(vs[-1]), converged and _negative_definite(hess)
 
 
 def ascent_starts(state: SuperposedState) -> list[np.ndarray]:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .borngeo import BlockingVector, TransitionGeometry, is_blocked, theta_from_norms
-from .landscape import ascend, ascent_starts, first_steps
+from .landscape import ascend, ascent_starts, lockstep_ascent
 from .modes import ModeBasis
 from .states import CoherentPoint, SuperposedState, evolve_free
 
@@ -140,11 +140,11 @@ def find_local_maxima(state: SuperposedState) -> MaximaResult:
     """Locate local maxima of the landscape by multi-start ascent.
 
     Starts are all component centers plus midpoints of near pairs.
-    ``first_steps`` evaluates every start and takes every start's first
-    step in stacked calls, and each ascent goes on from its row.  Each
-    ascent also receives the maxima found before it and stops once it
-    comes within ``landscape.DEDUP_RADIUS`` of one of them, so the maximum
-    found first is the one kept.  Non-converged starts are dropped and
+    ``lockstep_ascent`` ascends every start in the same stacked calls, and
+    ``ascend`` then takes each start's row in start order, with the maxima
+    found before it: a start whose iterates come within
+    ``landscape.DEDUP_RADIUS`` of one of them returns that maximum, so the
+    maximum found first is the one kept.  Non-converged starts are dropped and
     counted in ``failed_starts``.  States are immutable, so the result is
     cached on the state instance.
     """
@@ -156,7 +156,7 @@ def find_local_maxima(state: SuperposedState) -> MaximaResult:
     # far-apart centres overflow: the kernel flushes to 0, an inf start distance is not near
     with np.errstate(over="ignore", invalid="ignore"):
         starts = ascent_starts(state)
-        for start, first in zip(starts, first_steps(state, np.array(starts))):
+        for start, first in zip(starts, lockstep_ascent(state, np.array(starts))):
             x, v, ok = ascend(state, start, first, found)
             if not ok:
                 failed += 1

@@ -32,7 +32,7 @@ import coherentlab.landscape
 import coherentlab.selection
 import coherentlab.states
 from coherentlab.landscape import (
-    ascend, ascent_starts, first_steps, v_at, v_gradient, v_value_grad_hess,
+    ascend, ascent_starts, lockstep_ascent, v_at, v_gradient, v_value_grad_hess,
 )
 
 import oracles
@@ -248,8 +248,8 @@ class TestEvaluationStages:
 
 
 def _first(state, start):
-    """``ascend``'s ``first`` for one start, built as ``find_local_maxima`` builds a stack's."""
-    return first_steps(state, np.array([start]))[0]
+    """``ascend``'s ``first`` for one start: its row of a lockstep ascent of that start alone."""
+    return lockstep_ascent(state, np.array([start]))[0]
 
 
 def _overlapping_state(rng, n_comp=None, max_modes=10):
@@ -402,8 +402,10 @@ class TestSearchAgainstReference:
 
     def test_starts_that_share_one_summit_stop_there(self, monkeypatch):
         # three overlapping bumps with one summit: every start after the first
-        # returns the first start's maximum itself, after fewer evaluations
-        # than the reference search and than ascents that run to convergence
+        # returns the first start's maximum itself.  The search ascends its starts
+        # in lockstep, each as far as it goes alone, so it evaluates no more points
+        # than the ascents alone, in fewer stage calls, and fewer than the
+        # reference search, which runs every start to convergence
         state = _one_summit_state()
         starts = ascent_starts(state)
         evaluated = []
@@ -419,37 +421,39 @@ class TestSearchAgainstReference:
         def points_evaluated(run):
             evaluated.clear()
             out = run()
-            return sum(evaluated), out
+            return sum(evaluated), len(evaluated), out
 
-        n_search, result = points_evaluated(lambda: find_local_maxima(state))
-        n_reference, _ = points_evaluated(lambda: find_local_maxima_reference(state))
+        n_search, calls_search, result = points_evaluated(lambda: find_local_maxima(state))
+        n_reference, _, _ = points_evaluated(lambda: find_local_maxima_reference(state))
         alone = [points_evaluated(lambda: ascend(state, s, _first(state, s), []))
                  for s in starts]
         assert len(starts) == 6 and len(result.maxima) == 1 and result.failed_starts == 0
-        x, v, ok = alone[0][1]
+        x, v, ok = alone[0][2]
         assert ok and result.maxima[0].point.as_vector().tobytes() == x.tobytes()
         found = [(x, v)]
         for start in starts[1:]:
             merged = ascend(state, start, _first(state, start), found)
             assert merged[0] is x and merged[1] == v and merged[2] is True
-        assert n_search < sum(n for n, _ in alone) < n_reference
+        assert n_search <= sum(n for n, _, _ in alone) < n_reference
+        assert calls_search < sum(calls for _, calls, _ in alone)
         self._assert_matches_reference(state)
 
 
 class TestDerivativesOnlyWhereKept:
-    """The ascent builds derivatives only at iterates it keeps.
+    """The ascent builds derivatives only at the iterates it keeps.
 
-    A rejected line-search trial and an iterate absorbed into a maximum
-    found get the value stage alone; an accepted trial gets the derivative
-    stage right after its own value stage.
+    A rejected line-search trial gets the value stage alone; an accepted
+    trial gets the derivative stage, built from what its own value stage
+    kept.  ``ascend`` runs no stage: a start's stages do not depend on the
+    maxima it may be absorbed into.
     """
 
     @staticmethod
     def _stages(monkeypatch, state, start, maxima):
-        """The stages one ascent from ``start`` runs, as "value" and "derivatives" in order.
+        """The stages the ascent from ``start`` alone runs, as "value" and "derivatives" in order.
 
         They begin with the value stage of the first step's trial, which
-        ``first_steps`` evaluates after the start's own two stages.
+        the lockstep evaluates after the start's own two stages.
         """
         value_stage = coherentlab.landscape._value_stage
         derivative_stage = coherentlab.landscape._derivative_stage
@@ -461,10 +465,9 @@ class TestDerivativesOnlyWhereKept:
             return v, stage
 
         def derivatives(state, stage):
-            # built from the stage of the trial just evaluated, not an earlier one; the
-            # first step's trial is a row of the stage first_steps evaluates for a stack
+            # built from the stage of the trial just evaluated, not an earlier one
             assert log[-1][0] == "value"
-            assert all(np.shares_memory(got, kept) for got, kept in zip(stage[:3], log[-1][1]))
+            assert all(got.tobytes() == kept.tobytes() for got, kept in zip(stage, log[-1][1], strict=True))
             log.append(("derivatives", stage))
             return derivative_stage(state, stage)
 
@@ -491,7 +494,7 @@ class TestDerivativesOnlyWhereKept:
         assert counts["backtracks"] == 2
         assert kinds[:4] == ["value", "value", "value", "derivatives"]
 
-    def test_no_derivatives_for_an_absorbed_iterate(self, monkeypatch):
+    def test_an_absorbed_start_runs_its_stages_alone(self, monkeypatch):
         state = _one_summit_state()
         starts = ascent_starts(state)
         x, v, ok = ascend(state, starts[0], _first(state, starts[0]), [])
@@ -500,12 +503,13 @@ class TestDerivativesOnlyWhereKept:
             alone, _ = self._assert_kept_only(monkeypatch, state, start)
             merged, result = self._stages(monkeypatch, state, start, [(x, v)])
             assert result[0] is x
-            if merged:
-                # the same stages as alone, up to the absorbed iterate, whose
-                # derivatives the ascent alone goes on to build
-                assert merged[-1] == "value"
-                assert alone[:len(merged) + 1] == merged + ["derivatives"]
-                absorbed_after_a_step += 1
+            # the lockstep steps a start until it stops, whatever maximum ascend
+            # then finds its iterates reach, so the stages are those it runs alone
+            assert merged == alone
+            xs = _first(state, start)[0]
+            radius = coherentlab.landscape.DEDUP_RADIUS
+            near = [d @ d < radius * radius for d in xs - x]
+            absorbed_after_a_step += near.index(True) > 0
         assert absorbed_after_a_step == len(starts) - 1
 
 
@@ -550,13 +554,13 @@ class TestExhaustedLineSearch:
         result = find_local_maxima(state)
         assert len(starts) == 3
         assert result.failed_starts == len(starts) and result.maxima == []
-        # the stacked first evaluation went through the lowered landscape too,
-        # and so did the stacked first trial of every start
-        assert calls[0].shape == calls[1].shape == (len(starts), 2)
-        # counted in rows, 1 + 60 evaluations per start: its row of each stacked
-        # call (the start and its first trial), then its other 59 trials alone
+        # the stacked first evaluation went through the lowered landscape too.
+        # Counted in rows, 1 + 60 evaluations per start: its row of the stacked
+        # evaluation of the starts, then of each of the 60 stacked trials, since
+        # every start backtracks in every round
+        assert all(c.shape == (len(starts), 2) for c in calls)
         rows = [len(np.atleast_2d(c)) for c in calls]
-        assert rows == [len(starts)] * 2 + [1] * (59 * len(starts))
+        assert rows == [len(starts)] * (1 + 60)
         assert sum(rows) == (1 + 60) * len(starts)
 
 
@@ -612,33 +616,19 @@ class TestLandscapeUnderflow:
         assert [c.point.as_vector().tolist() for c in result.maxima] == [[0.0] * 6]
 
 
-def _one_point_direction(grad, hess, gnorm):
-    """The direction and slope at one point, as ``ascend`` takes them after its first step."""
-    newton = coherentlab.landscape._newton_steps(grad, hess)
-    return coherentlab.landscape._direction(grad, gnorm, newton)
-
-
-def _first_alone(state, start):
-    """One start's ``first`` from one-point calls only; a converged start gets a step too."""
-    v, grad, hess = v_value_grad_hess(state, start)
-    direction, slope = _one_point_direction(grad, hess, math.sqrt(grad @ grad))
-    v_trial, stage = coherentlab.landscape._value_stage(state, start + direction)
-    return v, grad, hess, (direction, slope, v_trial, stage)
-
-
-def _assert_same_first(got, want):
-    """Both rows have a step, and every array of the two rows has the same bits."""
-    (*evaluated, (*scalars, stage)), (*evaluated_alone, (*scalars_alone, stage_alone)) = got, want
-    for a, b in zip([*evaluated, *scalars, *stage],
-                    [*evaluated_alone, *scalars_alone, *stage_alone], strict=True):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+def _assert_same_row(got, want):
+    """Two rows of ``lockstep_ascent`` with the same iterates, values, convergence and Hessian bits."""
+    (xs, vs, converged, hess), (xs_alone, vs_alone, converged_alone, hess_alone) = got, want
+    assert converged is converged_alone
+    for a, b in zip((xs, vs, hess), (xs_alone, vs_alone, hess_alone)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _search_alone(state):
-    """``find_local_maxima``'s loop with each start's first step taken alone."""
+    """``find_local_maxima``'s loop with each start ascended alone."""
     found, failed = [], 0
     for start in ascent_starts(state):
-        x, v, ok = ascend(state, start, _first_alone(state, start), found)
+        x, v, ok = ascend(state, start, _first(state, start), found)
         if not ok:
             failed += 1
         elif all(x is not xk for xk, _ in found):
@@ -647,21 +637,32 @@ def _search_alone(state):
     return found, failed
 
 
+def _mixed_starts(rng):
+    """A state, and a stack of starts whose rows take Newton and gradient steps, backtrack and halve 60 times.
+
+    The search's starts and a random point take the first three kinds;
+    a NaN start reads v = 0 and a NaN gradient, so all 60 of its trials fail.
+    """
+    state = _overlapping_state(rng)
+    n2 = 2 * state.n_modes
+    return state, ascent_starts(state) + [rng.normal(0.0, 3.0, n2), np.full(n2, np.nan)]
+
+
 class TestStackedFirstStep:
-    """Every start's first step, taken in stacked calls, is the step it takes alone."""
+    """Every start's steps, the first included, taken in lockstep, are the steps it takes alone."""
 
     @staticmethod
     def _assert_rows_alone(state, points):
-        stacked = first_steps(state, np.array(points))
+        stacked = lockstep_ascent(state, np.array(points))
         assert len(stacked) == len(points)
-        for start, first in zip(points, stacked):
-            _assert_same_first(first, _first_alone(state, start))
-            _assert_same_first(_first(state, start), first)
+        for start, row in zip(points, stacked):
+            _assert_same_row(row, _first(state, start))
         result = find_local_maxima(state)
         found, failed = _search_alone(state)
         assert result.failed_starts == failed
         assert [(c.point.as_vector().tobytes(), c.v) for c in result.maxima] == [
             (x.tobytes(), min(v, 1.0)) for x, v in found]
+        return stacked
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -669,6 +670,18 @@ class TestStackedFirstStep:
         rng = np.random.default_rng(seed)
         state = _overlapping_state(rng)
         self._assert_rows_alone(state, ascent_starts(state) + [rng.normal(0.0, 3.0, 2 * state.n_modes)])
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_each_row_is_the_reevaluating_ascent_alone_property(self, seed):
+        state, starts = _mixed_starts(np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
+            for max_iter in (3, 200):
+                patch.setattr(coherentlab.landscape, "ASCENT_MAX_ITER", max_iter)
+                for start, row in zip(starts, lockstep_ascent(state, np.array(starts))):
+                    x, v, ok = ascend(state, start, row, [])
+                    x_ref, v_ref, ok_ref = ascend_reevaluating(state, start, max_iter=max_iter)
+                    assert x.tobytes() == x_ref.tobytes() and v == v_ref and ok is ok_ref
 
     def test_flushed_kernel_and_overflowing_hessian(self):
         state, near, far = TestLandscapeUnderflow._state()
@@ -679,39 +692,53 @@ class TestStackedFirstStep:
             self._assert_rows_alone(heavy, ascent_starts(heavy) + [np.zeros(6)])
 
     def test_the_sample_takes_newton_and_gradient_steps(self):
+        # the stacks of the reevaluating property: rows counted by the kinds of step
+        # their ascents take, and stacks that hold all four kinds
         rng = np.random.default_rng(40)
-        newton = gradient = 0
+        kinds = {"newton": 0, "gradient": 0, "backtracking": 0, "sixty halvings": 0}
+        mixed = 0
         for _ in range(30):
-            state = _overlapping_state(rng)
-            starts = ascent_starts(state)
-            for first in first_steps(state, np.array(starts)):
-                # every row has a step; a zero gradient's direction is grad / 1e-300
-                unit = first[1] / max(math.sqrt(first[1] @ first[1]), 1e-300)
-                if first[3][0].tobytes() == unit.tobytes():
-                    gradient += 1
-                else:
-                    newton += 1
-        assert newton >= 20 and gradient >= 20
+            state, starts = _mixed_starts(rng)
+            with np.errstate(invalid="ignore"):
+                rows = lockstep_ascent(state, np.array(starts))
+                in_stack = set()
+                for start, (xs, _, converged, _) in zip(starts, rows):
+                    counts = {}
+                    ascend_reevaluating(state, start, counts=counts)
+                    # a row that stops unconverged before the cap has run out of trials
+                    exhausted = not converged and len(xs) - 1 < coherentlab.landscape.ASCENT_MAX_ITER
+                    row = {"newton": len(xs) - 1 + exhausted > counts["gradient_steps"],
+                           "gradient": counts["gradient_steps"] > 0,
+                           "backtracking": counts["backtracks"] > 60 * exhausted,
+                           "sixty halvings": exhausted}
+                    in_stack |= {kind for kind, took in row.items() if took}
+                    for kind, took in row.items():
+                        kinds[kind] += took
+            mixed += len(in_stack) == len(kinds)
+        assert kinds["newton"] >= 50 and kinds["gradient"] >= 40 and kinds["backtracking"] >= 15
+        assert kinds["sixty halvings"] == 30 and mixed >= 3
 
     def test_a_row_eigvalsh_cannot_read_takes_the_gradient_alone(self):
         state = _backtracking_state()
         starts = np.array(ascent_starts(state))
         _, grad, hess = v_value_grad_hess(state, starts)
-        gnorm = [math.sqrt(g @ g) for g in grad]
+        gnorm = np.sqrt([g @ g for g in grad])
         hess = hess.copy()
         hess[1] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.eigvalsh(hess)
         stacked = coherentlab.landscape._newton_steps(grad, hess)
-        steps = [coherentlab.landscape._direction(*row) for row in zip(grad, gnorm, stacked)]
         assert np.isnan(stacked[1]).all()
+        directions, slopes = coherentlab.landscape._direction(grad, gnorm, stacked)
         unit = grad[1] / gnorm[1]
-        assert steps[1][0].tobytes() == unit.tobytes() and steps[1][1] == float(grad[1] @ unit)
+        assert directions[1].tobytes() == unit.tobytes() and slopes[1] == float(grad[1] @ unit)
         newton = 0
         for i in range(len(starts)):
             if i != 1:
-                direction, slope = _one_point_direction(grad[i], hess[i], gnorm[i])
-                assert steps[i][0].tobytes() == direction.tobytes() and steps[i][1] == slope
+                alone = slice(i, i + 1)
+                direction, slope = coherentlab.landscape._direction(
+                    grad[alone], gnorm[alone], coherentlab.landscape._newton_steps(grad[alone], hess[alone]))
+                assert directions[i].tobytes() == direction[0].tobytes() and slopes[i] == slope[0]
                 newton += direction.tobytes() != (grad[i] / gnorm[i]).tobytes()
         assert newton >= 2
 
@@ -735,12 +762,13 @@ class TestStackedFirstStep:
         assert (np.linalg.eigvalsh(hess).max(axis=-1) < 0.0).all()
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(hess, -grad[:, :, None])
-        steps = coherentlab.landscape._newton_steps(grad, hess)
+        newton_steps = coherentlab.landscape._newton_steps
+        steps = newton_steps(grad, hess)
         assert np.isnan(steps[1]).all()
-        assert np.isnan(coherentlab.landscape._newton_steps(grad[1], hess[1])).all()
+        assert np.isnan(newton_steps(grad[1:2], hess[1:2])).all()
         for i in (0, 2):
             assert steps[i].tobytes() == np.linalg.solve(hess[i], -grad[i]).tobytes()
-            assert steps[i].tobytes() == coherentlab.landscape._newton_steps(grad[i], hess[i]).tobytes()
+            assert steps[i].tobytes() == newton_steps(grad[i:i + 1], hess[i:i + 1]).tobytes()
 
     def test_a_row_eigvalsh_cannot_read_leaves_the_others_their_first_steps(self):
         # the heavier centre's Hessian stops eigvalsh for the whole stack, so every row
@@ -749,46 +777,109 @@ class TestStackedFirstStep:
         rng = np.random.default_rng(42)
         with np.errstate(over="ignore", invalid="ignore"):
             points = ascent_starts(state) + [rng.normal(0.0, 1e-155, 6) for _ in range(3)]
+            v, grad, hess = v_value_grad_hess(state, np.array(points))
             with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.eigvalsh(v_value_grad_hess(state, np.array(points))[2])
-            stacked = first_steps(state, np.array(points))
-            for start, first in zip(points, stacked):
-                _assert_same_first(first, _first_alone(state, start))
-        for first in stacked[:2]:  # the two centres, where the gradient is zero
-            assert not first[1].any() and not first[3][0].any() and first[3][1] == 0.0
-        for first in stacked[2:]:
-            unit = first[1] / math.sqrt(first[1] @ first[1])
-            assert first[3][1] > 0.0 and first[3][0].tobytes() != unit.tobytes()
+                np.linalg.eigvalsh(hess)
+            stacked = self._assert_rows_alone(state, points)
+            directions, slopes = coherentlab.landscape._direction(
+                grad, np.sqrt([g @ g for g in grad]), coherentlab.landscape._newton_steps(grad, hess))
+        for row in stacked[:2]:  # the two centres, where the gradient is zero: no step
+            assert len(row[0]) == 1 and row[2] is True
+        assert not grad[:2].any()
+        for g, direction, slope, row in zip(grad[2:], directions[2:], slopes[2:], stacked[2:]):
+            assert slope > 0.0 and direction.tobytes() != (g / math.sqrt(g @ g)).tobytes()
+            assert len(row[0]) > 1
 
-    def test_a_converged_start_is_a_maximum_whose_step_is_not_read(self):
-        # a lone component's centre has a zero gradient; first_steps still gives it a
-        # step, and ascend stops there before it would unpack the None put in its place
+    def test_a_row_eigvalsh_cannot_read_later_leaves_the_others_their_bits(self, monkeypatch):
+        # the Hessian at the second start's first iterate is made unreadable wherever
+        # it is built, so at the stack's second iteration eigvalsh raises for the whole
+        # stack; that row then takes the gradient, and every other row keeps its bits
+        state = _backtracking_state()
+        starts = ascent_starts(state)
+        alone = _first(state, starts[1])
+        assert len(alone[0]) > 2
+        n = state.n_modes
+        poisoned_dq = (alone[0][1][:n] - state.q).tobytes()
+        derivative_stage = coherentlab.landscape._derivative_stage
+        poisoned = []
+
+        def unreadable(state, stage):
+            grad, hess = derivative_stage(state, stage)
+            rows = [dq.tobytes() == poisoned_dq for dq in stage[1]]
+            hess[rows] = np.inf
+            poisoned.append(sum(rows))
+            return grad, hess
+
+        monkeypatch.setattr(coherentlab.landscape, "_derivative_stage", unreadable)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvalsh(np.full((2 * n, 2 * n), np.inf))
+        stacked = lockstep_ascent(state, np.array(starts))
+        assert poisoned[1] == 1
+        for i, (start, row) in enumerate(zip(starts, stacked)):
+            _assert_same_row(row, _first(state, start))
+            if i != 1:
+                x, v, ok = ascend(state, start, row, [])
+                x_ref, v_ref, ok_ref = ascend_reevaluating(state, start)
+                assert x.tobytes() == x_ref.tobytes() and v == v_ref and ok is ok_ref
+        # the poisoned row reached the poisoned iterate as it does alone, and went on another way
+        assert stacked[1][0][1].tobytes() == alone[0][1].tobytes()
+        assert stacked[1][0][2:].tobytes() != alone[0][2:].tobytes()
+
+    def test_a_converged_start_is_a_maximum_whose_step_is_not_read(self, monkeypatch):
+        # a lone component's centre has a zero gradient: the lockstep stops it before a
+        # trial, alone and beside a far pair whose starts move, so the only value stage
+        # its point appears in is the starts' own evaluation
+        value_stage = coherentlab.landscape._value_stage
+        evaluated = []
+
+        def recording(state, x):
+            evaluated.append(np.array(x))
+            return value_stage(state, x)
+
+        monkeypatch.setattr(coherentlab.landscape, "_value_stage", recording)
         basis = single_mode()
         for coord in (0.0, 1e7, -1e154):
             state = SuperposedState.single(_pt(coord, coord), basis)
             (start,) = ascent_starts(state)
+            evaluated.clear()
             first = _first(state, start)
-            assert not first[1].any() and first[3] is not None
-            x, v, ok = ascend(state, start, (*first[:3], None), [])
-            assert ok is True and v == first[0] and x.tobytes() == start.tobytes()
+            assert len(evaluated) == 1 and evaluated[0].tobytes() == start.tobytes()
+            assert len(first[0]) == 1 and first[2] is True
+            x, v, ok = ascend(state, start, first, [])
+            assert ok is True and v == first[1][0] and x.tobytes() == start.tobytes()
             assert find_local_maxima(state).failed_starts == 0
+        for coord in (0.0, 1e7):
+            lone = _pt(coord, coord)
+            state = SuperposedState([1.0, 0.7, 0.5], [lone, _pt(coord + 1e3, coord),
+                                                      _pt(coord + 1e3 + 0.8, coord + 0.3)], basis)
+            evaluated.clear()
+            rows = lockstep_ascent(state, np.array(ascent_starts(state)))
+            trials = [row.tobytes() for x in evaluated[1:] for row in x]
+            assert len(trials) > len(rows) and lone.as_vector().tobytes() not in trials
+            assert len(rows[0][0]) == 1 and rows[0][2] is True
+            assert all(len(xs) > 1 for xs, *_ in rows[1:])
 
     def test_a_start_on_a_maximum_found_returns_it_before_stepping(self):
+        # the start is the first iterate ascend reads, so it returns the maximum there,
+        # whatever the steps that the lockstep took from it
         state = _backtracking_state()
         for start in ascent_starts(state):
             first = _first(state, start)
-            assert first[3] is not None
+            assert len(first[0]) > 1
             found = [(start + 1e-7, 0.25)]
             x, v, ok = ascend(state, start, first, found)
             assert x is found[0][0] and v == 0.25 and ok is True
 
     def test_stage_rows_per_search_are_unchanged(self, monkeypatch):
-        # a chain of four-component states, as the select_chain benchmark runs:
-        # rows counted through each stage, against 2640 and 2084 with each
-        # start's first step taken alone (the ascent before stacking it)
+        # a chain of four-component states, as the select_chain benchmark runs: rows
+        # and calls counted through each stage.  A lockstep row runs until it stops,
+        # also where ascend finds it absorbed into an earlier start's maximum, so it
+        # evaluates more rows (2640 value and 2084 derivative rows with each start
+        # ascended on its own, stopped once absorbed) in far fewer calls (1974 and
+        # 1751 then)
         value_stage = coherentlab.landscape._value_stage
         derivative_stage = coherentlab.landscape._derivative_stage
-        rows = {"value": 0, "derivatives": 0, "value calls": 0}
+        rows = {"value": 0, "derivatives": 0, "value calls": 0, "derivative calls": 0}
 
         def value(state, x):
             rows["value"] += np.asarray(x).size // (2 * state.n_modes)
@@ -797,6 +888,7 @@ class TestStackedFirstStep:
 
         def derivatives(state, stage):
             rows["derivatives"] += np.size(stage[3])
+            rows["derivative calls"] += 1
             return derivative_stage(state, stage)
 
         monkeypatch.setattr(coherentlab.landscape, "_value_stage", value)
@@ -809,9 +901,7 @@ class TestStackedFirstStep:
         log = run_sequence(initial, UrgencySchedule(2.0), seeded_spawn(11, count=3, spread=1.5),
                            n_events=40)
         assert len(log) == 40 and sum(r.failed_starts for r in log) == 0
-        assert rows["value"] == 2640 and rows["derivatives"] == 2084
-        # in fewer calls: 2307 before
-        assert rows["value calls"] == 1974
+        assert rows == {"value": 2809, "derivatives": 2545, "value calls": 626, "derivative calls": 412}
 
 
 class TestSelectAndCollapse:
