@@ -11,12 +11,13 @@ from the one evaluator in ``states`` and keeps the terms and differences
 it came from; the derivative stage builds the gradient and Hessian from
 what it kept.  ``v_at`` is the value stage alone, ``v_value_grad_hess``
 the two composed, and the ascent runs the derivative stage only at the
-iterates it keeps.  Every evaluator here takes points of shape (..., 2n),
+trials it accepts.  Every evaluator here takes points of shape (..., 2n),
 one point or a stack.
 
-A search ascends all its starts in lockstep (``lockstep_ascent``), each row
-with the bits of its start ascended alone; ``ascend`` then resolves, one
-start at a time in start order, absorption into the maxima found before it.
+A search ascends all its starts to their ends in lockstep
+(``lockstep_ascent``), each row with the bits of its start ascended alone;
+``ascend`` then dedups the ends one start at a time, in start order: an end
+near a maximum found before it takes that maximum.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ ASCENT_TOL = 1e-10
 #: A start that has not converged after this many ascent steps fails.
 ASCENT_MAX_ITER = 200
 
-#: Maxima closer than this (flattened Euclidean) are one; an ascent stops this close to one found.
+#: Maxima closer than this (flattened Euclidean) are one; an ascent ending this close to one found takes it.
 DEDUP_RADIUS = 1e-6
 
 #: Eight units of roundoff: a predicted gain below this times v is below v's resolution.
@@ -190,15 +191,15 @@ def lockstep_ascent(state: SuperposedState, starts: np.ndarray) -> list[tuple]:
     reads v alone, and ``_derivative_stage`` builds the gradient and Hessian
     of the accepted trials from what their value stage kept.
 
-    Returns what ``ascend`` takes as ``first`` for each start: its iterates
-    (the start first) and their values, whether the last converged, and the
-    last one's Hessian, each with the bits of the start ascended alone.
+    Returns what ``ascend`` takes as ``end`` for each start: the point where
+    it stopped, its value, whether it converged, and its Hessian, each with
+    the bits of the start ascended alone.
     """
-    x = np.asarray(starts, dtype=float)
+    x = np.array(starts, dtype=float)
     v, grad, hess = v_value_grad_hess(state, x)
     rows = np.arange(len(x))
-    converged = np.zeros(len(x), bool)
-    kept, last_hess = [(rows, x, v)], hess
+    # each row's end, overwritten at every step it takes
+    end_x, end_v, converged, end_hess = x, v, np.zeros(len(x), bool), hess
     for it in range(ASCENT_MAX_ITER + 1):
         gnorm = np.sqrt(_dots(grad, grad))
         moving = ~(gnorm < ASCENT_TOL * np.fmax(1.0, v))
@@ -231,38 +232,28 @@ def lockstep_ascent(state: SuperposedState, starts: np.ndarray) -> list[tuple]:
             rows, trial, v_trial, *stage = (a[ok] for a in (rows, trial, v_trial, *stage))
         x, v = trial, v_trial
         grad, hess = _derivative_stage(state, stage)
-        kept.append((rows, x, v))
-        last_hess[rows] = hess
-    # every row's iterates in order, gathered from the iterations it ran
-    rows, xs, vs = (np.concatenate(a) for a in zip(*kept))
-    order = np.argsort(rows, kind="stable")
-    xs, vs, bounds = xs[order], vs[order], [0, *np.cumsum(np.bincount(rows)).tolist()]
-    return [(xs[a:b], vs[a:b], c, h) for a, b, c, h in
-            zip(bounds, bounds[1:], converged.tolist(), last_hess)]
+        end_x[rows], end_v[rows], end_hess[rows] = x, v, hess
+    return list(zip(end_x, end_v.tolist(), converged.tolist(), end_hess))
 
 
-def ascend(state: SuperposedState, start: np.ndarray, first: tuple,
-           maxima: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float, bool]:
-    """Where the ascent from ``start`` ends; returns (x, v, is_max).
+def ascend(end: tuple, maxima: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float, bool]:
+    """Where one start's ascent ends, given the maxima found so far; returns (x, v, is_max).
 
-    ``first`` is the start's row of ``lockstep_ascent``, and ``maxima`` the
-    (x, v) maxima the search has found so far.  The first iterate, the start
-    included, within DEDUP_RADIUS of one of them returns that maximum's own
-    x and v, with is_max True.  Otherwise the last iterate is returned, and
-    a converged point only counts as a maximum if its Hessian is strictly
-    negative definite: flat saddles between far bumps also pass the
-    gradient test.
+    ``end`` is the start's row of ``lockstep_ascent``, and ``maxima`` the
+    (x, v) maxima the search has found so far.  An end within DEDUP_RADIUS
+    of one of them returns the first such maximum's own x and v, with
+    is_max True.  Otherwise the end is returned, and a converged end only
+    counts as a maximum if its Hessian is strictly negative definite: flat
+    saddles between far bumps also pass the gradient test.
     """
-    xs, vs, converged, hess = first
+    x, v, converged, hess = end
     if maxima:
-        d = xs[:, None, :] - np.array([x for x, _ in maxima])
+        d = x - np.array([xk for xk, _ in maxima])
         near = _dots(d, d) < DEDUP_RADIUS * DEDUP_RADIUS
-        # the first iterate near a maximum, and the first maximum near it
-        hit = near.argmax()
-        if near.flat[hit]:
-            return *maxima[hit % len(maxima)], True
-    # a copy: a maximum kept on a cached state must not hold the search's iterates alive
-    return xs[-1].copy(), float(vs[-1]), converged and _negative_definite(hess)
+        if near.any():
+            return *maxima[near.argmax()], True
+    # a copy: a maximum kept on a cached state must not hold the search's whole end array
+    return x.copy(), v, converged and _negative_definite(hess)
 
 
 def ascent_starts(state: SuperposedState) -> list[np.ndarray]:

@@ -140,13 +140,13 @@ def find_local_maxima(state: SuperposedState) -> MaximaResult:
     """Locate local maxima of the landscape by multi-start ascent.
 
     Starts are all component centers plus midpoints of near pairs.
-    ``lockstep_ascent`` ascends every start in the same stacked calls, and
-    ``ascend`` then takes each start's row in start order, with the maxima
-    found before it: a start whose iterates come within
-    ``landscape.DEDUP_RADIUS`` of one of them returns that maximum, so the
-    maximum found first is the one kept.  Non-converged starts are dropped and
-    counted in ``failed_starts``.  States are immutable, so the result is
-    cached on the state instance.
+    ``lockstep_ascent`` ascends every start to its end in the same stacked
+    calls, and ``ascend`` then takes each start's end in start order, with
+    the maxima found before it: an end within ``landscape.DEDUP_RADIUS`` of
+    one of them returns that maximum, so the maximum found first is the one
+    kept.  Non-converged starts are dropped and counted in
+    ``failed_starts``.  States are immutable, so the result is cached on
+    the state instance.
     """
     cached = state.__dict__.get("_maxima")
     if cached is not None:
@@ -155,9 +155,8 @@ def find_local_maxima(state: SuperposedState) -> MaximaResult:
     failed = 0
     # far-apart centres overflow: the kernel flushes to 0, an inf start distance is not near
     with np.errstate(over="ignore", invalid="ignore"):
-        starts = ascent_starts(state)
-        for start, first in zip(starts, lockstep_ascent(state, np.array(starts))):
-            x, v, ok = ascend(state, start, first, found)
+        for end in lockstep_ascent(state, ascent_starts(state)):
+            x, v, ok = ascend(end, found)
             if not ok:
                 failed += 1
             # an ascent absorbed into a maximum already found returns that maximum's own x

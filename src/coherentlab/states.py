@@ -22,6 +22,7 @@ and the identity quadrature call it.  The landscape
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -121,7 +122,8 @@ def overlap(a: CoherentPoint, b: CoherentPoint, basis: ModeBasis) -> complex:
     Satisfies overlap(a, a) == 1 exactly wherever every 2|q_k| is finite,
     |overlap| <= 1, and Hermitian symmetry overlap(a, b) == conj(overlap(b, a)).
     Where 2|q_k| overflows, q + q is inf and the non-finite kernel flushes
-    to 0, so overlap(a, a) is 0 (q = 1e308, for one).
+    to 0, so overlap(a, a) is 0 (q = 1e308, for one); a ``SuperposedState``
+    refuses a component there.
     """
     _check_point(a, basis)
     _check_point(b, basis)
@@ -133,7 +135,8 @@ class SuperposedState:
 
     Construction computes the Gram matrix of the component points and the
     squared norm c* G c; a state whose squared norm is not above the
-    roundoff floor NORM_RTOL * sum_j |c_j|^2 is rejected.
+    roundoff floor NORM_RTOL * sum_j |c_j|^2 is rejected, and so is a
+    component with a |q_k| above max / 2, where the kernel's q + q overflows.
     """
 
     def __init__(self, coeffs, points, basis: ModeBasis):
@@ -151,13 +154,19 @@ class SuperposedState:
     @classmethod
     def _from_rows(cls, coeffs, q, p, basis: ModeBasis) -> "SuperposedState":
         """A state from component rows q, p of shape (M, n), with no per-point objects."""
-        if not (np.isfinite(q).all() and np.isfinite(p).all()):
-            raise ValueError("coherent-point coordinates must be finite")
         state = cls.__new__(cls)
         state._build(coeffs, q, p, basis)
         return state
 
     def _build(self, coeffs, q, p, basis: ModeBasis):
+        # the kernel forms q + q, which overflows above max / 2; a NaN or inf q fails this too
+        q_max = sys.float_info.max / 2
+        if not ((np.abs(q) <= q_max).all() and np.isfinite(p).all()):
+            if not (np.isfinite(q).all() and np.isfinite(p).all()):
+                raise ValueError("coherent-point coordinates must be finite")
+            j, k = np.argwhere(np.abs(q) > q_max)[0]
+            raise ValueError(f"component {j} has q[{k}] = {float(q[j, k])!r}, above the magnitude "
+                             f"{q_max!r} at which the kernel's q + q overflows")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
         self.basis = basis
@@ -274,7 +283,7 @@ def evolve_free(state: SuperposedState, dt: float) -> SuperposedState:
         )
         coeffs = state.coeffs * np.exp(1j * phases)
     finite = np.isfinite(phases)
-    # _from_rows names a turned centre that overflowed
+    # the state's build refuses a turned centre that overflowed
     if not finite.all() and np.isfinite(q_new).all() and np.isfinite(p_new).all():
         j = int(np.argmin(finite))
         raise ValueError(f"free evolution over dt = {dt!r} overflows the phase of component {j}: "

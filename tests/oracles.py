@@ -11,7 +11,8 @@ radix-2 transform of its own.  Loop
 references keep the straightforward form of code that the library
 restructured for speed (the pairwise start search, the ascent that
 re-evaluates every accepted point, the search that runs every start to
-convergence, the csv module's writer and the plot
+convergence, the search that dedups ends ascended one start at a time,
+the csv module's writer and the plot
 that scales one point at a time), so the fast path can be required to
 give the same bytes.
 """
@@ -269,6 +270,28 @@ def find_local_maxima_reference(state, dedup_radius=1e-6, tie_tolerance=1e-12):
         return found, failed, None, False
     tied = [x for x, v in found if abs(v - found[0][1]) < tie_tolerance]
     return found, failed, min(tied, key=tuple), len(tied) > 1
+
+
+def find_local_maxima_first_kept(state, dedup_radius=1e-6):
+    """Multi-start search that ascends each start alone, then dedups the ends in start order.
+
+    Each start of the pair loop runs through ``ascend_reevaluating``.  An end
+    within ``dedup_radius`` of a maximum kept already is that maximum, the
+    first kept; any other end is kept if it is a maximum and counted as
+    failed if not.  Returns the maxima as (x, v) pairs sorted by descending
+    v, values above 1 taken as 1, and the failed-start count.
+    """
+    ends = [ascend_reevaluating(state, start) for start in ascent_starts_loop(state)]
+    found, failed = [], 0
+    for x, v, ok in ends:
+        if any(np.linalg.norm(x - xk) < dedup_radius for xk, _ in found):
+            continue
+        if ok:
+            found.append((x, v))
+        else:
+            failed += 1
+    found = sorted(((x, min(v, 1.0)) for x, v in found), key=lambda item: (-item[1], tuple(item[0])))
+    return found, failed
 
 
 def polarization_cross_reference(k_vec):

@@ -256,8 +256,8 @@ class TestCliSelect:
         assert not out.exists()
 
     def test_search_without_maximum_is_numeric_error(self, tmp_path, monkeypatch, capsys):
-        def failing_ascend(state, start, first, maxima):
-            return np.asarray(start, dtype=float), 0.0, False
+        def failing_ascend(end, maxima):
+            return end[0], 0.0, False
 
         monkeypatch.setattr(coherentlab.selection, "ascend", failing_ascend)
         code = main(["select", "--config", self._config(tmp_path), "--out", str(tmp_path / "o")])
@@ -280,8 +280,8 @@ def _spread_overflows(tmp_path, monkeypatch):
 
 
 def _select_without_maximum(tmp_path, monkeypatch):
-    def failing_ascend(state, start, first, maxima):
-        return np.asarray(start, dtype=float), 0.0, False
+    def failing_ascend(end, maxima):
+        return end[0], 0.0, False
 
     monkeypatch.setattr(coherentlab.selection, "ascend", failing_ascend)
     return "select", TestCliSelect()._config(tmp_path), "no landscape maximum found"
@@ -629,6 +629,19 @@ def test_overflowing_coefficient_prints_only_the_norm_rule(tmp_path, config, cod
     assert (proc.returncode, proc.stdout) == (code, "")
     (line,) = proc.stderr.splitlines()
     assert line.startswith(prefix), line
+    assert not (tmp_path / "out").exists()
+
+
+def test_component_whose_q_doubled_overflows_is_named(tmp_path):
+    # q + q overflows in the kernel above max / 2, which would make the self-overlap 0
+    component = {"coeff": [1.0], "q": [1e308], "p": [0.0]}
+    cfg = write_config(tmp_path, "q.json", _with(_SELECT, initial={"components": [
+        *_SELECT["parameters"]["initial"]["components"], component]}))
+    proc = _run_cli_process(["select", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "error[config]: config.parameters(select): component 1 has q[0] = 1e+308, "
+        "above the magnitude 8.988465674311579e+307 at which the kernel's q + q overflows"]
     assert not (tmp_path / "out").exists()
 
 

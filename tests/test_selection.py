@@ -40,6 +40,7 @@ from oracles import (
     ascend_reevaluating,
     ascent_starts_loop,
     fd_gradient,
+    find_local_maxima_first_kept,
     find_local_maxima_reference,
     grid_argmax,
     random_separated_state,
@@ -247,8 +248,8 @@ class TestEvaluationStages:
             _assert_stages_compose(heavy, [np.concatenate([heavy.q[1], heavy.p[1]]), np.zeros(6)])
 
 
-def _first(state, start):
-    """``ascend``'s ``first`` for one start: its row of a lockstep ascent of that start alone."""
+def _end(state, start):
+    """``ascend``'s ``end`` for one start: its row of a lockstep ascent of that start alone."""
     return lockstep_ascent(state, np.array([start]))[0]
 
 
@@ -307,7 +308,7 @@ class TestAscentReuse:
             for start in starts:
                 for max_iter in (200, 3):
                     monkeypatch.setattr(coherentlab.landscape, "ASCENT_MAX_ITER", max_iter)
-                    x, v, ok = ascend(state, start, _first(state, start), [])
+                    x, v, ok = ascend(_end(state, start), [])
                     run = counts if max_iter == 200 else {}
                     x_ref, v_ref, ok_ref = ascend_reevaluating(
                         state, start, max_iter=max_iter, counts=run)
@@ -345,7 +346,7 @@ class TestAscentReuse:
             return points, result
 
         def ascend_alone(state, start):
-            return ascend(state, start, _first(state, start), [])
+            return ascend(_end(state, start), [])
 
         for start, expected in cases:
             counts = {}
@@ -388,6 +389,28 @@ class TestSearchAgainstReference:
     def test_same_maxima_as_every_start_run_to_convergence_property(self, seed):
         self._assert_matches_reference(_overlapping_state(np.random.default_rng(seed)))
 
+    @staticmethod
+    def _assert_same_bits_as_first_kept(state):
+        # the search's rule itself: every start ascended alone, then each end taken
+        # in start order, the first maximum kept where ends lie within the radius
+        result = find_local_maxima(state)
+        found, failed = find_local_maxima_first_kept(state)
+        assert result.failed_starts == failed
+        assert [(c.point.as_vector().tobytes(), c.v) for c in result.maxima] == [
+            (x.tobytes(), v) for x, v in found]
+        return result
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_the_ends_deduped_first_kept_property(self, seed):
+        self._assert_same_bits_as_first_kept(_overlapping_state(np.random.default_rng(seed)))
+
+    def test_same_bits_as_the_ends_deduped_first_kept_where_a_start_fails(self):
+        # the midpoint start of two close maxima ends on the saddle between them
+        h = math.sqrt(2.0) + 1e-6
+        state = SuperposedState([1.0, 1.0], [_pt(0.0, 0.0), _pt(2.0 * h, 0.0)], single_mode())
+        assert self._assert_same_bits_as_first_kept(state).failed_starts == 1
+
     def test_two_maxima_closer_than_a_hundredth(self):
         # two equal bumps just past the separation 2 sqrt(2) at which their sum
         # splits into two maxima: these lie 5.9e-3 apart, on either side of the
@@ -425,14 +448,14 @@ class TestSearchAgainstReference:
 
         n_search, calls_search, result = points_evaluated(lambda: find_local_maxima(state))
         n_reference, _, _ = points_evaluated(lambda: find_local_maxima_reference(state))
-        alone = [points_evaluated(lambda: ascend(state, s, _first(state, s), []))
+        alone = [points_evaluated(lambda: ascend(_end(state, s), []))
                  for s in starts]
         assert len(starts) == 6 and len(result.maxima) == 1 and result.failed_starts == 0
         x, v, ok = alone[0][2]
         assert ok and result.maxima[0].point.as_vector().tobytes() == x.tobytes()
         found = [(x, v)]
         for start in starts[1:]:
-            merged = ascend(state, start, _first(state, start), found)
+            merged = ascend(_end(state, start), found)
             assert merged[0] is x and merged[1] == v and merged[2] is True
         assert n_search <= sum(n for n, _, _ in alone) < n_reference
         assert calls_search < sum(calls for _, calls, _ in alone)
@@ -445,7 +468,7 @@ class TestDerivativesOnlyWhereKept:
     A rejected line-search trial gets the value stage alone; an accepted
     trial gets the derivative stage, built from what its own value stage
     kept.  ``ascend`` runs no stage: a start's stages do not depend on the
-    maxima it may be absorbed into.
+    maxima its end may be absorbed into.
     """
 
     @staticmethod
@@ -474,8 +497,7 @@ class TestDerivativesOnlyWhereKept:
         with monkeypatch.context() as patch:
             patch.setattr(coherentlab.landscape, "_value_stage", value)
             patch.setattr(coherentlab.landscape, "_derivative_stage", derivatives)
-            first = _first(state, start)
-            result = ascend(state, start, first, maxima)
+            result = ascend(_end(state, start), maxima)
         # the start's own evaluation, which the search makes for every start
         assert [kind for kind, _ in log[:2]] == ["value", "derivatives"]
         return [kind for kind, _ in log[2:]], result
@@ -497,19 +519,17 @@ class TestDerivativesOnlyWhereKept:
     def test_an_absorbed_start_runs_its_stages_alone(self, monkeypatch):
         state = _one_summit_state()
         starts = ascent_starts(state)
-        x, v, ok = ascend(state, starts[0], _first(state, starts[0]), [])
+        x, v, ok = ascend(_end(state, starts[0]), [])
+        radius = coherentlab.landscape.DEDUP_RADIUS
         absorbed_after_a_step = 0
         for start in starts[1:]:
             alone, _ = self._assert_kept_only(monkeypatch, state, start)
             merged, result = self._stages(monkeypatch, state, start, [(x, v)])
-            assert result[0] is x
-            # the lockstep steps a start until it stops, whatever maximum ascend
-            # then finds its iterates reach, so the stages are those it runs alone
+            assert result[0] is x and result[1] == v and result[2] is True
+            # the lockstep steps a start until it stops, and ascend then finds its
+            # end at the first start's maximum, so the stages are those it runs alone
             assert merged == alone
-            xs = _first(state, start)[0]
-            radius = coherentlab.landscape.DEDUP_RADIUS
-            near = [d @ d < radius * radius for d in xs - x]
-            absorbed_after_a_step += near.index(True) > 0
+            absorbed_after_a_step += (start - x) @ (start - x) >= radius * radius
         assert absorbed_after_a_step == len(starts) - 1
 
 
@@ -542,7 +562,7 @@ class TestExhaustedLineSearch:
         state = self._state()
         start = ascent_starts(state)[0]
         calls = self._summits_at(monkeypatch, [start])
-        x, v, ok = ascend(state, start, _first(state, start), [])
+        x, v, ok = ascend(_end(state, start), [])
         assert x.tobytes() == start.tobytes() and v == 0.0 and ok is False
         assert len(calls) == 1 + 60
         assert all(np.any(c != start) for c in calls[1:])
@@ -610,17 +630,18 @@ class TestLandscapeUnderflow:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.eigvalsh(v_value_grad_hess(state, x)[2])
-            assert ascend(state, x, _first(state, x), [])[2] is False
+            assert ascend(_end(state, x), [])[2] is False
         result = find_local_maxima(state)
         assert result.failed_starts == 1
         assert [c.point.as_vector().tolist() for c in result.maxima] == [[0.0] * 6]
 
 
 def _assert_same_row(got, want):
-    """Two rows of ``lockstep_ascent`` with the same iterates, values, convergence and Hessian bits."""
-    (xs, vs, converged, hess), (xs_alone, vs_alone, converged_alone, hess_alone) = got, want
+    """Two rows of ``lockstep_ascent`` with the same end, value, convergence and Hessian bits."""
+    (x, v, converged, hess), (x_alone, v_alone, converged_alone, hess_alone) = got, want
     assert converged is converged_alone
-    for a, b in zip((xs, vs, hess), (xs_alone, vs_alone, hess_alone)):
+    for a, b in zip((x, v, hess), (x_alone, v_alone, hess_alone)):
+        a, b = np.asarray(a), np.asarray(b)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -628,7 +649,7 @@ def _search_alone(state):
     """``find_local_maxima``'s loop with each start ascended alone."""
     found, failed = [], 0
     for start in ascent_starts(state):
-        x, v, ok = ascend(state, start, _first(state, start), found)
+        x, v, ok = ascend(_end(state, start), found)
         if not ok:
             failed += 1
         elif all(x is not xk for xk, _ in found):
@@ -656,7 +677,7 @@ class TestStackedFirstStep:
         stacked = lockstep_ascent(state, np.array(points))
         assert len(stacked) == len(points)
         for start, row in zip(points, stacked):
-            _assert_same_row(row, _first(state, start))
+            _assert_same_row(row, _end(state, start))
         result = find_local_maxima(state)
         found, failed = _search_alone(state)
         assert result.failed_starts == failed
@@ -679,7 +700,7 @@ class TestStackedFirstStep:
             for max_iter in (3, 200):
                 patch.setattr(coherentlab.landscape, "ASCENT_MAX_ITER", max_iter)
                 for start, row in zip(starts, lockstep_ascent(state, np.array(starts))):
-                    x, v, ok = ascend(state, start, row, [])
+                    x, v, ok = ascend(row, [])
                     x_ref, v_ref, ok_ref = ascend_reevaluating(state, start, max_iter=max_iter)
                     assert x.tobytes() == x_ref.tobytes() and v == v_ref and ok is ok_ref
 
@@ -691,9 +712,19 @@ class TestStackedFirstStep:
             heavy = TestLandscapeUnderflow._heavy_state()
             self._assert_rows_alone(heavy, ascent_starts(heavy) + [np.zeros(6)])
 
-    def test_the_sample_takes_newton_and_gradient_steps(self):
+    def test_the_sample_takes_newton_and_gradient_steps(self, monkeypatch):
         # the stacks of the reevaluating property: rows counted by the kinds of step
-        # their ascents take, and stacks that hold all four kinds
+        # their ascents take, and stacks that hold all four kinds.  The reference
+        # evaluates each point it reaches once, so its evaluations count the row's
+        # accepted steps plus one
+        evaluations = []
+        indexed = oracles.value_grad_hess_indexed
+
+        def counting(state, x):
+            evaluations.append(1)
+            return indexed(state, x)
+
+        monkeypatch.setattr(oracles, "value_grad_hess_indexed", counting)
         rng = np.random.default_rng(40)
         kinds = {"newton": 0, "gradient": 0, "backtracking": 0, "sixty halvings": 0}
         mixed = 0
@@ -702,12 +733,14 @@ class TestStackedFirstStep:
             with np.errstate(invalid="ignore"):
                 rows = lockstep_ascent(state, np.array(starts))
                 in_stack = set()
-                for start, (xs, _, converged, _) in zip(starts, rows):
+                for start, (_, _, converged, _) in zip(starts, rows):
                     counts = {}
+                    evaluations.clear()
                     ascend_reevaluating(state, start, counts=counts)
+                    steps = len(evaluations) - 1
                     # a row that stops unconverged before the cap has run out of trials
-                    exhausted = not converged and len(xs) - 1 < coherentlab.landscape.ASCENT_MAX_ITER
-                    row = {"newton": len(xs) - 1 + exhausted > counts["gradient_steps"],
+                    exhausted = not converged and steps < coherentlab.landscape.ASCENT_MAX_ITER
+                    row = {"newton": steps + exhausted > counts["gradient_steps"],
                            "gradient": counts["gradient_steps"] > 0,
                            "backtracking": counts["backtracks"] > 60 * exhausted,
                            "sixty halvings": exhausted}
@@ -770,25 +803,39 @@ class TestStackedFirstStep:
             assert steps[i].tobytes() == np.linalg.solve(hess[i], -grad[i]).tobytes()
             assert steps[i].tobytes() == newton_steps(grad[i:i + 1], hess[i:i + 1]).tobytes()
 
-    def test_a_row_eigvalsh_cannot_read_leaves_the_others_their_first_steps(self):
+    def test_a_row_eigvalsh_cannot_read_leaves_the_others_their_first_steps(self, monkeypatch):
         # the heavier centre's Hessian stops eigvalsh for the whole stack, so every row
         # is stepped alone: that row by its zero gradient, the others by Newton steps
         state = TestLandscapeUnderflow._heavy_state()
         rng = np.random.default_rng(42)
+        direction = coherentlab.landscape._direction
+        taken = []
+
+        def recording(grad, gnorm, newton):
+            out = direction(grad, gnorm, newton)
+            taken.append((grad.copy(), out[0].copy()))
+            return out
+
         with np.errstate(over="ignore", invalid="ignore"):
             points = ascent_starts(state) + [rng.normal(0.0, 1e-155, 6) for _ in range(3)]
             v, grad, hess = v_value_grad_hess(state, np.array(points))
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.eigvalsh(hess)
-            stacked = self._assert_rows_alone(state, points)
-            directions, slopes = coherentlab.landscape._direction(
+            directions, slopes = direction(
                 grad, np.sqrt([g @ g for g in grad]), coherentlab.landscape._newton_steps(grad, hess))
-        for row in stacked[:2]:  # the two centres, where the gradient is zero: no step
-            assert len(row[0]) == 1 and row[2] is True
+            monkeypatch.setattr(coherentlab.landscape, "_direction", recording)
+            stacked = self._assert_rows_alone(state, points)
         assert not grad[:2].any()
-        for g, direction, slope, row in zip(grad[2:], directions[2:], slopes[2:], stacked[2:]):
-            assert slope > 0.0 and direction.tobytes() != (g / math.sqrt(g @ g)).tobytes()
-            assert len(row[0]) > 1
+        # the stack's first steps: the two centres, where the gradient is zero, stop
+        # before a trial, and the other rows take their Newton steps
+        first_grad, first_directions = taken[0]
+        assert first_grad.tobytes() == grad[2:].tobytes()
+        assert first_directions.tobytes() == directions[2:].tobytes()
+        for start, row in zip(points[:2], stacked[:2]):
+            assert row[0].tobytes() == start.tobytes() and row[2] is True
+        for g, d, slope, start, row in zip(grad[2:], directions[2:], slopes[2:], points[2:], stacked[2:]):
+            assert slope > 0.0 and d.tobytes() != (g / math.sqrt(g @ g)).tobytes()
+            assert row[0].tobytes() != start.tobytes()
 
     def test_a_row_eigvalsh_cannot_read_later_leaves_the_others_their_bits(self, monkeypatch):
         # the Hessian at the second start's first iterate is made unreadable wherever
@@ -796,10 +843,14 @@ class TestStackedFirstStep:
         # stack; that row then takes the gradient, and every other row keeps its bits
         state = _backtracking_state()
         starts = ascent_starts(state)
-        alone = _first(state, starts[1])
-        assert len(alone[0]) > 2
+        alone = _end(state, starts[1])
+        # the row's first iterate: its end after one step, where it has not converged
+        with monkeypatch.context() as patch:
+            patch.setattr(coherentlab.landscape, "ASCENT_MAX_ITER", 1)
+            first_iterate, _, moving_on, _ = _end(state, starts[1])
+        assert moving_on is False
         n = state.n_modes
-        poisoned_dq = (alone[0][1][:n] - state.q).tobytes()
+        poisoned_dq = (first_iterate[:n] - state.q).tobytes()
         derivative_stage = coherentlab.landscape._derivative_stage
         poisoned = []
 
@@ -814,16 +865,16 @@ class TestStackedFirstStep:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.eigvalsh(np.full((2 * n, 2 * n), np.inf))
         stacked = lockstep_ascent(state, np.array(starts))
+        # the poisoned row reached the poisoned iterate at its first step, as it does alone
         assert poisoned[1] == 1
         for i, (start, row) in enumerate(zip(starts, stacked)):
-            _assert_same_row(row, _first(state, start))
+            _assert_same_row(row, _end(state, start))
             if i != 1:
-                x, v, ok = ascend(state, start, row, [])
+                x, v, ok = ascend(row, [])
                 x_ref, v_ref, ok_ref = ascend_reevaluating(state, start)
                 assert x.tobytes() == x_ref.tobytes() and v == v_ref and ok is ok_ref
-        # the poisoned row reached the poisoned iterate as it does alone, and went on another way
-        assert stacked[1][0][1].tobytes() == alone[0][1].tobytes()
-        assert stacked[1][0][2:].tobytes() != alone[0][2:].tobytes()
+        # and went on another way than its unpoisoned ascent
+        assert stacked[1][0].tobytes() != alone[0].tobytes()
 
     def test_a_converged_start_is_a_maximum_whose_step_is_not_read(self, monkeypatch):
         # a lone component's centre has a zero gradient: the lockstep stops it before a
@@ -842,38 +893,49 @@ class TestStackedFirstStep:
             state = SuperposedState.single(_pt(coord, coord), basis)
             (start,) = ascent_starts(state)
             evaluated.clear()
-            first = _first(state, start)
+            end = _end(state, start)
             assert len(evaluated) == 1 and evaluated[0].tobytes() == start.tobytes()
-            assert len(first[0]) == 1 and first[2] is True
-            x, v, ok = ascend(state, start, first, [])
-            assert ok is True and v == first[1][0] and x.tobytes() == start.tobytes()
+            assert end[0].tobytes() == start.tobytes() and end[2] is True
+            x, v, ok = ascend(end, [])
+            assert ok is True and v == end[1] and x.tobytes() == start.tobytes()
             assert find_local_maxima(state).failed_starts == 0
         for coord in (0.0, 1e7):
             lone = _pt(coord, coord)
             state = SuperposedState([1.0, 0.7, 0.5], [lone, _pt(coord + 1e3, coord),
                                                       _pt(coord + 1e3 + 0.8, coord + 0.3)], basis)
             evaluated.clear()
-            rows = lockstep_ascent(state, np.array(ascent_starts(state)))
+            starts = ascent_starts(state)
+            rows = lockstep_ascent(state, np.array(starts))
             trials = [row.tobytes() for x in evaluated[1:] for row in x]
             assert len(trials) > len(rows) and lone.as_vector().tobytes() not in trials
-            assert len(rows[0][0]) == 1 and rows[0][2] is True
-            assert all(len(xs) > 1 for xs, *_ in rows[1:])
+            assert rows[0][0].tobytes() == lone.as_vector().tobytes() and rows[0][2] is True
+            assert all(x.tobytes() != start.tobytes() for start, (x, *_) in zip(starts[1:], rows[1:]))
 
-    def test_a_start_on_a_maximum_found_returns_it_before_stepping(self):
-        # the start is the first iterate ascend reads, so it returns the maximum there,
-        # whatever the steps that the lockstep took from it
+    def test_an_end_on_a_maximum_found_returns_it(self):
+        # ascend compares a start's end alone with the maxima found: an end within the
+        # dedup radius of some returns the first of them, its own x, whatever the start
+        # and wherever the other maxima lie
         state = _backtracking_state()
+        radius = coherentlab.landscape.DEDUP_RADIUS
         for start in ascent_starts(state):
-            first = _first(state, start)
-            assert len(first[0]) > 1
-            found = [(start + 1e-7, 0.25)]
-            x, v, ok = ascend(state, start, first, found)
-            assert x is found[0][0] and v == 0.25 and ok is True
+            end = _end(state, start)
+            assert np.linalg.norm(end[0] - start) > radius
+            found = [(start + 1e-7, 0.5), (end[0] + 1e-7, 0.25), (end[0] - 1e-7, 0.125)]
+            x, v, ok = ascend(end, found)
+            assert x is found[1][0] and v == 0.25 and ok is True
+            x, v, ok = ascend(end, found[:1])
+            assert x.tobytes() == end[0].tobytes() and x is not end[0] and v == end[1]
+        # a start on a maximum found ends on it, and returns that maximum's own x
+        x, v, ok = ascend(_end(state, ascent_starts(state)[0]), [])
+        assert ok is True
+        for offset in (0.0, 1e-7):
+            on = ascend(_end(state, x + offset), [(x, v)])
+            assert on[0] is x and on[1] == v and on[2] is True
 
     def test_stage_rows_per_search_are_unchanged(self, monkeypatch):
         # a chain of four-component states, as the select_chain benchmark runs: rows
         # and calls counted through each stage.  A lockstep row runs until it stops,
-        # also where ascend finds it absorbed into an earlier start's maximum, so it
+        # also where ascend finds its end on an earlier start's maximum, so it
         # evaluates more rows (2640 value and 2084 derivative rows with each start
         # ascended on its own, stopped once absorbed) in far fewer calls (1974 and
         # 1751 then)
@@ -1247,9 +1309,9 @@ class TestOneSearchPerState:
     def test_ascent_runs_only_in_the_first_search(self, monkeypatch):
         calls = []
 
-        def counting(state, start, first, maxima):
+        def counting(end, maxima):
             calls.append(1)
-            return ascend(state, start, first, maxima)
+            return ascend(end, maxima)
 
         monkeypatch.setattr(coherentlab.selection, "ascend", counting)
         state = _veto_state(1, 4)

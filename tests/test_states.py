@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -217,6 +219,26 @@ class TestSuperposedState:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="coherent-point coordinates must be finite"):
             evolve_free(state, 1.1)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_q_whose_double_overflows_is_refused(self, sign):
+        # at |q| = max / 2 the kernel's q + q is still finite and the self-overlap
+        # exactly 1; one ulp further it overflows, and the flush would make it 0
+        basis = ModeBasis(omegas=[1.0, 0.5], weights=[1.0, 0.7])
+        edge = sign * sys.float_info.max / 2
+        at = _pt([0.0, edge], [0.0, 0.0])
+        assert overlap(at, at, basis) == 1
+        assert SuperposedState.single(at, basis).norm_sq == 1.0
+        beyond = _pt([0.0, np.nextafter(edge, sign * np.inf)], [0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert overlap(beyond, beyond, basis) == 0
+        message = re.escape(f"component 1 has q[1] = {float(beyond.q[1])!r}, above the magnitude "
+                            f"{sys.float_info.max / 2!r}")
+        origin = _pt([0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match=message):
+            SuperposedState([1.0, 1.0], [origin, beyond], basis)
+        with pytest.raises(ValueError, match=message):
+            SuperposedState.single(origin, basis).with_component(1.0, beyond)
 
 
 class TestAmplitude:
