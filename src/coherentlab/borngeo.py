@@ -12,6 +12,7 @@ measure reproduces acceptance probability cos^2(theta).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import queue
 from dataclasses import dataclass
@@ -118,8 +119,99 @@ def is_blocked(geom: TransitionGeometry, phi: BlockingVector) -> bool:
 
 
 def _shard_sizes(n: int, shards: int) -> list[int]:
+    """Samples of shards 0, 1, ... that hold any; the shards from n on hold none."""
     base, extra = divmod(n, shards)
-    return [base + (1 if i < extra else 0) for i in range(shards)]
+    return [base + (i < extra) for i in range(min(n, shards))]
+
+
+# numpy seeds default_rng(key) through SeedSequence(key): a pool of four
+# 32-bit words hashed from the key's words, then eight output words, which
+# PCG64 reads as (initstate, initseq) and steps once.  No constant depends
+# on the key, so the pass below replays it for a whole column of keys.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_HASH_POOL = (0x43B0D7E5, 0x931E8875)  # (initial constant, multiplier) of the pool's hash
+_HASH_STATE = (0x8B51F9DD, 0x58F38DED)  # ... and of generate_state's
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's little-endian 32-bit words of a non-negative int; 0 is [0]."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed key entries must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_chain(const: int, mult: int):
+    """SeedSequence's hashmix: each call takes the chain's next constant."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word with a hashed word."""
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> 16)
+
+
+def _pcg64_states(keys: list[tuple]) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of ``np.random.default_rng(list(key))`` for every key.
+
+    One pass over all keys at once: each SeedSequence step is one uint32
+    array operation over the keys, and a word past a key's end leaves its
+    pool as it was.  PCG64 then takes inc = 2 initseq + 1 and state =
+    ((inc + initstate) MULT + inc) mod 2**128.  The words of each key,
+    and of each state, pass through Python one key at a time: a list held
+    for every key at once would leave its pages in the sweep's peak memory.
+    """
+    entropy = np.zeros((len(keys), _POOL), np.uint32)
+    lengths = []
+    for j, key in enumerate(keys):
+        words = [w for value in key for w in _words(value)]
+        if len(words) > entropy.shape[1]:
+            entropy = np.pad(entropy, ((0, 0), (0, len(words) - entropy.shape[1])))
+        entropy[j, :len(words)] = words
+        lengths.append(len(words))
+    lengths = np.array(lengths)
+    hashmix = _hash_chain(*_HASH_POOL)
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, entropy.shape[1]):
+        live = lengths > src
+        for dst in range(_POOL):
+            pool[dst] = np.where(live, _mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+    hashmix = _hash_chain(*_HASH_STATE)
+    out = np.stack([hashmix(pool[i % _POOL]) for i in range(8)], axis=1)
+    states = []
+    # generate_state(4, uint64) pairs the eight words little-endian, as here
+    for row in out.astype("<u4").view("<u8"):
+        hi, lo, seq_hi, seq_lo = row.tolist()
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _seat(bitgen: np.random.PCG64, state: int, inc: int) -> np.random.PCG64:
+    """``bitgen`` set to (state, inc), as freshly seeded: no buffered half-draw."""
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return bitgen
 
 
 # The sweep counts raw generator draws, not floats.  numpy's default bit
@@ -144,9 +236,8 @@ def _lattice_threshold(c: float) -> int:
     return min(max(k, 0), _ALL_ACCEPTED)
 
 
-def _accepted_count(k: int, n: int, seed_key: tuple) -> int:
-    """Draws among n of the substream ``seed_key`` whose lattice index is below k."""
-    bitgen = np.random.default_rng(list(seed_key)).bit_generator
+def _accepted_count(k: int, n: int, bitgen: np.random.PCG64) -> int:
+    """Draws among the next n of the seated ``bitgen`` whose lattice index is below k."""
     # at theta = 0 below is 2**64; numpy >= 2 compares it exactly, so every draw counts
     below = k << 11
     accepted = 0
@@ -167,17 +258,23 @@ def _accepted_counts(cells: list[tuple[int, tuple]], n: int, shards: int, worker
     """Accepted counts of n samples for each (lattice threshold, seed prefix) cell.
 
     Each cell is split into ``shards`` substreams keyed by (*prefix,
-    shard), one job each.  The job indices go into one shared queue.  The
-    calling thread takes jobs from it like every helper, so it works
-    rather than waits; min(workers, jobs, usable CPUs) - 1 helper threads
-    join it, and with one worker the caller runs every job and no thread
-    starts.  Each count is stored at its job's index and summed per cell
-    in shard order, so no count depends on the thread count or on which
-    thread ran a job.  The first exception in any thread stops the others
-    taking jobs; it is raised here once every helper has ended.
+    shard), one job for each shard that holds a sample.  The calling
+    thread computes the PCG64 state of every job's key in one pass
+    (``_pcg64_states``), the state ``np.random.default_rng(list(key))``
+    starts from, before any helper starts.  The job indices go into one
+    shared queue.  The calling thread takes jobs from it like every
+    helper, so it works rather than waits; min(workers, jobs, usable
+    CPUs) - 1 helper threads join it, and with one worker the caller runs
+    every job and no thread starts.  Each thread seats its one PCG64 with
+    a job's state and counts that job's draws from it.  Each count is
+    stored at its job's index and summed per cell in shard order, so no
+    count depends on the thread count or on which thread ran a job.  The
+    first exception in any thread stops the others taking jobs; it is
+    raised here once every helper has ended.
     """
     sizes = _shard_sizes(n, shards)
-    jobs = [(k, m, (*prefix, i)) for k, prefix in cells for i, m in enumerate(sizes)]
+    jobs = [(k, m) for k, _ in cells for m in sizes]
+    states = _pcg64_states([(*prefix, i) for _, prefix in cells for i in range(len(sizes))])
     counts = [0] * len(jobs)
     todo = queue.SimpleQueue()
     for index in range(len(jobs)):
@@ -185,13 +282,15 @@ def _accepted_counts(cells: list[tuple[int, tuple]], n: int, shards: int, worker
     failures = []
 
     def drain():
+        bitgen = np.random.PCG64(0)  # seated anew for every job
         while not failures:
             try:
                 index = todo.get_nowait()
             except queue.Empty:
                 return
             try:
-                counts[index] = _accepted_count(*jobs[index])
+                k, m = jobs[index]
+                counts[index] = _accepted_count(k, m, _seat(bitgen, *states[index]))
             except BaseException as exc:  # kept and raised by the caller, below
                 failures.append(exc)
 
@@ -207,7 +306,8 @@ def _accepted_counts(cells: list[tuple[int, tuple]], n: int, shards: int, worker
             helper.join()
     if failures:
         raise failures[0]
-    return [sum(counts[c * shards:(c + 1) * shards]) for c in range(len(cells))]
+    per_cell = len(sizes)
+    return [sum(counts[c * per_cell:(c + 1) * per_cell]) for c in range(len(cells))]
 
 
 def _check_sweep(thetas, n: int, shards: int) -> list[TransitionGeometry]:
@@ -229,8 +329,9 @@ def sweep_transition_prob(
     """Acceptance sweep over transition angles; one result row per theta.
 
     Each cell draws n blocking vectors from its own substream family
-    keyed by (seed, cell, shard), so the sweep is reproducible cell by
-    cell.  The shard structure is independent of ``workers``, so the
+    keyed by (seed, cell, shard), the streams of numpy's
+    ``default_rng([seed, cell, shard])``, so the sweep is reproducible
+    cell by cell.  The shard structure is independent of ``workers``, so the
     counts are identical for any worker count.  ``stderr`` is the
     estimated standard error; ``z_score`` is taken against the null one,
     sqrt(cos2 (1 - cos2) / n), and is 0 where that is 0.

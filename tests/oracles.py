@@ -191,6 +191,14 @@ def value_grad_hess_indexed(state, x):
     return v, grad, hess
 
 
+def _negative_definite(hess):
+    """Whether a Hessian is strictly negative definite; one ``eigvalsh`` cannot read is not."""
+    try:
+        return bool(np.linalg.eigvalsh(hess).max() < 0.0)
+    except np.linalg.LinAlgError:
+        return False
+
+
 def ascend_reevaluating(state, start, tol=1e-10, max_iter=200, counts=None):
     """Newton/gradient ascent with Armijo backtracking that evaluates afresh.
 
@@ -206,7 +214,7 @@ def ascend_reevaluating(state, start, tol=1e-10, max_iter=200, counts=None):
         v, grad, hess = value_grad_hess_indexed(state, x)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < tol * max(1.0, v):
-            is_max = bool(np.linalg.eigvalsh(hess).max() < 0.0)
+            is_max = _negative_definite(hess)
             counts["failed"] += not is_max
             return x, v, is_max
         direction = None
@@ -236,7 +244,7 @@ def ascend_reevaluating(state, start, tol=1e-10, max_iter=200, counts=None):
         x = x + alpha * direction
     v, grad, hess = value_grad_hess_indexed(state, x)
     ok = float(np.linalg.norm(grad)) < tol * max(1.0, v)
-    is_max = ok and bool(np.linalg.eigvalsh(hess).max() < 0.0)
+    is_max = ok and _negative_definite(hess)
     counts["failed"] += not is_max
     return x, v, is_max
 

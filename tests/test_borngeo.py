@@ -23,7 +23,7 @@ from coherentlab import (
     theta_from_norms,
 )
 from coherentlab import borngeo
-from coherentlab.borngeo import _accepted_count, _lattice_threshold
+from coherentlab.borngeo import _accepted_count, _lattice_threshold, _pcg64_states, _seat
 
 
 BORN_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "born.json"
@@ -184,6 +184,24 @@ def _reference_count(c, n, key):
     return int(np.count_nonzero(np.random.default_rng(list(key)).uniform(-1.0, 1.0, n) < c))
 
 
+def _seated(key):
+    """A PCG64 seated with the substream of ``key`` by the sweep's seeding pass."""
+    [(state, inc)] = _pcg64_states([key])
+    return _seat(np.random.PCG64(0), state, inc)
+
+
+def _keys_by_state(keys):
+    """Each key by the (state, inc) that numpy's own ``default_rng(list(key))`` starts from."""
+    return {tuple(np.random.default_rng(list(key)).bit_generator.state["state"].values()): key
+            for key in keys}
+
+
+def _seated_key(bitgen, keys_by_state):
+    """The key whose fresh substream ``bitgen`` is seated with; KeyError if none."""
+    assert bitgen.state["has_uint32"] == 0
+    return keys_by_state[tuple(bitgen.state["state"].values())]
+
+
 class TestRawDrawCounts:
     """The sweep counts raw draws below an integer threshold; these pin that
     it counts exactly the float test cos(alpha) < c on the same draws."""
@@ -211,7 +229,7 @@ class TestRawDrawCounts:
     def test_shard_count_equals_float_count(self, theta):
         c = np.cos(2.0 * theta)
         key = (5, 3, 1)
-        assert _accepted_count(_lattice_threshold(c), 5000, key) == _reference_count(c, 5000, key)
+        assert _accepted_count(_lattice_threshold(c), 5000, _seated(key)) == _reference_count(c, 5000, key)
 
     @pytest.mark.parametrize("index", [0, 17, 999])
     @pytest.mark.parametrize("step", [-1, 0, 1])
@@ -221,12 +239,12 @@ class TestRawDrawCounts:
         key = (8, 0, 2)
         drawn = np.random.default_rng(list(key)).uniform(-1.0, 1.0, 1000)[index]
         c = float(np.nextafter(drawn, step * np.inf)) if step else float(drawn)
-        assert _accepted_count(_lattice_threshold(c), 1000, key) == _reference_count(c, 1000, key)
+        assert _accepted_count(_lattice_threshold(c), 1000, _seated(key)) == _reference_count(c, 1000, key)
 
     def test_shard_drawn_in_blocks_equals_one_call(self):
         n, key = 3 * 2**16 + 17, (9, 9, 9)
         c = np.cos(2.0 * 0.6)
-        assert _accepted_count(_lattice_threshold(c), n, key) == _reference_count(c, n, key)
+        assert _accepted_count(_lattice_threshold(c), n, _seated(key)) == _reference_count(c, n, key)
 
     def test_shard_memory_does_not_grow_with_samples(self):
         tracemalloc.start()
@@ -236,6 +254,41 @@ class TestRawDrawCounts:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+class TestSeedingPass:
+    """The sweep seats every substream from one pass over all its keys; these
+    pin that pass to numpy's own seeding, so a numpy that changes
+    SeedSequence or PCG64's seeding step fails here instead of moving counts."""
+
+    @staticmethod
+    def _assert_numpy_seeding(keys):
+        states = _pcg64_states(keys)
+        assert len(states) == len(keys)
+        for key, (state, inc) in zip(keys, states):
+            ref = np.random.default_rng(list(key)).bit_generator
+            assert ref.state["state"] == {"state": state, "inc": inc}, key
+            assert np.array_equal(_seat(np.random.PCG64(0), state, inc).random_raw(8),
+                                  ref.random_raw(8))
+
+    # one to seven 32-bit words; from 2**64 on a key has more than the pool's
+    # four words, so the trailing-word mix runs, on some keys of a pass only
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 + 1, 2**200 + 12345])
+    def test_seeds_cells_and_shards_at_word_edges(self, seed):
+        edges = (0, 1, 2**32 - 1, 2**32, 2**70 + 3)
+        self._assert_numpy_seeding([(seed, cell, shard) for cell in edges for shard in edges])
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(keys=st.lists(st.lists(st.integers(min_value=0), min_size=1, max_size=6).map(tuple),
+                         min_size=1, max_size=8))
+    def test_every_key_of_a_pass_is_seeded_as_numpy_seeds_it_property(self, keys):
+        self._assert_numpy_seeding(keys)
+
+    def test_a_negative_seed_is_refused_as_numpy_refuses_it(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([-1, 0, 0])
+        with pytest.raises(ValueError, match="must be non-negative, got -1"):
+            sweep_transition_prob([0.3], n=10, seed=-1)
 
 
 @pytest.fixture
@@ -272,23 +325,26 @@ class TestTransitionProbMc:
             assert row["p_hat"] == base["p_hat"]
 
     def test_pool_has_no_more_threads_than_jobs_or_cpus(self, monkeypatch, started):
-        # every job records the thread that ran it, and every helper thread is counted
+        # every job records the thread that ran it and the key its generator is
+        # seated with, and every helper thread is counted
         runners = []
+        thetas, shards = [0.3, 0.7, 1.1], 4
+        every_key = [(5, cell, shard) for cell in range(len(thetas)) for shard in range(shards)]
+        keys_by_state = _keys_by_state(every_key)
         real_count = borngeo._accepted_count
 
-        def recording_count(*job):
-            runners.append(threading.get_ident())
-            return real_count(*job)
+        def recording_count(k, n, bitgen):
+            runners.append((threading.get_ident(), _seated_key(bitgen, keys_by_state)))
+            return real_count(k, n, bitgen)
 
         monkeypatch.setattr(borngeo, "_accepted_count", recording_count)
-        thetas, shards = [0.3, 0.7, 1.1], 4
         serial = sweep_transition_prob(thetas, n=1000, seed=5, shards=shards, workers=1)
-        assert started == [] and runners == [threading.get_ident()] * len(thetas) * shards
+        assert started == [] and runners == [(threading.get_ident(), key) for key in every_key]
         runners.clear()
         rows = sweep_transition_prob(thetas, n=1000, seed=5, shards=shards, workers=10**6)
         bound = min(len(thetas) * shards, len(os.sched_getaffinity(0)))
-        assert len(runners) == len(thetas) * shards
-        assert len(set(runners)) <= bound and len(started) == bound - 1
+        assert sorted(key for _, key in runners) == every_key
+        assert len({thread for thread, _ in runners}) <= bound and len(started) == bound - 1
         assert rows == serial
 
     def test_one_usable_cpu_starts_no_helper_thread(self, monkeypatch, started):
@@ -300,15 +356,17 @@ class TestTransitionProbMc:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_a_failing_job_stops_the_sweep_and_every_helper(self, monkeypatch, workers):
         thetas, shards = [0.19 * i for i in range(1, 9)], 16
+        keys_by_state = _keys_by_state((3, cell, shard) for cell in range(8) for shard in range(16))
         ran = []
         real_count = borngeo._accepted_count
 
-        def failing_count(k, n, seed_key):
+        def failing_count(k, n, bitgen):
+            seed_key = _seated_key(bitgen, keys_by_state)
             ran.append(seed_key)
             if seed_key == (3, 4, 7):  # the 72nd of 128 jobs
                 raise RuntimeError("substream (3, 4, 7) failed")
             time.sleep(1e-3)  # the other jobs take long enough for the failure to stop them
-            return real_count(k, n, seed_key)
+            return real_count(k, n, bitgen)
 
         monkeypatch.setattr(borngeo, "_accepted_count", failing_count)
         before = threading.active_count()
@@ -320,11 +378,13 @@ class TestTransitionProbMc:
     def test_many_helpers_run_each_job_once(self, monkeypatch):
         # more helpers than cores and a short switch interval: a job lost or run twice shows
         keys = []
+        every_key = [(8, cell, shard) for cell in range(30) for shard in range(16)]
+        keys_by_state = _keys_by_state(every_key)
         real_count = borngeo._accepted_count
 
-        def recording_count(k, n, seed_key):
-            keys.append(seed_key)
-            return real_count(k, n, seed_key)
+        def recording_count(k, n, bitgen):
+            keys.append(_seated_key(bitgen, keys_by_state))
+            return real_count(k, n, bitgen)
 
         thetas, shards = [0.05 * i for i in range(1, 31)], 16
         serial = sweep_transition_prob(thetas, n=64, seed=8, shards=shards, workers=1)
@@ -336,8 +396,38 @@ class TestTransitionProbMc:
             rows = sweep_transition_prob(thetas, n=64, seed=8, shards=shards, workers=8)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(keys) == [(8, cell, shard) for cell in range(30) for shard in range(16)]
+        assert sorted(keys) == every_key
         assert rows == serial
+
+    def test_a_shard_without_samples_is_no_job(self, monkeypatch, started):
+        # 16 shards of 7 samples: shards 7 to 15 hold none, so they are neither
+        # queued nor seeded, and they count toward no thread
+        keys = []
+        real_count = borngeo._accepted_count
+        thetas, n, seed = [0.7, 0.85], 7, 12
+        keys_by_state = _keys_by_state((seed, cell, shard) for cell in range(2) for shard in range(16))
+
+        def recording_count(k, m, bitgen):
+            keys.append((_seated_key(bitgen, keys_by_state), m))
+            return real_count(k, m, bitgen)
+
+        monkeypatch.setattr(borngeo, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(borngeo, "_accepted_count", recording_count)
+        rows = sweep_transition_prob(thetas, n=n, seed=seed, shards=16, workers=8)
+        assert sorted(keys) == [((seed, cell, shard), 1) for cell in range(2) for shard in range(n)]
+        assert len(started) == 7  # min(8 workers, 14 jobs, 8 CPUs) - 1
+        # the rows of a sweep that ran every shard: shard i < n draws its one
+        # sample from substream (seed, cell, i), and an empty shard adds 0
+        for cell, (theta, row) in enumerate(zip(thetas, rows)):
+            c = np.cos(2.0 * theta)
+            assert row["p_hat"] == sum(_reference_count(c, 1, (seed, cell, i)) for i in range(n)) / n
+        assert [row["p_hat"] for row in rows] == [5 / 7, 2 / 7]  # as the sweep gave before
+        assert rows == sweep_transition_prob(thetas, n=n, seed=seed, shards=n, workers=1)
+        keys.clear()
+        started.clear()
+        [row] = sweep_transition_prob([0.7], n=1, seed=seed, shards=16, workers=8)
+        assert keys == [((seed, 0, 0), 1)] and started == []  # one job starts no helper
+        assert row["p_hat"] == _reference_count(np.cos(1.4), 1, (seed, 0, 0))
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(

@@ -1,10 +1,11 @@
+import contextlib
 import hashlib
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coherentlab import (
@@ -243,7 +244,7 @@ class TestEvaluationStages:
         state, near, far = TestLandscapeUnderflow._state()
         probes = [np.array([500.0, 0.0, 0.0, 500.0]), near.as_vector() + 0.3, far.as_vector() - 0.2]
         _assert_stages_compose(state, probes)
-        heavy = TestLandscapeUnderflow._heavy_state()
+        heavy = _heavy_state()
         with np.errstate(over="ignore", invalid="ignore"):
             _assert_stages_compose(heavy, [np.concatenate([heavy.q[1], heavy.p[1]]), np.zeros(6)])
 
@@ -294,6 +295,19 @@ def _one_summit_state():
     """Three overlapping bumps with one summit, which all six starts reach."""
     return SuperposedState([1.0, 0.8, 0.6], [_pt(0.0, 0.0), _pt(0.8, 0.3), _pt(-0.5, 0.6)],
                            single_mode())
+
+
+def _heavy_state():
+    """Two bumps of weight 1e308 whose heavier centre is a start eigvalsh cannot read.
+
+    At the heavier centre, the second, the gradient vanishes, but the curvature
+    |a|^2 w / 2 overflows the Hessian to -inf, with NaN where inf meets the
+    zero off-diagonal, and eigvalsh does not converge; the lighter centre's
+    curvature stays finite.  At w = 1e308 the two bumps do not overlap.
+    """
+    basis = ModeBasis(omegas=[1.0] * 3, weights=[1e308] * 3)
+    near, far = _pt([0.0] * 3, [0.0] * 3), _pt([1.0] * 3, [1.0] * 3)
+    return SuperposedState([0.9, 3.0], [near, far], basis)
 
 
 class TestAscentReuse:
@@ -390,20 +404,24 @@ class TestSearchAgainstReference:
         self._assert_matches_reference(_overlapping_state(np.random.default_rng(seed)))
 
     @staticmethod
-    def _assert_same_bits_as_first_kept(state):
+    def _assert_same_bits_as_first_kept(state, overflows=False):
         # the search's rule itself: every start ascended alone, then each end taken
-        # in start order, the first maximum kept where ends lie within the radius
+        # in start order, the first maximum kept where ends lie within the radius;
+        # where the Hessian overflows, the oracle's arithmetic warns as the search's does not
         result = find_local_maxima(state)
-        found, failed = find_local_maxima_first_kept(state)
+        with np.errstate(over="ignore", invalid="ignore") if overflows else contextlib.nullcontext():
+            found, failed = find_local_maxima_first_kept(state)
         assert result.failed_starts == failed
         assert [(c.point.as_vector().tobytes(), c.v) for c in result.maxima] == [
             (x.tobytes(), v) for x, v in found]
         return result
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_same_bits_as_the_ends_deduped_first_kept_property(self, seed):
-        self._assert_same_bits_as_first_kept(_overlapping_state(np.random.default_rng(seed)))
+    @given(state=st.integers(0, 2**32 - 1).map(lambda seed: _overlapping_state(np.random.default_rng(seed))),
+           overflows=st.just(False))
+    @example(state=_heavy_state(), overflows=True)
+    def test_same_bits_as_the_ends_deduped_first_kept_property(self, state, overflows):
+        self._assert_same_bits_as_first_kept(state, overflows)
 
     def test_same_bits_as_the_ends_deduped_first_kept_where_a_start_fails(self):
         # the midpoint start of two close maxima ends on the saddle between them
@@ -614,18 +632,8 @@ class TestLandscapeUnderflow:
         assert v_at(state, x) == expected
         assert v_value_grad_hess(state, x)[0] == expected
 
-    @staticmethod
-    def _heavy_state():
-        # at the heavier centre, the second, the gradient vanishes, but the curvature
-        # |a|^2 w / 2 overflows the Hessian to -inf, with NaN where inf meets
-        # the zero off-diagonal, and eigvalsh does not converge; the lighter
-        # centre's curvature stays finite.  At w = 1e308 the two bumps do not overlap
-        basis = ModeBasis(omegas=[1.0] * 3, weights=[1e308] * 3)
-        near, far = _pt([0.0] * 3, [0.0] * 3), _pt([1.0] * 3, [1.0] * 3)
-        return SuperposedState([0.9, 3.0], [near, far], basis)
-
     def test_hessian_eigvalsh_cannot_read_is_a_failed_start(self):
-        state = self._heavy_state()
+        state = _heavy_state()
         x = np.concatenate([state.q[1], state.p[1]])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(np.linalg.LinAlgError):
@@ -709,7 +717,7 @@ class TestStackedFirstStep:
         with np.errstate(over="ignore", invalid="ignore"):
             self._assert_rows_alone(state, ascent_starts(state) + [
                 np.array([500.0, 0.0, 0.0, 500.0]), near.as_vector() + 0.3, far.as_vector() - 0.2])
-            heavy = TestLandscapeUnderflow._heavy_state()
+            heavy = _heavy_state()
             self._assert_rows_alone(heavy, ascent_starts(heavy) + [np.zeros(6)])
 
     def test_the_sample_takes_newton_and_gradient_steps(self, monkeypatch):
@@ -806,7 +814,7 @@ class TestStackedFirstStep:
     def test_a_row_eigvalsh_cannot_read_leaves_the_others_their_first_steps(self, monkeypatch):
         # the heavier centre's Hessian stops eigvalsh for the whole stack, so every row
         # is stepped alone: that row by its zero gradient, the others by Newton steps
-        state = TestLandscapeUnderflow._heavy_state()
+        state = _heavy_state()
         rng = np.random.default_rng(42)
         direction = coherentlab.landscape._direction
         taken = []
