@@ -69,12 +69,15 @@ class Trajectory:
     """Piecewise-linear charged-particle worldline.
 
     Breakpoints are (t, x, y, z) events with strictly increasing t; every
-    segment must be subluminal (|v| < 1, natural units c = 1).
+    segment must be subluminal (|v| < 1, natural units c = 1).  The checks'
+    one difference of the breakpoints also gives the segment table.
     """
 
     charge: float
     times: np.ndarray
     positions: np.ndarray
+    #: what ``current_j`` reads: entry events (S, 4), durations (S,), 4-velocities (S, 4)
+    segments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -83,24 +86,26 @@ class Trajectory:
             raise ValueError("a trajectory needs at least two breakpoints")
         if positions.shape != (times.size, 3):
             raise ValueError("positions must have shape (n_breakpoints, 3)")
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(positions))):
+        events = np.column_stack([times, positions])
+        if not np.isfinite(events).all():
             raise ValueError("breakpoints must be finite")
         # a difference of two finite breakpoints may overflow to inf: an
         # infinite interval is refused, an infinite step or velocity is superluminal
         with np.errstate(over="ignore"):
-            dt = np.diff(times)
-            if not (dt.min() > 0 and dt.max() < np.inf):
+            steps = np.diff(events, axis=0)
+            dts = steps[:, 0]
+            if not (dts.min() > 0 and dts.max() < np.inf):
                 raise ValueError("breakpoint times must strictly increase by finite intervals")
+            v4 = steps / dts[:, None]  # time component dt / dt = 1 exactly
             # |v| from the velocity: |step|^2 overflows for a slow step past 1e154
-            speeds = np.linalg.norm(np.diff(positions, axis=0) / dt[:, None], axis=1)
-        if np.any(speeds >= 1.0):
+            speeds = np.linalg.norm(v4[:, 1:], axis=1)
+        if (speeds >= 1.0).any():
             raise ValueError(f"superluminal segment (max |v| = {speeds.max():g})")
         if not np.isfinite(self.charge):
             raise ValueError("charge must be finite")
-        times.setflags(write=False)
-        positions.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "positions", positions)
+        for rows in (times, positions, events, dts, v4):
+            rows.setflags(write=False)
+        self.__dict__.update(times=times, positions=positions, segments=(events[:-1], dts, v4))
 
     @classmethod
     def from_breakpoints(cls, charge: float, breakpoints) -> "Trajectory":
@@ -122,8 +127,9 @@ def _check_on_shell(k) -> np.ndarray:
     if k.ndim not in (1, 2) or k.shape[-1] != 4:
         raise ValueError("the wave vector must have 4 components (k0, kx, ky, kz)")
     ks = np.atleast_2d(k)
-    norms = np.linalg.norm(ks[:, 1:], axis=1)
-    off = ~(np.abs(ks[:, 0] - norms) <= ON_SHELL_TOL)
+    # |k| with the dot of _unit and FieldMode's norm; an overflowed |k| is off shell
+    norms = np.sqrt(np.vecdot(ks[:, 1:], ks[:, 1:]))
+    off = ~((np.abs(ks[:, 0] - norms) <= ON_SHELL_TOL * np.fmax(1.0, norms)) & (norms < np.inf))
     if off.any():
         i = int(np.argmax(off))
         raise ValueError(f"wave vector off the mass shell: k0 = {ks[i, 0]:g}, |k| = {norms[i]:g}")
@@ -141,8 +147,8 @@ def current_j(trajectories, k):
 
     ``k`` is one wave vector of shape (4,), which gives a FourVector, or
     a stack of shape (K, 4), which gives a (K, 4) complex array whose
-    rows are the currents at the rows of ``k``.  Every row must be on
-    the mass shell.
+    rows are the currents at the rows of ``k``, each on the mass shell.
+    Each trajectory's ``segments`` table is read, not derived again.
     """
     trajectories = list(trajectories)
     if not trajectories:
@@ -154,11 +160,9 @@ def current_j(trajectories, k):
     # product per row of k, so a row is the same whatever else the stack holds
     k_low = (ks * _METRIC_SIGNS)[:, None, :]
     for traj in trajectories:
-        events = np.column_stack([traj.times, traj.positions])
-        dts = np.diff(traj.times)
-        v4 = np.diff(events, axis=0) / dts[:, None]  # time component dt / dt = 1 exactly
+        entries, dts, v4 = traj.segments
         # k.x at entry events and phase phi dt, shape (K, S); np.sinc(x) is sin(pi x)/(pi x)
-        kx_a = (k_low @ events[:-1].T)[:, 0]
+        kx_a = (k_low @ entries.T)[:, 0]
         phase = (k_low @ v4.T)[:, 0] * dts
         seg = dts * np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi)) * np.exp(1j * kx_a)
         total += -1j * traj.charge * (seg[:, None, :] @ v4)[:, 0]
@@ -261,7 +265,7 @@ def _transverse_amplitudes(trajectories, modes) -> np.ndarray:
     j = current_j(trajectories, _wave_vectors(modes))[:, 1:]
     # each mode's pair has the bits of its row of polarization_vectors over the stack
     pairs = np.reshape([m.polarization_pair for m in modes], (-1, 2, 3))
-    return np.sum(pairs * j[:, None, :], axis=2)
+    return (pairs * j[:, None, :]).sum(axis=2)
 
 
 def radiated_quanta(trajectories, modes) -> float:

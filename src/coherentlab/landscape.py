@@ -203,11 +203,11 @@ def lockstep_ascent(state: SuperposedState, starts: np.ndarray) -> list[tuple]:
     for it in range(ASCENT_MAX_ITER + 1):
         gnorm = np.sqrt(_dots(grad, grad))
         moving = ~(gnorm < ASCENT_TOL * np.fmax(1.0, v))
-        converged[rows[~moving]] = True
-        if it == ASCENT_MAX_ITER or not moving.any():
-            break
         if not moving.all():
+            converged[rows[~moving]] = True
             rows, x, v, grad, hess, gnorm = (a[moving] for a in (rows, x, v, grad, hess, gnorm))
+        if it == ASCENT_MAX_ITER or not rows.size:
+            break
         direction, slope = _direction(grad, gnorm, _newton_steps(grad, hess))
         trial = x + direction
         v_trial, stage = _value_stage(state, trial)
@@ -240,18 +240,17 @@ def ascend(end: tuple, maxima: list[tuple[np.ndarray, float]]) -> tuple[np.ndarr
     """Where one start's ascent ends, given the maxima found so far; returns (x, v, is_max).
 
     ``end`` is the start's row of ``lockstep_ascent``, and ``maxima`` the
-    (x, v) maxima the search has found so far.  An end within DEDUP_RADIUS
-    of one of them returns the first such maximum's own x and v, with
-    is_max True.  Otherwise the end is returned, and a converged end only
-    counts as a maximum if its Hessian is strictly negative definite: flat
-    saddles between far bumps also pass the gradient test.
+    (x, v) maxima found so far, walked in the order found with one 1-D
+    ``d @ d`` each (a row's bits in ``_dots``): the first within DEDUP_RADIUS
+    returns its own x and v, with is_max True.  Otherwise the end is
+    returned, and a converged end only counts as a maximum if its Hessian
+    is strictly negative definite: flat saddles also pass the gradient test.
     """
     x, v, converged, hess = end
-    if maxima:
-        d = x - np.array([xk for xk, _ in maxima])
-        near = _dots(d, d) < DEDUP_RADIUS * DEDUP_RADIUS
-        if near.any():
-            return *maxima[near.argmax()], True
+    for xk, vk in maxima:
+        d = x - xk
+        if d @ d < DEDUP_RADIUS * DEDUP_RADIUS:
+            return xk, vk, True
     # a copy: a maximum kept on a cached state must not hold the search's whole end array
     return x.copy(), v, converged and _negative_definite(hess)
 
@@ -270,6 +269,6 @@ def ascent_starts(state: SuperposedState) -> list[np.ndarray]:
     i, j = np.nonzero(m[:, None] < m)
     dq = state.q[i] - state.q[j]
     dp = state.p[i] - state.p[j]
-    dist = np.sqrt(np.sum(state.basis.weights * (dq * dq + dp * dp), axis=1))
+    dist = np.sqrt((state.basis.weights * (dq * dq + dp * dp)).sum(axis=1))
     near = dist < NEAR_DISTANCE
     return list(centers) + list(0.5 * (centers[i[near]] + centers[j[near]]))

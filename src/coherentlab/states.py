@@ -60,12 +60,11 @@ class CoherentPoint:
         p = np.atleast_1d(np.asarray(self.p, dtype=float))
         if q.ndim != 1 or p.ndim != 1 or q.shape != p.shape:
             raise ValueError("q and p must be 1-d and of equal length")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(q).all() and np.isfinite(p).all()):
             raise ValueError("coherent-point coordinates must be finite")
         q.setflags(write=False)
         p.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        self.__dict__.update(q=q, p=p)
 
     @property
     def n_modes(self) -> int:
@@ -167,7 +166,7 @@ class SuperposedState:
             j, k = np.argwhere(np.abs(q) > q_max)[0]
             raise ValueError(f"component {j} has q[{k}] = {float(q[j, k])!r}, above the magnitude "
                              f"{q_max!r} at which the kernel's q + q overflows")
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("coefficients must be finite")
         self.basis = basis
         self.coeffs = coeffs
@@ -179,8 +178,8 @@ class SuperposedState:
         # huge coefficients overflow the norm; the rule below rejects an inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
             gram = _kernel_rows(np.concatenate((q, p), 1), q, p, basis.weights)[0]
-            norm_sq = float(np.real(np.conj(coeffs) @ gram @ coeffs))
-            floor = NORM_RTOL * float(np.sum(coeffs.real**2 + coeffs.imag**2))
+            norm_sq = float((np.conj(coeffs) @ gram @ coeffs).real)
+            floor = NORM_RTOL * float((coeffs.real**2 + coeffs.imag**2).sum())
         if not np.isfinite(norm_sq) or norm_sq <= floor:
             raise ValueError(
                 f"state has squared norm {norm_sq:g}, not above the roundoff floor {floor:g}"
@@ -221,9 +220,9 @@ class SuperposedState:
     def with_component(self, coeff: complex, point: CoherentPoint) -> "SuperposedState":
         _check_point(point, self.basis)
         return SuperposedState._from_rows(
-            np.append(self.coeffs, complex(coeff)),
-            np.vstack((self.q, point.q)),
-            np.vstack((self.p, point.p)),
+            np.concatenate((self.coeffs, [complex(coeff)])),
+            np.concatenate((self.q, point.q[None])),
+            np.concatenate((self.p, point.p[None])),
             self.basis,
         )
 
@@ -278,9 +277,7 @@ def evolve_free(state: SuperposedState, dt: float) -> SuperposedState:
         s = np.sin(state.basis.omegas * dt)
         q_new = state.q * c + state.p * s
         p_new = state.p * c - state.q * s
-        phases = 0.5 * np.sum(
-            state.basis.weights * (state.q * state.p - q_new * p_new), axis=1
-        )
+        phases = 0.5 * (state.basis.weights * (state.q * state.p - q_new * p_new)).sum(axis=1)
         coeffs = state.coeffs * np.exp(1j * phases)
     finite = np.isfinite(phases)
     # the state's build refuses a turned centre that overflowed

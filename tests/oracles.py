@@ -12,7 +12,8 @@ references keep the straightforward form of code that the library
 restructured for speed (the pairwise start search, the ascent that
 re-evaluates every accepted point, the search that runs every start to
 convergence, the search that dedups ends ascended one start at a time,
-the csv module's writer and the plot
+the dedup that stacks the maxima found, the current that derives its
+segments on every call, the csv module's writer and the plot
 that scales one point at a time), so the fast path can be required to
 give the same bytes.
 """
@@ -300,6 +301,45 @@ def find_local_maxima_first_kept(state, dedup_radius=1e-6):
             failed += 1
     found = sorted(((x, min(v, 1.0)) for x, v in found), key=lambda item: (-item[1], tuple(item[0])))
     return found, failed
+
+
+def ascend_stacked(end, maxima, dedup_radius=1e-6):
+    """``landscape.ascend`` with the distances to all maxima taken in one stacked array.
+
+    The maxima are stacked into one (m, 2n) array, their squared distances
+    to the end taken as a row-wise matmul, and the first below
+    ``dedup_radius`` squared returned; otherwise a copy of the end, a
+    maximum if it converged with a negative definite Hessian.
+    """
+    x, v, converged, hess = end
+    if maxima:
+        d = x - np.array([xk for xk, _ in maxima])
+        near = np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0] < dedup_radius * dedup_radius
+        if near.any():
+            return *maxima[near.argmax()], True
+    return x.copy(), v, converged and _negative_definite(hess)
+
+
+def current_j_rederived(trajectories, k):
+    """The (K, 4) currents at on-shell rows k, each segment derived afresh from the breakpoints.
+
+    Per trajectory and per call: the events as ``column_stack([times,
+    positions])``, the durations as ``np.diff(times)`` and the 4-velocities
+    as the events' ``np.diff`` over the durations; then the closed-form
+    segment sum of ``currents.current_j``.
+    """
+    ks = np.atleast_2d(np.asarray(k, dtype=float))
+    total = np.zeros((ks.shape[0], 4), dtype=complex)
+    k_low = (ks * np.array([1.0, -1.0, -1.0, -1.0]))[:, None, :]
+    for traj in trajectories:
+        events = np.column_stack([traj.times, traj.positions])
+        dts = np.diff(traj.times)
+        v4 = np.diff(events, axis=0) / dts[:, None]
+        kx_a = (k_low @ events[:-1].T)[:, 0]
+        phase = (k_low @ v4.T)[:, 0] * dts
+        seg = dts * np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi)) * np.exp(1j * kx_a)
+        total += -1j * traj.charge * (seg[:, None, :] @ v4)[:, 0]
+    return total
 
 
 def polarization_cross_reference(k_vec):

@@ -654,6 +654,19 @@ def test_charge_whose_content_overflows_persists_with_probability_0(tmp_path):
     assert json.loads((out / "current.json").read_text())["vacuum_persistence"] == 0.0
 
 
+def test_mode_at_large_k_is_on_its_shell(tmp_path):
+    # at |k| = 1.76e7 one ulp is 3.7e-9, above an absolute shell tolerance of 1e-9
+    cfg = write_config(tmp_path, "big_k.json", _with(_CURRENT, modes=[
+        {"k": [13040000.451301372, 9470809.631292421, -7037352.358069926]}]))
+    out = tmp_path / "out"
+    proc = _run_cli_process(["current", "--config", cfg, "--out", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config_resolved.json", "current.csv", "current.json"]
+    doc = json.loads((out / "current.json").read_text())
+    assert 0.0 < doc["vacuum_persistence"] <= 1.0
+
+
 def test_component_too_far_for_a_float_exponent_runs_silently(tmp_path):
     # at q = p = 1e154 the kernel exponent and the start distance overflow: the
     # overlap with the far component flushes to 0, and the two are not near

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coherentlab import (
@@ -20,8 +22,8 @@ from coherentlab import (
     vacuum_persistence,
 )
 
-from coherentlab.currents import _transverse_amplitudes
-from oracles import polarization_cross_reference
+from coherentlab.currents import _check_on_shell, _transverse_amplitudes, _wave_vectors
+from oracles import current_j_rederived, polarization_cross_reference
 
 
 def quad_current(traj: Trajectory, k: np.ndarray) -> np.ndarray:
@@ -238,6 +240,69 @@ class TestStackedCurrent:
         div = current_divergence([traj], k)
         assert div.shape == (5,)
         assert np.array_equal(div, [current_divergence([traj], kk) for kk in k])
+
+
+class TestSegmentTable:
+    """A trajectory derives its segments once; ``current_j`` reads them."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_current_has_the_bits_of_segments_derived_per_call_property(self, seed):
+        rng = np.random.default_rng(seed)
+        t0 = rng.uniform(-10.0, 10.0)
+        span = (t0, t0 + rng.uniform(0.01, 20.0))
+        trajs = [random_trajectory(rng, n_segments=int(rng.integers(1, 9)), span=span)
+                 for _ in range(int(rng.integers(1, 4)))]
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        k = np.array([on_shell(rng.normal(0.0, scale, 3)) for _ in range(int(rng.integers(1, 9)))])
+        assert current_j(trajs, k).tobytes() == current_j_rederived(trajs, k).tobytes()
+        one = current_j(trajs, k[0]).components
+        assert one.tobytes() == current_j_rederived(trajs, k[0])[0].tobytes()
+
+    def test_the_table_is_read_only(self):
+        traj = random_trajectory(np.random.default_rng(3), n_segments=3)
+        entries, dts, v4 = traj.segments
+        assert entries.shape == (3, 4) and dts.shape == (3,) and v4.shape == (3, 4)
+        assert np.array_equal(v4[:, 0], np.ones(3))
+        for rows in (traj.times, traj.positions, entries, dts, v4):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 0.0
+
+
+class TestOnShell:
+    """Every field mode is on its own mass shell, at any |k| its construction accepts."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           exponent=st.floats(-6.0, 300.0))
+    def test_every_field_mode_is_on_its_shell_property(self, direction, exponent):
+        d = np.array(direction)
+        length = np.linalg.norm(d)
+        if not length > 0.1:
+            d, length = np.array([0.3, -0.4, 1.2]), 1.3
+        k = d * (10.0**exponent / length)
+        with np.errstate(over="ignore"):
+            squared = k @ k
+        if squared == np.inf:  # |k|^2 overflows: no such mode is built
+            with pytest.raises(ValueError, match="finite length"):
+                FieldMode(k_vec=k)
+            return
+        mode = FieldMode(k_vec=k)
+        assert _check_on_shell(_wave_vectors([mode])).tobytes() == mode.k4.tobytes()
+
+    @pytest.mark.parametrize("row", [[np.nextafter(1e7, np.inf), 1e7, 0.0, 0.0],
+                                     [1e7 * (1 + 5e-10), 1e7, 0.0, 0.0],
+                                     [1e150 * (1 - 5e-10), 0.0, 1e150, 0.0]])
+    def test_a_row_within_the_relative_tolerance_is_on_shell(self, row):
+        # k0 is one ulp (1.9e-9) and 5e-3 off |k| = 1e7, and 5e140 off 1e150:
+        # above an absolute 1e-9, within 1e-9 |k|
+        assert _check_on_shell(np.array(row)).tobytes() == np.array([row]).tobytes()
+
+    @pytest.mark.parametrize("row", [[1.0 + 2e-9, 1.0, 0.0, 0.0], [1e7 * (1 + 2e-9), 1e7, 0.0, 0.0],
+                                     [2.0**0.5 * 1e200, 1e200, 1e200, 0.0], [np.inf, 1.0, 0.0, 0.0]])
+    def test_a_row_off_by_more_than_the_relative_tolerance_is_refused(self, row):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="mass shell"):
+            _check_on_shell(np.array(row))
 
 
 class TestBracket:

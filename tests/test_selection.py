@@ -39,6 +39,7 @@ from coherentlab.landscape import (
 import oracles
 from oracles import (
     ascend_reevaluating,
+    ascend_stacked,
     ascent_starts_loop,
     fd_gradient,
     find_local_maxima_first_kept,
@@ -939,6 +940,46 @@ class TestStackedFirstStep:
         for offset in (0.0, 1e-7):
             on = ascend(_end(state, x + offset), [(x, v)])
             assert on[0] is x and on[1] == v and on[2] is True
+
+    @staticmethod
+    @st.composite
+    def _end_and_maxima(draw):
+        """An end in 2 to 6 dimensions and 0-4 maxima at distances near and far from it."""
+        dim = 2 * draw(st.integers(1, 3))
+        x = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)))
+        hess = -np.eye(dim) if draw(st.booleans()) else np.eye(dim)
+        end = (x, draw(st.floats(0.0, 1.0)), draw(st.booleans()), hess)
+        offsets = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+        scales = st.sampled_from([0.0, 1e-7, 3e-7, 6e-7, 1e-6, 1e-3, 1.0])
+        maxima = [(x + draw(scales) * np.array(draw(offsets)), draw(st.floats(0.0, 1.0)))
+                  for _ in range(draw(st.integers(0, 4)))]
+        return end, maxima
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(case=_end_and_maxima())
+    # a NaN end, an end at exactly the radius, and two maxima inside it, the nearer found second
+    @example(case=((np.array([np.nan, 0.0]), 0.5, True, -np.eye(2)), [(np.zeros(2), 0.9)]))
+    @example(case=((np.array([1e-6, 0.0]), 0.5, True, -np.eye(2)), [(np.zeros(2), 0.9)]))
+    @example(case=((np.zeros(2), 0.5, True, -np.eye(2)),
+                   [(np.array([3e-7, 0.0]), 0.8), (np.array([0.0, 1e-7]), 0.9)]))
+    def test_the_dedup_walk_has_the_bits_of_the_stacked_distances_property(self, case):
+        end, maxima = case
+        x, v, ok = ascend(end, maxima)
+        x_ref, v_ref, ok_ref = ascend_stacked(end, maxima)
+        assert ok is ok_ref and v == v_ref
+        if any(x_ref is xk for xk, _ in maxima):
+            assert x is x_ref
+        else:
+            assert x.tobytes() == x_ref.tobytes() and x is not end[0]
+
+    def test_the_first_maximum_near_wins_and_the_radius_itself_is_outside(self):
+        first, nearer = (np.array([3e-7, 0.0]), 0.8), (np.array([0.0, 1e-7]), 0.9)
+        x, v, ok = ascend((np.zeros(2), 0.5, True, -np.eye(2)), [first, nearer])
+        assert x is first[0] and v == 0.8 and ok is True
+        # at exactly DEDUP_RADIUS, and at a NaN end, the end is no maximum found
+        for end in (np.array([1e-6, 0.0]), np.array([np.nan, 0.0])):
+            x, v, ok = ascend((end, 0.5, True, -np.eye(2)), [(np.zeros(2), 0.9)])
+            assert x.tobytes() == end.tobytes() and x is not end and v == 0.5 and ok is True
 
     def test_stage_rows_per_search_are_unchanged(self, monkeypatch):
         # a chain of four-component states, as the select_chain benchmark runs: rows

@@ -107,6 +107,21 @@ class TestOverlap:
             for x in ([np.nan, 0.0], [0.0, 1e200], [1e200, 1e200]):
                 assert _kernel_rows(np.array(x), rows, rows, np.ones(1))[0].tobytes() == zero
 
+    def test_a_stack_flushes_exactly_its_flushed_entries(self):
+        # one mode at w = 4 * 690 against the rows q = 0, 1, -2^-52 and 1e308: dq = 1
+        # gives the exponent -690, kept, and dq = 1 + 2^-52 one step past it, flushed;
+        # dq^2 overflows against 1e308, and 1e308 against itself has dq = 0 but q + q = inf
+        w = np.array([4.0 * UNDERFLOW_EXPONENT])
+        x = np.array([[1.0, 0.0], [0.0, 0.0], [1e308, 0.0]])
+        q, p = np.array([[0.0], [1.0], [-2.0**-52], [1e308]]), np.zeros((4, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel = _kernel_rows(x, q, p, w)[0]
+        kept = np.array([[True, True, False, False], [True, True, True, False], [False] * 4])
+        assert kernel[~kept].tobytes() == np.zeros(int((~kept).sum()), complex).tobytes()
+        dq = (x[:, None, 0] - q[:, 0])[kept]
+        assert np.array_equal(kernel[kept], np.exp(-0.25 * (dq * dq * w)))
+        assert (kernel[kept].real > 0.0).all()
+
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
     def test_components_past_the_flush_threshold_are_orthonormal_property(self, data):
